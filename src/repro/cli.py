@@ -592,7 +592,8 @@ def _dispatch(argv=None) -> int:
         return serve_daemon(run_dir, config, log=say)
 
     if args.cmd == "client":
-        from .core.api import _via_daemon
+        from .core.api import _build_task, _via_daemon
+        from .engine import EquivalenceQuery, RaceQuery
 
         if args.socket:
             socket_path = Path(args.socket)
@@ -609,17 +610,14 @@ def _dispatch(argv=None) -> int:
             mapping = correspondence_by_key(
                 prog, q, overrides=_parse_map(args.map), strict=True
             )
-            res = _via_daemon(
-                "check-fusion", (prog, q), options, socket_path,
-                mapping=mapping, client_id=args.client_id,
-                priority=args.priority, retries=args.retry,
-            )
+            query = EquivalenceQuery(program=prog, program2=q, mapping=mapping)
         else:
-            res = _via_daemon(
-                "check-race", (prog,), options, socket_path,
-                client_id=args.client_id, priority=args.priority,
-                retries=args.retry,
-            )
+            query = RaceQuery(program=prog)
+        res = _via_daemon(
+            _build_task(query, options), socket_path,
+            client_id=args.client_id, priority=args.priority,
+            retries=args.retry,
+        )
         if res.details.get("daemon", {}).get("cached"):
             print("(cached by daemon)", file=sys.stderr)
         return report(res)

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from typing import Dict, Mapping, Optional, Sequence, Set
 
 from ..engine import (
     EquivalenceQuery,
@@ -47,13 +47,6 @@ from ..engine import (
     RaceQuery,
     plan_for,
     program_fields,
-)
-from ..engine.plan import (
-    LADDER_ESCALATION,
-    merge_verdicts,
-    plan_for as _plan_for,
-    run_scope_rungs,
-    run_symbolic_rungs,
 )
 from ..lang import ast as A
 from ..lang.validate import validate
@@ -67,7 +60,6 @@ __all__ = [
     "check_equivalence",
     "verification_to_dict",
     "verification_from_dict",
-    "LADDER_ESCALATION",
 ]
 
 
@@ -174,97 +166,26 @@ def verification_from_dict(
 
 
 # ----------------------------------------------------------------------
-# Backwards-compatible ladder aliases (the implementations live in
-# repro.engine.plan; these shims keep the historical core.api surface —
-# used by older tests and external callers — importable).
+# The one solve path
 
 
-_program_fields = program_fields
-_merge_race = merge_verdicts
+#: (found, clean) verdict names per query kind.
+_VERDICTS = {
+    "race": ("race", "race-free"),
+    "equiv": ("not-equivalent", "equivalent"),
+}
 
 
-def _symbolic_ladder(
-    run_sym, engine, det_budget, mso_deadline_s, node_ceiling, attempts,
-    details,
-):
-    rungs = _plan_for(engine).symbolic_rungs()
-    return run_symbolic_rungs(
-        run_sym, rungs, det_budget, mso_deadline_s, node_ceiling, attempts,
-        details,
+def _query_limits(options: Dict[str, object]) -> QueryLimits:
+    return QueryLimits(
+        det_budget=options["det_budget"],
+        mso_deadline_s=options["mso_deadline_s"],
+        node_ceiling=options["node_ceiling"],
+        bounded_deadline_s=options["bounded_deadline_s"],
     )
 
 
-def _bounded_ladder(run_bnd, max_internal, bounded_deadline_s, attempts):
-    rung = _plan_for("bounded").scope_rung()
-    return run_scope_rungs(
-        run_bnd, rung, max_internal, bounded_deadline_s, attempts
-    )
-
-
-# ----------------------------------------------------------------------
-# Cache plumbing
-
-
-def _decided_engine(decided_by, attempts) -> Optional[str]:
-    """The engine name behind a ``decided_by`` rung (``"bisim"`` for the
-    equivalence fast path, which records no attempt)."""
-    if decided_by is None:
-        return None
-    if decided_by == "bisim":
-        return "bisim"
-    for a in attempts:
-        if a.get("rung") == decided_by:
-            return a.get("engine")
-    return None
-
-
-def _cache_lookup(cache, query, plan, t0, allow_bisim=True):
-    record = cache.lookup(query, plan, allow_bisim=allow_bisim)
-    if record is None:
-        return None
-    res = verification_from_dict(
-        record["result"],
-        default_query=query.display(),
-        elapsed=time.perf_counter() - t0,
-    )
-    res.details["cache"] = {
-        "hit": True,
-        "key": record["key"],
-        "stats": cache.stats.as_dict(),
-    }
-    return res
-
-
-def _cache_store(cache, query, res: VerificationResult) -> None:
-    decided_by = res.details.get("decided_by")
-    attempts = res.details.get("attempts") or []
-    wire = verification_to_dict(res)
-    stored = cache.store(
-        query,
-        res.verdict,
-        res.holds,
-        decided_by,
-        _decided_engine(decided_by, attempts),
-        wire,
-    )
-    res.details["cache"] = {
-        "hit": False,
-        "key": query.key(),
-        "stored": stored,
-        "stats": cache.stats.as_dict(),
-    }
-
-
-# ----------------------------------------------------------------------
-# Public entry points
-
-
-def _build_task(
-    kind: str,
-    programs: Sequence[A.Program],
-    options: Dict[str, object],
-    mapping: Optional[Mapping[str, Set[str]]] = None,
-):
+def _build_task(query, options: Dict[str, object]):
     """The serializable worker :class:`~repro.service.protocol.Task`
     for a query (shared by process isolation and daemon dispatch).
 
@@ -277,65 +198,41 @@ def _build_task(
     from ..service import Limits
     from ..service.worker import task_for_fusion, task_for_race
 
-    wall_s = options.pop("wall_s", None)
-    cpu_s = options.pop("cpu_s", None)
-    mem_bytes = options.pop("mem_bytes", None)
-    limits = Limits(wall_s=wall_s, cpu_s=cpu_s, mem_bytes=mem_bytes)
+    options = dict(options)
+    limits = Limits(
+        wall_s=options.pop("wall_s", None),
+        cpu_s=options.pop("cpu_s", None),
+        mem_bytes=options.pop("mem_bytes", None),
+    )
     options = {k: v for k, v in options.items() if v is not None or k in (
         "mso_deadline_s", "bounded_deadline_s", "node_ceiling")}
-    if kind == "check-race":
+    p = query.program
+    if query.kind == "race":
         return task_for_race(
-            source=program_source(programs[0]),
-            entry=programs[0].entry,
-            options=options,
-            limits=limits,
-            name=programs[0].name,
+            source=program_source(p), entry=p.entry, options=options,
+            limits=limits, name=p.name,
         )
+    q = query.program2
     return task_for_fusion(
-        source=program_source(programs[0]),
-        source2=program_source(programs[1]),
-        entry=programs[0].entry,
+        source=program_source(p),
+        source2=program_source(q),
+        entry=p.entry,
         options=options,
-        mapping={k: sorted(v) for k, v in (mapping or {}).items()},
+        mapping={k: sorted(v) for k, v in query.mapping.items()},
         limits=limits,
-        name=programs[0].name,
-        name2=programs[1].name,
+        name=p.name,
+        name2=q.name,
     )
 
 
-def _isolated(
-    kind: str,
-    programs: Sequence[A.Program],
-    options: Dict[str, object],
-    mapping: Optional[Mapping[str, Set[str]]] = None,
-) -> VerificationResult:
-    """Route a query through a sandboxed worker (DESIGN.md §9).
-
-    The query is solved in a child process under hard OS limits and the
-    child's JSON result is lifted back into a
-    :class:`VerificationResult`.  A child that dies without answering —
-    crash, rlimit, wall-clock kill, even after the supervisor's retries
-    — comes back as ``verdict="unknown"`` with the crashed attempts in
-    ``details["attempts"]``, never as an exception and never as a
-    silent wrong verdict.
-    """
-    from ..service import run_verification_isolated
-
-    task = _build_task(kind, programs, options, mapping)
-    return run_verification_isolated(task)
-
-
 def _via_daemon(
-    kind: str,
-    programs: Sequence[A.Program],
-    options: Dict[str, object],
+    task,
     daemon_socket,
-    mapping: Optional[Mapping[str, Set[str]]] = None,
     client_id: str = "api",
     priority: Optional[int] = None,
     retries: int = 0,
 ) -> VerificationResult:
-    """Route a query through a running solve daemon (DESIGN.md §11).
+    """Route a task through a running solve daemon (DESIGN.md §11).
 
     The daemon owns the supervisor pool and the shared cache tier, so
     concurrent callers across processes share verdicts, admission
@@ -343,13 +240,10 @@ def _via_daemon(
     (:class:`~repro.service.scheduler.ServiceOverloaded`) propagate to
     the caller — by design, so backpressure is visible, not swallowed.
     """
-    import time as _time
-
     from ..service.client import DaemonClient
     from ..service.scheduler import DEFAULT_PRIORITY
 
-    t0 = _time.perf_counter()
-    task = _build_task(kind, programs, options, mapping)
+    t0 = time.perf_counter()
     with DaemonClient(daemon_socket, client_id=client_id) as client:
         reply = client.submit_task(
             task,
@@ -361,7 +255,7 @@ def _via_daemon(
             query=task.name,
             verdict="unknown",
             engine="daemon",
-            elapsed=_time.perf_counter() - t0,
+            elapsed=time.perf_counter() - t0,
             holds=False,
             details={
                 "attempts": reply.get("attempts") or [],
@@ -374,7 +268,7 @@ def _via_daemon(
             reply["value"],
             default_query=task.name,
             default_engine="daemon",
-            elapsed=_time.perf_counter() - t0,
+            elapsed=time.perf_counter() - t0,
         )
     res.details["isolation"] = "daemon"
     res.details["daemon"] = {
@@ -382,6 +276,111 @@ def _via_daemon(
         "key": reply.get("key"),
     }
     return res
+
+
+def _solve(
+    query,
+    options: Dict[str, object],
+    replay_witness,
+    isolation: str,
+    cache,
+    daemon_socket,
+    t0: float,
+) -> VerificationResult:
+    """Answer ``query`` — the path both public entry points share.
+
+    ``options`` are the entry's solve keywords (the worker task's
+    options plus the ``wall_s``/``cpu_s``/``mem_bytes`` sandbox limits);
+    ``replay_witness(tree)`` replays a counterexample concretely.  The
+    cache is consulted first; ``isolation`` then picks the transport:
+    ``"inline"`` runs the plan here (behind the bisimulation gate when
+    ``options["check_bisim"]``), ``"process"`` a sandboxed worker and
+    ``"daemon"`` the solve daemon at ``daemon_socket``; a worker that
+    dies without answering comes back as ``verdict="unknown"``, never as
+    an exception.  A decided result is stored back into the cache.
+    """
+    plan = plan_for(options["engine"])
+    if cache is not None:
+        record = cache.lookup(
+            query, plan, allow_bisim=options.get("check_bisim", True)
+        )
+        if record is not None:
+            res = verification_from_dict(
+                record["result"],
+                default_query=query.display(),
+                elapsed=time.perf_counter() - t0,
+            )
+            res.details["cache"] = {
+                "hit": True,
+                "key": record["key"],
+                "stats": cache.stats.as_dict(),
+            }
+            return res
+    if isolation not in ("inline", "process", "daemon"):
+        raise ValueError(f"unknown isolation mode {isolation!r}")
+    if isolation == "daemon" and daemon_socket is None:
+        raise ValueError(
+            "isolation='daemon' needs daemon_socket= "
+            "(the socket of a running `repro serve`)"
+        )
+    bis = None
+    if isolation == "inline" and options.get("check_bisim"):
+        bis = check_bisimulation(query.program, query.program2, query.mapping)
+    if isolation == "daemon":
+        res = _via_daemon(_build_task(query, options), daemon_socket)
+    elif isolation == "process":
+        from ..service import run_verification_isolated
+
+        res = run_verification_isolated(_build_task(query, options))
+    elif bis is not None and not bis.bisimilar:
+        res = VerificationResult(
+            query=query.display(),
+            verdict="not-equivalent",
+            engine="bisim",
+            elapsed=time.perf_counter() - t0,
+            holds=False,
+            details={
+                "attempts": [],
+                "bisimulation": str(bis),
+                "decided_by": "bisim",
+            },
+        )
+    else:
+        outcome = PlanExecutor(cache=cache).execute(query, plan)
+        if bis is not None:
+            outcome.details["bisimulation"] = str(bis)
+        found, clean = _VERDICTS[query.kind]
+        verdict = found if outcome.found else clean
+        if outcome.undecided:
+            verdict = "unknown"
+        rep = None
+        if (options["replay"] and outcome.found
+                and outcome.witness_tree is not None):
+            rep = replay_witness(outcome.witness_tree)
+        res = VerificationResult(
+            query=query.display(),
+            verdict=verdict,
+            engine=outcome.engine_label,
+            elapsed=time.perf_counter() - t0,
+            holds=not outcome.found and verdict != "unknown",
+            witness=outcome.witness,
+            witness_tree=outcome.witness_tree,
+            replay=rep,
+            details=outcome.details,
+        )
+    if cache is not None:
+        stored = cache.store(query, verification_to_dict(res))
+        res.details["cache"] = {
+            "hit": False,
+            "key": query.key(),
+            "stored": stored,
+            "stats": cache.stats.as_dict(),
+        }
+    return res
+
+
+# ----------------------------------------------------------------------
+# Public entry points
 
 
 def _race_on_user_trees(
@@ -490,72 +489,30 @@ def check_data_race(
         if isolation != "inline":
             raise ValueError("on_trees= only supports isolation='inline'")
         return _race_on_user_trees(program, on_trees, replay, t0)
-    plan = plan_for(engine)
+    options = {
+        "engine": engine,
+        "max_internal": max_internal,
+        "det_budget": det_budget,
+        "mso_deadline_s": mso_deadline_s,
+        "node_ceiling": node_ceiling,
+        "bounded_deadline_s": bounded_deadline_s,
+        "replay": replay,
+        "wall_s": wall_s,
+        "cpu_s": cpu_s,
+        "mem_bytes": mem_bytes,
+    }
     query = RaceQuery(
-        program=program,
-        scope=max_internal,
-        limits=QueryLimits(
-            det_budget=det_budget,
-            mso_deadline_s=mso_deadline_s,
-            node_ceiling=node_ceiling,
-            bounded_deadline_s=bounded_deadline_s,
-        ),
+        program=program, scope=max_internal, limits=_query_limits(options)
     )
-    if cache is not None:
-        hit = _cache_lookup(cache, query, plan, t0)
-        if hit is not None:
-            return hit
-    if isolation in ("process", "daemon"):
-        opts = {
-            "engine": engine,
-            "max_internal": max_internal,
-            "det_budget": det_budget,
-            "mso_deadline_s": mso_deadline_s,
-            "node_ceiling": node_ceiling,
-            "bounded_deadline_s": bounded_deadline_s,
-            "replay": replay,
-            "wall_s": wall_s,
-            "cpu_s": cpu_s,
-            "mem_bytes": mem_bytes,
-        }
-        if isolation == "daemon":
-            if daemon_socket is None:
-                raise ValueError(
-                    "isolation='daemon' needs daemon_socket= "
-                    "(the socket of a running `repro serve`)"
-                )
-            res = _via_daemon("check-race", (program,), opts, daemon_socket)
-        else:
-            res = _isolated("check-race", (program,), opts)
-        if cache is not None:
-            _cache_store(cache, query, res)
-        return res
-    if isolation != "inline":
-        raise ValueError(f"unknown isolation mode {isolation!r}")
-
-    outcome = PlanExecutor(cache=cache).execute(query, plan)
-    verdict = "race" if outcome.found else "race-free"
-    if outcome.undecided:
-        verdict = "unknown"
-    rep = None
-    if replay and outcome.found and outcome.witness_tree is not None:
-        rep = replay_race(
-            program, outcome.witness_tree, program_fields(program)
-        )
-    res = VerificationResult(
-        query=query.display(),
-        verdict=verdict,
-        engine=outcome.engine_label,
-        elapsed=time.perf_counter() - t0,
-        holds=not outcome.found and verdict != "unknown",
-        witness=outcome.witness,
-        witness_tree=outcome.witness_tree,
-        replay=rep,
-        details=outcome.details,
+    return _solve(
+        query,
+        options,
+        lambda tree: replay_race(program, tree, program_fields(program)),
+        isolation,
+        cache,
+        daemon_socket,
+        t0,
     )
-    if cache is not None:
-        _cache_store(cache, query, res)
-    return res
 
 
 def check_equivalence(
@@ -590,97 +547,32 @@ def check_equivalence(
     validate(p)
     validate(p_prime)
     t0 = time.perf_counter()
-    plan = plan_for(engine)
+    options = {
+        "engine": engine,
+        "max_internal": max_internal,
+        "det_budget": det_budget,
+        "mso_deadline_s": mso_deadline_s,
+        "node_ceiling": node_ceiling,
+        "bounded_deadline_s": bounded_deadline_s,
+        "replay": replay,
+        "check_bisim": check_bisim,
+        "wall_s": wall_s,
+        "cpu_s": cpu_s,
+        "mem_bytes": mem_bytes,
+    }
     query = EquivalenceQuery(
         program=p,
         program2=p_prime,
         mapping=mapping,
         scope=max_internal,
-        limits=QueryLimits(
-            det_budget=det_budget,
-            mso_deadline_s=mso_deadline_s,
-            node_ceiling=node_ceiling,
-            bounded_deadline_s=bounded_deadline_s,
-        ),
+        limits=_query_limits(options),
     )
-    if cache is not None:
-        hit = _cache_lookup(cache, query, plan, t0, allow_bisim=check_bisim)
-        if hit is not None:
-            return hit
-    if isolation in ("process", "daemon"):
-        opts = {
-            "engine": engine,
-            "max_internal": max_internal,
-            "det_budget": det_budget,
-            "mso_deadline_s": mso_deadline_s,
-            "node_ceiling": node_ceiling,
-            "bounded_deadline_s": bounded_deadline_s,
-            "replay": replay,
-            "check_bisim": check_bisim,
-            "wall_s": wall_s,
-            "cpu_s": cpu_s,
-            "mem_bytes": mem_bytes,
-        }
-        if isolation == "daemon":
-            if daemon_socket is None:
-                raise ValueError(
-                    "isolation='daemon' needs daemon_socket= "
-                    "(the socket of a running `repro serve`)"
-                )
-            res = _via_daemon(
-                "check-fusion", (p, p_prime), opts, daemon_socket,
-                mapping=mapping,
-            )
-        else:
-            res = _isolated("check-fusion", (p, p_prime), opts, mapping=mapping)
-        if cache is not None:
-            _cache_store(cache, query, res)
-        return res
-    if isolation != "inline":
-        raise ValueError(f"unknown isolation mode {isolation!r}")
-
-    if check_bisim:
-        bis = check_bisimulation(p, p_prime, mapping)
-        if not bis.bisimilar:
-            details: Dict[str, object] = {
-                "attempts": [],
-                "bisimulation": str(bis),
-                "decided_by": "bisim",
-            }
-            res = VerificationResult(
-                query=query.display(),
-                verdict="not-equivalent",
-                engine="bisim",
-                elapsed=time.perf_counter() - t0,
-                holds=False,
-                details=details,
-            )
-            if cache is not None:
-                _cache_store(cache, query, res)
-            return res
-
-    outcome = PlanExecutor(cache=cache).execute(query, plan)
-    if check_bisim:
-        outcome.details["bisimulation"] = str(bis)
-    verdict = "not-equivalent" if outcome.found else "equivalent"
-    if outcome.undecided:
-        verdict = "unknown"
-    rep = None
-    if replay and outcome.found and outcome.witness_tree is not None:
-        rep = replay_conflict(
-            p, p_prime, outcome.witness_tree, query.fields()
-        )
-    res = VerificationResult(
-        query=query.display(),
-        verdict=verdict,
-        engine=outcome.engine_label,
-        elapsed=time.perf_counter() - t0,
-        holds=not outcome.found and verdict != "unknown",
-        witness=outcome.witness,
-        witness_tree=outcome.witness_tree,
-        replay=rep,
-        details=outcome.details,
+    return _solve(
+        query,
+        options,
+        lambda tree: replay_conflict(p, p_prime, tree, query.fields()),
+        isolation,
+        cache,
+        daemon_socket,
+        t0,
     )
-    if cache is not None:
-        _cache_store(cache, query, res)
-    return res

@@ -1,16 +1,15 @@
 """Content-addressed result cache with soundness-aware reuse.
 
 Records are keyed by :meth:`query.key` — the hash of *what* is asked,
-never of the limits — and stored in memory plus (optionally) a durable
-backend: ``path=`` a directory uses
-:class:`repro.service.store.ResultStore` (one checksummed JSON file per
-record, the per-run-dir tier), while ``backend=`` accepts any object
-with the same ``get(key)``/``put(key, payload)`` surface — in
-particular :class:`repro.service.sharedcache.SharedCache`, the shared
-cross-run sqlite tier behind the solve daemon.  Either way cached
-verdicts get checksummed, atomically-written, quarantine-on-corruption
-treatment, and a run directory (or daemon cache) doubles as a warm
-cache across runs.
+never of the limits — and kept in memory plus, when the cache is given
+a directory, in that directory's ``cache.sqlite``
+(:class:`repro.service.sharedcache.SharedCache`): checksummed rows,
+quarantine on corruption, WAL crash safety.  That one file is the only
+durable record store.  A batch run directory and a solve daemon's run
+directory each hold one, so either doubles as a warm cache across runs.
+The same file also holds *task-keyed* rows (``{"key", "kind",
+"result"}``, see :meth:`ResultCache.store_task`): a batch's resume
+records and the daemon's fuzz-case results.
 
 Reuse is governed by the deciding engine's declared
 :class:`~repro.engine.engines.Capabilities`, not by the verdict alone:
@@ -64,20 +63,33 @@ class CacheStats:
         }
 
 
-class ResultCache:
-    """In-memory + optional on-disk verdict cache keyed by query hash."""
+def _decided_engine(decided_by, attempts) -> Optional[str]:
+    """The engine name behind a ``decided_by`` rung (``"bisim"`` for the
+    equivalence fast path, which records no attempt)."""
+    if decided_by is None:
+        return None
+    if decided_by == "bisim":
+        return "bisim"
+    for a in attempts:
+        if a.get("rung") == decided_by:
+            return a.get("engine")
+    return None
 
-    def __init__(self, path: Optional[Path] = None, backend=None) -> None:
-        if path is not None and backend is not None:
-            raise ValueError("pass either path= or backend=, not both")
+
+class ResultCache:
+    """In-memory verdict cache keyed by query hash, backed by
+    ``path/cache.sqlite`` when ``path`` (a directory) is given."""
+
+    def __init__(self, path: Optional[Path] = None) -> None:
         self._memory: Dict[str, Dict[str, Any]] = {}
         self._lock = threading.Lock()
         self.stats = CacheStats()
-        self._store = backend
+        #: The durable tier, or ``None`` for a memory-only cache.
+        self.shared = None
         if path is not None:
-            from ..service.store import ResultStore
+            from ..service.sharedcache import SharedCache
 
-            self._store = ResultStore(Path(path))
+            self.shared = SharedCache(Path(path) / "cache.sqlite")
 
     # -- reuse policy ----------------------------------------------------
 
@@ -115,8 +127,8 @@ class ResultCache:
         key = query.key()
         with self._lock:
             record = self._memory.get(key)
-        if record is None and self._store is not None:
-            record = self._store.get(key)
+        if record is None and self.shared is not None:
+            record = self.shared.get(key)
             if record is not None:
                 with self._lock:
                     self._memory[key] = record
@@ -130,18 +142,15 @@ class ResultCache:
             self.stats.misses += 1
         return None
 
-    def store(
-        self,
-        query,
-        verdict: str,
-        holds: bool,
-        decided_by: Optional[str],
-        decided_engine: Optional[str],
-        result: Dict[str, Any],
-    ) -> bool:
-        """Store one decided verdict; refuses ``unknown`` (a bigger
-        budget might decide it, so it must always be recomputed)."""
-        if verdict == "unknown" or decided_engine is None:
+    def store(self, query, result: Dict[str, Any]) -> bool:
+        """Store one wire-format result (see :func:`repro.core.api.
+        verification_to_dict`); refuses ``unknown`` (a bigger budget
+        might decide it, so it must always be recomputed)."""
+        verdict = result.get("verdict", "unknown")
+        details = result.get("details") or {}
+        decided_by = details.get("decided_by")
+        engine = _decided_engine(decided_by, details.get("attempts") or [])
+        if verdict == "unknown" or engine is None:
             return False
         key = query.key()
         record = {
@@ -149,14 +158,26 @@ class ResultCache:
             "kind": query.kind,
             "scope": query.scope,
             "verdict": verdict,
-            "holds": bool(holds),
+            "holds": bool(result.get("holds")),
             "decided_by": decided_by,
-            "decided_engine": decided_engine,
+            "decided_engine": engine,
             "result": result,
         }
         with self._lock:
             self._memory[key] = record
             self.stats.stored += 1
-        if self._store is not None:
-            self._store.put(key, record)
+        if self.shared is not None:
+            self.shared.put(key, record)
         return True
+
+    # -- task-keyed rows -------------------------------------------------
+
+    def task_result(self, key: str) -> Optional[Dict[str, Any]]:
+        """The durable result stored under a task key, or ``None``."""
+        row = self.shared.get(key)
+        return None if row is None else row.get("result")
+
+    def store_task(self, key: str, kind: str, result: Dict[str, Any]) -> None:
+        """Durably store one task's result under its task key (no reuse
+        policy applies: the key names the exact task)."""
+        self.shared.put(key, {"key": key, "kind": kind, "result": result})

@@ -5,8 +5,8 @@ policy (budget scaling, deadline sharing, scope shrinking, when the
 rung fires, what an internal error does).  One :class:`PlanExecutor`
 interprets any plan and produces exactly the historical
 ``details["attempts"]`` / ``details["decided_by"]`` schema that
-``core.api`` used to hard-code in ``_symbolic_ladder`` /
-``_bounded_ladder`` (DESIGN.md §7 → §10):
+``core.api`` once hard-coded as its degradation ladder (DESIGN.md §7 →
+§10):
 
 * ``engine="auto"`` — guarded symbolic run, one ×4-escalated retry when
   (and only when) the first run died on its *state budget* and ≥1s of

@@ -24,18 +24,18 @@ Seven layers:
   crash/resource/verdict outcome classes) and a circuit breaker that
   falls back to the bounded-only ladder rung when symbolic workers
   crash repeatedly;
-* :mod:`repro.service.store` + :mod:`repro.service.batch` — a durable
-  checksummed result store (atomic write-rename, corruption quarantine)
-  and an append-only journal enabling ``repro batch --resume``: a run
-  killed with SIGKILL mid-way restarts and recomputes only the verdicts
-  that were never journaled;
+* :mod:`repro.service.sharedcache` — the one durable store: a sqlite
+  file of checksummed rows (corruption quarantine, WAL crash safety)
+  that :class:`repro.engine.cache.ResultCache` opens as
+  ``<dir>/cache.sqlite``, in a batch run directory and in the daemon's;
+* :mod:`repro.service.store` + :mod:`repro.service.batch` — an
+  append-only fsync'd journal over that store, enabling ``repro batch
+  --resume``: a run killed with SIGKILL mid-way restarts and recomputes
+  only the verdicts that were never journaled;
 * :mod:`repro.service.scheduler` — admission control for the daemon:
   bounded queue with typed :class:`ServiceOverloaded` rejections and
   retry-after hints, priority-aware load shedding, per-client
   token-bucket quotas, and stride-scheduled weighted fairness;
-* :mod:`repro.service.sharedcache` — the shared cross-run sqlite cache
-  tier (checksummed rows, corruption quarantine, WAL crash safety)
-  that :class:`repro.engine.cache.ResultCache` uses as a backend;
 * :mod:`repro.service.daemon` + :mod:`repro.service.client` — the
   long-lived multi-tenant solve daemon behind ``repro serve`` (DESIGN.md
   §11) and its blocking socket client (``repro client``,
@@ -48,7 +48,7 @@ from .daemon import DaemonConfig, DaemonError, SolveDaemon, serve
 from .protocol import Limits, Task, task_key
 from .scheduler import FairScheduler, ServiceOverloaded, TokenBucket
 from .sharedcache import SharedCache
-from .store import Journal, ResultStore
+from .store import Journal
 from .supervisor import (
     CircuitBreaker,
     RetryPolicy,
@@ -74,7 +74,6 @@ __all__ = [
     "SupervisedResult",
     "RetryPolicy",
     "CircuitBreaker",
-    "ResultStore",
     "Journal",
     "BatchError",
     "BatchReport",

@@ -17,10 +17,17 @@ A **manifest** is a JSON file describing the tasks of one batch::
     }
 
 ``file``/``file2`` paths resolve relative to the manifest; sources are
-inlined at load time so the *run directory* is self-contained.  Each
-run directory holds the resolved manifest copy (plus its hash), the
-checksummed result store, the journal, and two outputs:
+inlined at load time so the *run directory* is self-contained.  A run
+directory holds:
 
+* ``manifest.json`` + ``meta.json`` — the resolved manifest and its
+  hash (``--resume`` refuses a different manifest);
+* ``cache.sqlite`` — the one durable store
+  (:class:`repro.service.sharedcache.SharedCache`, checksummed rows,
+  corrupt rows quarantined): each finished task's result under its task
+  key, plus each decided verdict under its query key, reusable by any
+  later run pointed at the same directory;
+* ``journal.jsonl`` — one fsync'd line per finished or failed task;
 * ``results.json`` — the **deterministic verdict set**: one record per
   task (name, kind, key, verdict, holds, ok), byte-identical between an
   uninterrupted run and a ``kill -9``'d run resumed with ``--resume``;
@@ -28,7 +35,7 @@ checksummed result store, the journal, and two outputs:
   required to be reproducible).
 
 ``--resume RUN_DIR`` replays the journal, re-verifies each journaled
-verdict against the checksummed store, and recomputes only what is
+verdict against its checksummed row, and recomputes only what is
 missing: completed work survives any crash of the *driver* as well as
 of the workers.  Failed tasks (crashes that exhausted their retry
 budget) are journaled as events but never marked done, so a resume
@@ -45,9 +52,14 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
 from .protocol import Limits, Task, canonical_json, task_key
-from .store import Journal, ResultStore, payload_digest
+from .store import Journal, payload_digest
 from .supervisor import RetryPolicy, SupervisedResult, Supervisor
-from .worker import task_for_case, task_for_fusion, task_for_race
+from .worker import (
+    WorkerOutcome,
+    cache_query,
+    task_for_fusion,
+    task_for_race,
+)
 
 __all__ = ["BatchError", "BatchReport", "load_manifest", "run_batch"]
 
@@ -76,10 +88,23 @@ def _read_source(entry: Dict[str, Any], key: str, base: Path, name: str) -> str:
         raise BatchError(f"task {name!r}: cannot read {path}: {e}") from e
 
 
-def _merged(defaults: Dict[str, Any], entry: Dict[str, Any], key: str) -> Dict[str, Any]:
-    out = dict(defaults.get(key) or {})
-    out.update(entry.get(key) or {})
-    return out
+def _object(value: Any, what: str) -> Dict[str, Any]:
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise BatchError(
+            f"{what} must be a JSON object, not {type(value).__name__}"
+        )
+    return value
+
+
+def _merged(
+    defaults: Dict[str, Any], entry: Dict[str, Any], key: str, name: str
+) -> Dict[str, Any]:
+    return {
+        **_object(defaults.get(key), f"defaults {key!r}"),
+        **_object(entry.get(key), f"task {name!r}: {key!r}"),
+    }
 
 
 def load_manifest(path: Path) -> List[Task]:
@@ -93,18 +118,19 @@ def load_manifest(path: Path) -> List[Task]:
         raise BatchError(f"manifest {path} is not JSON: {e}") from e
     if not isinstance(data, dict) or not isinstance(data.get("tasks"), list):
         raise BatchError(f"manifest {path} needs a top-level 'tasks' list")
-    defaults = data.get("defaults") or {}
+    defaults = _object(data.get("defaults"), "manifest 'defaults'")
     base = path.parent
     tasks: List[Task] = []
     seen_names = set()
     for i, entry in enumerate(data["tasks"]):
+        entry = _object(entry, f"manifest task #{i}")
         name = entry.get("name") or f"task-{i}"
         if name in seen_names:
             raise BatchError(f"duplicate task name {name!r} in manifest")
         seen_names.add(name)
         kind = entry.get("kind")
-        options = _merged(defaults, entry, "options")
-        limits = Limits.from_dict(_merged(defaults, entry, "limits"))
+        options = _merged(defaults, entry, "options", name)
+        limits = Limits.from_dict(_merged(defaults, entry, "limits", name))
         if kind == "check-race":
             tasks.append(task_for_race(
                 source=_read_source(entry, "source", base, name),
@@ -126,12 +152,12 @@ def load_manifest(path: Path) -> List[Task]:
             )
             tasks.append(dc_replace(task, name=name))
         elif kind == "fuzz-case":
-            case = dict(entry.get("case") or {})
+            case = dict(_object(entry.get("case"), f"task {name!r}: 'case'"))
             if "source" not in case and "kind" not in case:
                 raise BatchError(f"task {name!r}: fuzz-case needs a 'case'")
             case.setdefault("name", name)
             payload: Dict[str, Any] = {"case": case}
-            oracle = _merged(defaults, entry, "oracle")
+            oracle = _merged(defaults, entry, "oracle", name)
             if oracle:
                 payload["oracle"] = oracle
             tasks.append(Task(
@@ -145,64 +171,6 @@ def load_manifest(path: Path) -> List[Task]:
     if not tasks:
         raise BatchError(f"manifest {path} has no tasks")
     return tasks
-
-
-# ----------------------------------------------------------------------
-# Result-cache plumbing
-
-
-def _query_for_task(task: Task):
-    """The Query-IR object behind a ``check-*`` task, or ``None``.
-
-    Any parse/validation/mapping problem makes the task uncacheable (it
-    is simply dispatched to a worker, which reports the real error);
-    the cache must never turn a malformed task into a crash here.
-    """
-    if task.kind not in ("check-race", "check-fusion"):
-        return None
-    from ..engine import EquivalenceQuery, RaceQuery
-    from ..lang.parser import parse_program
-    from ..lang.validate import validate
-
-    payload = task.payload
-    opts = payload.get("options") or {}
-    scope = opts.get("max_internal", 4)
-    entry = payload.get("entry", "Main")
-    try:
-        if task.kind == "check-race":
-            p = parse_program(
-                payload["source"], name=payload.get("name", "program"),
-                entry=entry,
-            )
-            validate(p)
-            return RaceQuery(program=p, scope=scope)
-        p = parse_program(
-            payload["source"], name=payload.get("name", "original"),
-            entry=entry,
-        )
-        q = parse_program(
-            payload["source2"], name=payload.get("name2", "fused"),
-            entry=entry,
-        )
-        validate(p)
-        validate(q)
-        if payload.get("mapping") is not None:
-            mapping = {k: set(v) for k, v in payload["mapping"].items()}
-        else:
-            from ..core.transform import correspondence_by_key
-
-            overrides = {
-                k: set(v)
-                for k, v in (payload.get("map_overrides") or {}).items()
-            }
-            mapping = correspondence_by_key(
-                p, q, overrides=overrides, strict=True
-            )
-        return EquivalenceQuery(
-            program=p, program2=q, mapping=mapping, scope=scope
-        )
-    except Exception:
-        return None
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +256,7 @@ class BatchReport:
             )
         if self.quarantined:
             lines.append(
-                f"  {self.quarantined} corrupt store record(s) quarantined "
+                f"  {self.quarantined} corrupt cache row(s) quarantined "
                 "and recomputed"
             )
         if self.cache_hits:
@@ -357,129 +325,102 @@ def run_batch(
             + "\n",
         )
 
-    store = ResultStore(run_dir)
-    journal = Journal(run_dir / "journal.jsonl")
-    replayed = journal.replay()
+    from ..engine import ResultCache
 
-    # A journal line is only a pointer; the checksummed store record is
-    # the evidence.  Missing/corrupt records are recomputed.
-    done: Dict[str, SupervisedResult] = {}
-    journaled_keys = {
-        rec["key"]
-        for rec in replayed.records
-        if rec.get("event") == "verdict" and "key" in rec
-    }
-    keys = {task_key(t): t for t in tasks}
-    from .worker import WorkerOutcome
+    # One durable store, run_dir/cache.sqlite, holds two kinds of row:
+    # task-keyed resume records (the evidence behind each journal line)
+    # and query-keyed verdicts, which any later run pointed at the same
+    # directory reuses when the deciding engine's capabilities allow.
+    cache = ResultCache(run_dir)
+    try:
+        journal = Journal(run_dir / "journal.jsonl")
+        replayed = journal.replay()
 
-    for key, task in keys.items():
-        if key not in journaled_keys:
-            continue
-        payload = store.get(key)
-        if payload is None:
-            say(f"journaled result for {task.name} missing or corrupt; "
-                "recomputing")
-            continue
-        done[key] = SupervisedResult(
-            task=task,
-            key=key,
-            final=WorkerOutcome(status="ok", value=payload),
-            attempts=[],
+        # A journal line is only a pointer; the checksummed row is the
+        # evidence.  Missing/corrupt rows are recomputed.
+        done: Dict[str, SupervisedResult] = {}
+        journaled_keys = {
+            rec["key"]
+            for rec in replayed.records
+            if rec.get("event") == "verdict" and "key" in rec
+        }
+        for task in tasks:
+            key = task_key(task)
+            if key not in journaled_keys:
+                continue
+            value = cache.task_result(key)
+            if value is None:
+                say(f"journaled result for {task.name} missing or corrupt; "
+                    "recomputing")
+                continue
+            done[key] = SupervisedResult(
+                task=task,
+                key=key,
+                final=WorkerOutcome(status="ok", value=value),
+                attempts=[],
+            )
+
+        pending = [t for t in tasks if task_key(t) not in done]
+        say(
+            f"batch: {len(tasks)} task(s), {len(done)} already journaled, "
+            f"{len(pending)} to run (isolation={isolation}, jobs={jobs})"
         )
+        queries = {task_key(t): cache_query(t) for t in pending}
 
-    pending = [t for t in tasks if task_key(t) not in done]
-    say(
-        f"batch: {len(tasks)} task(s), {len(done)} already journaled, "
-        f"{len(pending)} to run (isolation={isolation}, jobs={jobs})"
-    )
+        supervisor = Supervisor(policy=policy, isolation=isolation)
+        computed: Dict[str, SupervisedResult] = {}
+        cached: Dict[str, SupervisedResult] = {}
 
-    # Content-addressed verdict cache: keyed by *query* hash (what is
-    # asked), unlike the run's result store, which is keyed by task
-    # hash.  Persisted inside the run directory so a rerun over the same
-    # directory — and any other run pointed at it — reuses decided
-    # verdicts whose deciding engine's capabilities allow it.
-    from ..core.api import _decided_engine
-    from ..engine import ResultCache, plan_for
-
-    cache = ResultCache(run_dir / "cache")
-    queries: Dict[str, tuple] = {}
-    for t in pending:
-        query = _query_for_task(t)
-        if query is None:
-            continue
-        opts = t.payload.get("options") or {}
-        try:
-            plan = plan_for(opts.get("engine", "auto"))
-        except ValueError:
-            continue
-        queries[task_key(t)] = (
-            query, plan, bool(opts.get("check_bisim", True))
-        )
-
-    supervisor = Supervisor(policy=policy, isolation=isolation)
-    computed: Dict[str, SupervisedResult] = {}
-    cached: Dict[str, SupervisedResult] = {}
-
-    def on_result(res: SupervisedResult) -> None:
-        if res.ok:
-            store.put(res.key, res.final.value or {})
-            journal.append({
-                "event": "verdict",
-                "key": res.key,
-                "name": res.task.name,
-                "verdict": _task_verdict(res)["verdict"],
-                "attempts": len(res.attempts),
-            })
-            info = queries.get(res.key)
-            if info is not None and res.key not in cached:
-                query, _plan, _allow = info
+        def on_result(res: SupervisedResult) -> None:
+            if res.ok:
                 value = res.final.value or {}
-                details = value.get("details") or {}
-                decided_by = details.get("decided_by")
-                cache.store(
-                    query,
-                    value.get("verdict", "unknown"),
-                    bool(value.get("holds")),
-                    decided_by,
-                    _decided_engine(
-                        decided_by, details.get("attempts") or []
-                    ),
-                    value,
-                )
-        else:
-            journal.append({
-                "event": "failed",
-                "key": res.key,
-                "name": res.task.name,
-                "outcome": res.final.outcome_class,
-                "detail": res.final.describe(),
-                "attempts": len(res.attempts),
-            })
-        computed[res.key] = res
-        say(f"  {res.task.name}: "
-            + (_task_verdict(res)["verdict"] if res.ok
-               else f"FAILED ({res.final.describe()})"))
+                cache.store_task(res.key, res.task.kind, value)
+                journal.append({
+                    "event": "verdict",
+                    "key": res.key,
+                    "name": res.task.name,
+                    "verdict": _task_verdict(res)["verdict"],
+                    "attempts": len(res.attempts),
+                })
+                info = queries.get(res.key)
+                if info is not None and res.key not in cached:
+                    cache.store(info[0], value)
+            else:
+                journal.append({
+                    "event": "failed",
+                    "key": res.key,
+                    "name": res.task.name,
+                    "outcome": res.final.outcome_class,
+                    "detail": res.final.describe(),
+                    "attempts": len(res.attempts),
+                })
+            computed[res.key] = res
+            say(f"  {res.task.name}: "
+                + (_task_verdict(res)["verdict"] if res.ok
+                   else f"FAILED ({res.final.describe()})"))
 
-    for t in pending:
-        key = task_key(t)
-        info = queries.get(key)
-        if info is None:
-            continue
-        query, plan, allow_bisim = info
-        record = cache.lookup(query, plan, allow_bisim=allow_bisim)
-        if record is None:
-            continue
-        res = SupervisedResult(
-            task=t,
-            key=key,
-            final=WorkerOutcome(status="ok", value=record["result"]),
-            attempts=[],
-        )
-        cached[key] = res
-        on_result(res)
-    pending = [t for t in pending if task_key(t) not in cached]
+        for t in pending:
+            key = task_key(t)
+            info = queries.get(key)
+            if info is None:
+                continue
+            query, plan, allow_bisim = info
+            record = cache.lookup(query, plan, allow_bisim=allow_bisim)
+            if record is None:
+                continue
+            res = SupervisedResult(
+                task=t,
+                key=key,
+                final=WorkerOutcome(status="ok", value=record["result"]),
+                attempts=[],
+            )
+            cached[key] = res
+            on_result(res)
+        pending = [t for t in pending if task_key(t) not in cached]
 
-    supervisor.map(pending, jobs=jobs, on_result=on_result)
+        supervisor.map(pending, jobs=jobs, on_result=on_result)
+    finally:
+        cache.shared.close()
 
     report = BatchReport(run_dir=run_dir)
     report.total = len(tasks)
@@ -489,7 +430,7 @@ def run_batch(
     report.cache = cache.stats.as_dict()
     report.breaker_open = supervisor.breaker.open
     report.journal_skipped_lines = replayed.skipped_lines
-    report.quarantined = len(store.quarantined)
+    report.quarantined = len(cache.shared.quarantined)
 
     attempts_out: Dict[str, Any] = {}
     for task in tasks:

@@ -47,7 +47,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..runtime import faults
 from .client import DaemonError
@@ -58,9 +58,9 @@ from .scheduler import (
     ServiceOverloaded,
     Submission,
 )
-from .sharedcache import SharedCache
 from .store import Journal
 from .supervisor import RetryPolicy, SupervisedResult, Supervisor
+from .worker import cache_query
 
 __all__ = [
     "DaemonConfig",
@@ -232,8 +232,7 @@ class SolveDaemon:
         self.socket_path = Path(
             self.config.socket_path or self.run_dir / "daemon.sock"
         )
-        self.cache = SharedCache(self.run_dir / "cache.sqlite")
-        self.rcache = ResultCache(backend=self.cache)
+        self.cache = ResultCache(self.run_dir)
         self.journal = Journal(self.run_dir / "daemon-journal.jsonl")
         self.scheduler = FairScheduler(
             max_depth=self.config.queue_depth,
@@ -315,15 +314,15 @@ class SolveDaemon:
             if not ckey or ckey in seen:
                 continue
             seen.add(ckey)
-            if self.cache.get(ckey) is not None:
+            if self.cache.shared.get(ckey) is not None:
                 self.stats["replayed"] += 1
             else:
                 self.stats["replay_missing"] += 1
-        verified, _corrupt = self.cache.verify_all()
+        verified, _corrupt = self.cache.shared.verify_all()
         self.stats["verified_rows"] = verified
         # Everything this instance quarantined so far — rows caught by
         # the replay loop's reads count too, not just verify_all's.
-        corrupt = len(self.cache.quarantined)
+        corrupt = len(self.cache.shared.quarantined)
         self.stats["verify_quarantined"] = corrupt
         if seen or corrupt:
             self.say(
@@ -335,32 +334,17 @@ class SolveDaemon:
 
     # -- cache plumbing --------------------------------------------------
 
-    def _query_info(self, task: Task) -> Optional[Tuple]:
-        """(query, plan, allow_bisim) for a ``check-*`` task, else
-        ``None`` (fuzz cases are cached raw by task key)."""
-        from ..engine import plan_for
-        from .batch import _query_for_task
-
-        query = _query_for_task(task)
-        if query is None:
+    def _cache_lookup(self, task: Task, key: str, info) -> Optional[Dict]:
+        """The cached result for a submission: ``check-*`` tasks by
+        their decoded query (``info``, ``None`` when uncacheable), fuzz
+        cases raw by task key."""
+        if task.kind not in ("check-race", "check-fusion"):
+            return self.cache.task_result(key)
+        if info is None:
             return None
-        opts = task.payload.get("options") or {}
-        try:
-            plan = plan_for(opts.get("engine", "auto"))
-        except ValueError:
-            return None
-        return query, plan, bool(opts.get("check_bisim", True))
-
-    def _cache_lookup(self, task: Task, key: str) -> Optional[Dict[str, Any]]:
-        if task.kind in ("check-race", "check-fusion"):
-            info = self._query_info(task)
-            if info is None:
-                return None
-            query, plan, allow_bisim = info
-            record = self.rcache.lookup(query, plan, allow_bisim=allow_bisim)
-            return None if record is None else record.get("result")
-        raw = self.cache.get(key)
-        return None if raw is None else raw.get("result")
+        query, plan, allow_bisim = info
+        record = self.cache.lookup(query, plan, allow_bisim=allow_bisim)
+        return None if record is None else record.get("result")
 
     def _store_result(
         self, sub: Submission, value: Dict[str, Any]
@@ -368,28 +352,13 @@ class SolveDaemon:
         """Persist one verdict into the shared tier; returns the cache
         row key (``None`` when nothing durable was stored — e.g. an
         ``unknown`` verdict, which must always be recomputed)."""
-        if sub.task.kind in ("check-race", "check-fusion"):
-            info = self._query_info(sub.task)
-            if info is None:
-                return None
-            from ..core.api import _decided_engine
-
-            query, _plan, _allow = info
-            details = value.get("details") or {}
-            decided_by = details.get("decided_by")
-            stored = self.rcache.store(
-                query,
-                value.get("verdict", "unknown"),
-                bool(value.get("holds")),
-                decided_by,
-                _decided_engine(decided_by, details.get("attempts") or []),
-                value,
-            )
-            return query.key() if stored else None
-        self.cache.put(
-            sub.key, {"key": sub.key, "kind": sub.task.kind, "result": value}
-        )
-        return sub.key
+        if sub.task.kind not in ("check-race", "check-fusion"):
+            self.cache.store_task(sub.key, sub.task.kind, value)
+            return sub.key
+        if sub.query is None:
+            return None
+        query = sub.query[0]
+        return query.key() if self.cache.store(query, value) else None
 
     # -- result fan-out --------------------------------------------------
 
@@ -498,8 +467,8 @@ class SolveDaemon:
                 "spent_total": self.stats["retries"],
             },
             "cache": {
-                "memory": self.rcache.stats.as_dict(),
-                "shared": self.cache.stats(),
+                "memory": self.cache.stats.as_dict(),
+                "shared": self.cache.shared.stats(),
             },
             "journal": {
                 "replayed": self.stats["replayed"],
@@ -521,9 +490,9 @@ class SolveDaemon:
         self, frame: Dict[str, Any], writer: asyncio.StreamWriter
     ) -> None:
         client = str(frame.get("client") or "anon")
-        priority = int(frame.get("priority", DEFAULT_PRIORITY))
         wait = bool(frame.get("wait", True))
         try:
+            priority = int(frame.get("priority", DEFAULT_PRIORITY))
             task = Task.from_dict(frame["task"])
             key = task_key(task)
         except (KeyError, TypeError, ValueError) as e:
@@ -544,7 +513,8 @@ class SolveDaemon:
                 ),
             )
             return
-        hit = self._cache_lookup(task, key)
+        info = cache_query(task)
+        hit = self._cache_lookup(task, key, info)
         if hit is not None:
             self.stats["cache_hits"] += 1
             await write_frame_async(
@@ -573,6 +543,7 @@ class SolveDaemon:
             except ServiceOverloaded as e:
                 await write_frame_async(writer, self._overloaded_frame(e))
                 return
+            sub.query = info
             self._queued[key] = sub
             for victim in shed:
                 self._queued.pop(victim.key, None)
@@ -665,7 +636,7 @@ class SolveDaemon:
         self._replay_journal()
         if self.config.warm_corpus is not None:
             warm_from_corpus(
-                self.rcache, self.config.warm_corpus, log=self.say
+                self.cache, self.config.warm_corpus, log=self.say
             )
         self._stop = asyncio.Event()
         loop = asyncio.get_running_loop()
@@ -741,7 +712,7 @@ class SolveDaemon:
             {"event": "shutdown", "clean": not self._drain_aborted,
              "exit": exit_code, "completed": self.stats["completed"]}
         )
-        self.cache.close()
+        self.cache.shared.close()
         try:
             self.socket_path.unlink()
         except OSError:  # pragma: no cover

@@ -138,6 +138,9 @@ class Submission:
     seq: int
     enqueued_s: float
     cancelled: bool = field(default=False, compare=False)
+    #: The daemon's decoded cache query for ``task`` (opaque here), kept
+    #: so the result is stored without decoding the task again.
+    query: Any = field(default=None, compare=False)
 
 
 class _ClientState:

@@ -1,9 +1,10 @@
-"""Shared cross-run sqlite cache tier for the solve daemon.
+"""The durable sqlite record store (``cache.sqlite``).
 
-This is the promotion of the per-run-dir result cache
-(:class:`repro.engine.cache.ResultCache` over a directory of JSON
-files) into a single durable store many runs — and many clients of the
-long-lived daemon — share.  It keeps the ``service.store`` discipline:
+This is the one durable store of verdicts.  A
+:class:`repro.engine.cache.ResultCache` given a directory opens
+``<dir>/cache.sqlite`` here; a batch run directory and a solve daemon's
+run directory each hold one, and many runs — and many clients of the
+long-lived daemon — can share it.  Its discipline:
 
 * **Checksummed rows** — every row carries the SHA-256 of its payload's
   canonical JSON; a row is only believed after re-verification at read
@@ -21,10 +22,8 @@ long-lived daemon — share.  It keeps the ``service.store`` discipline:
   never a torn one, and :meth:`verify_all` byte-verifies the whole
   tier on daemon restart.
 
-The class implements the same ``get(key) -> payload`` / ``put(key,
-payload)`` surface as :class:`repro.service.store.ResultStore`, so it
-plugs straight into :class:`repro.engine.cache.ResultCache` as its
-durable backend (``ResultCache(backend=SharedCache(path))``).
+Rows are plain ``key → payload`` JSON objects; the cache layers the
+query-keyed reuse policy (and the task-keyed row shape) on top.
 """
 
 from __future__ import annotations

@@ -1,23 +1,18 @@
-"""Durable result store + append-only journal for resumable batches.
+"""Append-only journal for resumable runs, plus the payload checksum.
 
-**Store** — one JSON file per result under ``<run_dir>/store/``, named
-by the task's content-hash key.  Each record wraps its payload with a
-SHA-256 checksum of the payload's canonical JSON; writes go through a
-temp file in the same directory followed by ``os.replace`` (atomic on
-POSIX), so a record is either fully present and self-consistent or not
-there at all.  A record that fails verification — torn write that
-somehow survived, bit rot, a hand-edited file — is *quarantined*: moved
-aside to ``<run_dir>/quarantine/`` for the post-mortem and reported as
-a miss, so it is recomputed and **never trusted**.
+**Journal** — one JSON record per line (``<run_dir>/journal.jsonl`` for
+a batch, ``daemon-journal.jsonl`` for the daemon), each appended with
+flush+fsync before the run moves on.  The journal is the resume index:
+a record marks "this task's verdict is safely in the run directory's
+``cache.sqlite``" (:class:`repro.service.sharedcache.SharedCache`).
+Replay is tolerant by construction — a line that does not parse (the
+torn tail a ``kill -9`` leaves behind) is skipped and counted, and every
+journaled completion is re-verified against the checksummed row before
+it is believed, so a lying journal line can at worst cause
+recomputation, never a wrong verdict.
 
-**Journal** — ``<run_dir>/journal.jsonl``, one JSON record per line,
-each appended with flush+fsync before the batch moves on.  The journal
-is the resume index: a record marks "this task's verdict is safely in
-the store".  Replay is tolerant by construction — a line that does not
-parse (the torn tail a ``kill -9`` leaves behind) is skipped and
-counted, and every journaled completion is re-verified against the
-checksummed store before it is believed, so a lying journal line can at
-worst cause recomputation, never a wrong verdict.
+:func:`payload_digest` is the SHA-256 of a payload's canonical JSON —
+the per-row checksum of the sqlite store.
 """
 
 from __future__ import annotations
@@ -28,79 +23,15 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from .protocol import canonical_json
 
-__all__ = ["ResultStore", "Journal", "payload_digest"]
+__all__ = ["Journal", "payload_digest"]
 
 
 def payload_digest(payload: Any) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
-
-
-class ResultStore:
-    """Checksummed, atomically-written result records keyed by task key."""
-
-    def __init__(self, root: Path) -> None:
-        self.root = Path(root)
-        self.store_dir = self.root / "store"
-        self.quarantine_dir = self.root / "quarantine"
-        self.store_dir.mkdir(parents=True, exist_ok=True)
-        self.quarantined: List[str] = []
-
-    def path_for(self, key: str) -> Path:
-        return self.store_dir / f"{key}.json"
-
-    def put(self, key: str, payload: Dict[str, Any]) -> Path:
-        record = {
-            "key": key,
-            "sha256": payload_digest(payload),
-            "payload": payload,
-        }
-        path = self.path_for(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        data = json.dumps(record, sort_keys=True, indent=1) + "\n"
-        with open(tmp, "w", encoding="utf-8") as fp:
-            fp.write(data)
-            fp.flush()
-            os.fsync(fp.fileno())
-        os.replace(tmp, path)
-        return path
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The verified payload for ``key``, or ``None``.
-
-        Any record that fails to parse or to checksum is moved to the
-        quarantine directory and treated as a miss.
-        """
-        path = self.path_for(key)
-        if not path.exists():
-            return None
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-            payload = record["payload"]
-            if record.get("key") != key:
-                raise ValueError("record key mismatch")
-            if record.get("sha256") != payload_digest(payload):
-                raise ValueError("record checksum mismatch")
-        except (ValueError, KeyError, TypeError, OSError):
-            self._quarantine(path)
-            return None
-        return payload
-
-    def _quarantine(self, path: Path) -> None:
-        self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-        dest = self.quarantine_dir / path.name
-        n = 1
-        while dest.exists():
-            n += 1
-            dest = self.quarantine_dir / f"{path.name}.{n}"
-        try:
-            os.replace(path, dest)
-        except OSError:  # pragma: no cover - racing quarantiners
-            return
-        self.quarantined.append(path.stem)
 
 
 @dataclass

@@ -37,8 +37,9 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .protocol import (
     FrameError,
@@ -54,6 +55,8 @@ __all__ = [
     "run_task",
     "execute_payload",
     "child_main",
+    "decode_task",
+    "cache_query",
     "task_for_race",
     "task_for_fusion",
     "task_for_case",
@@ -271,52 +274,20 @@ def _options(payload: Dict[str, Any], allowed) -> Dict[str, Any]:
     return {k: opts[k] for k in allowed if k in opts}
 
 
-def _verification_to_dict(res) -> Dict[str, Any]:
-    from ..core.api import verification_to_dict
-
-    return verification_to_dict(res)
-
-
-def _run_check_race(payload: Dict[str, Any], set_phase) -> Dict[str, Any]:
-    from ..core.api import check_data_race
-    from ..lang.parser import parse_program
+def _run_check(kind: str, payload: Dict[str, Any], set_phase) -> Dict[str, Any]:
+    from ..core import api
 
     set_phase("parse")
-    program = parse_program(
-        payload["source"],
-        name=payload.get("name", "program"),
-        entry=payload.get("entry", "Main"),
-    )
-    options = _options(payload, _RACE_OPTIONS)
+    query, options = decode_task(Task(kind=kind, payload=payload))
     set_phase("solve")
     _maybe_worker_abort(options.get("engine", "auto") != "bounded")
-    return _verification_to_dict(check_data_race(program, **options))
-
-
-def _run_check_fusion(payload: Dict[str, Any], set_phase) -> Dict[str, Any]:
-    from ..core.api import check_equivalence
-    from ..core.transform import correspondence_by_key
-    from ..lang.parser import parse_program
-
-    set_phase("parse")
-    entry = payload.get("entry", "Main")
-    p = parse_program(
-        payload["source"], name=payload.get("name", "original"), entry=entry
-    )
-    q = parse_program(
-        payload["source2"], name=payload.get("name2", "fused"), entry=entry
-    )
-    if payload.get("mapping") is not None:
-        mapping = {k: set(v) for k, v in payload["mapping"].items()}
+    if query.kind == "race":
+        res = api.check_data_race(query.program, **options)
     else:
-        overrides = {
-            k: set(v) for k, v in (payload.get("map_overrides") or {}).items()
-        }
-        mapping = correspondence_by_key(p, q, overrides=overrides, strict=True)
-    options = _options(payload, _FUSION_OPTIONS)
-    set_phase("solve")
-    _maybe_worker_abort(options.get("engine", "auto") != "bounded")
-    return _verification_to_dict(check_equivalence(p, q, mapping, **options))
+        res = api.check_equivalence(
+            query.program, query.program2, query.mapping, **options
+        )
+    return api.verification_to_dict(res)
 
 
 def _run_fuzz_case(payload: Dict[str, Any], set_phase) -> Dict[str, Any]:
@@ -344,8 +315,8 @@ def _run_fuzz_case(payload: Dict[str, Any], set_phase) -> Dict[str, Any]:
 
 
 _RUNNERS: Dict[str, Callable[[Dict[str, Any], Callable], Dict[str, Any]]] = {
-    "check-race": _run_check_race,
-    "check-fusion": _run_check_fusion,
+    "check-race": partial(_run_check, "check-race"),
+    "check-fusion": partial(_run_check, "check-fusion"),
     "fuzz-case": _run_fuzz_case,
 }
 
@@ -559,6 +530,77 @@ def run_task(
         error={"torn_frame": True} if torn else None,
         stderr_tail=stderr_tail,
     )
+
+
+# ----------------------------------------------------------------------
+# Task decoding (shared by the runners, the batch layer and the daemon)
+
+
+def decode_task(task: Task) -> Tuple[Any, Dict[str, Any]]:
+    """The :class:`~repro.engine.query.RaceQuery` /
+    :class:`~repro.engine.query.EquivalenceQuery` behind a ``check-*``
+    task, plus its solve options (the keyword arguments of
+    ``check_data_race`` / ``check_equivalence``).
+
+    Parses the program(s) and resolves ``mapping``/``map_overrides``;
+    raises on a malformed task (unknown options included).
+    """
+    from ..engine import EquivalenceQuery, RaceQuery
+    from ..lang.parser import parse_program
+
+    payload = task.payload
+    entry = payload.get("entry", "Main")
+    if task.kind == "check-race":
+        program = parse_program(
+            payload["source"], name=payload.get("name", "program"),
+            entry=entry,
+        )
+        options = _options(payload, _RACE_OPTIONS)
+        return RaceQuery(
+            program=program, scope=options.get("max_internal", 4)
+        ), options
+    if task.kind != "check-fusion":
+        raise ValueError(f"task kind {task.kind!r} has no query")
+    from ..core.transform import correspondence_by_key
+
+    p = parse_program(
+        payload["source"], name=payload.get("name", "original"), entry=entry
+    )
+    q = parse_program(
+        payload["source2"], name=payload.get("name2", "fused"), entry=entry
+    )
+    if payload.get("mapping") is not None:
+        mapping = {k: set(v) for k, v in payload["mapping"].items()}
+    else:
+        overrides = {
+            k: set(v) for k, v in (payload.get("map_overrides") or {}).items()
+        }
+        mapping = correspondence_by_key(p, q, overrides=overrides, strict=True)
+    options = _options(payload, _FUSION_OPTIONS)
+    return EquivalenceQuery(
+        program=p, program2=q, mapping=mapping,
+        scope=options.get("max_internal", 4),
+    ), options
+
+
+def cache_query(task: Task) -> Optional[Tuple[Any, Any, bool]]:
+    """``(query, plan, allow_bisim)`` for a result-cache lookup of
+    ``task``, or ``None`` when the task is not cacheable.
+
+    Fuzz cases have no query.  A ``check-*`` task that fails to decode
+    is uncacheable too: it is dispatched to a worker, which reports the
+    real error — the cache never turns a malformed task into a crash.
+    """
+    if task.kind not in ("check-race", "check-fusion"):
+        return None
+    from ..engine import plan_for
+
+    try:
+        query, options = decode_task(task)
+        plan = plan_for(options.get("engine", "auto"))
+    except Exception:
+        return None
+    return query, plan, bool(options.get("check_bisim", True))
 
 
 # ----------------------------------------------------------------------

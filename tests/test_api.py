@@ -153,24 +153,28 @@ class TestDegradationLadder:
     def test_merge_race_ignores_undecided_symbolic_witness(self):
         """Regression: an undecided symbolic verdict carrying stale witness
         state must never out-vote a completed bounded verdict."""
-        from repro.core.api import _merge_race
         from repro.core.bounded import BoundedVerdict
         from repro.core.symbolic import SymbolicVerdict
+        from repro.engine.plan import merge_verdicts
 
         stale = SymbolicVerdict(query="q", found=True, status="budget")
         stale.witness = object()
         clean = BoundedVerdict(query="q", found=False)
-        found, tree, witness = _merge_race(stale, clean)
+        found, tree, witness = merge_verdicts(stale, clean)
         assert found is False and tree is None and witness is None
         # And with no bounded verdict at all, nothing is reported.
-        found, tree, witness = _merge_race(stale, None)
+        found, tree, witness = merge_verdicts(stale, None)
         assert found is False and tree is None and witness is None
 
     def test_symbolic_retry_rung_escalates_budgets(self):
         """Stubbed ladder: budget exhaustion triggers exactly one retry
         with LADDER_ESCALATION'd budgets sharing the remaining deadline."""
-        from repro.core.api import LADDER_ESCALATION, _symbolic_ladder
         from repro.core.symbolic import SymbolicVerdict
+        from repro.engine.plan import (
+            LADDER_ESCALATION,
+            plan_for,
+            run_symbolic_rungs,
+        )
 
         calls = []
 
@@ -180,8 +184,9 @@ class TestDegradationLadder:
             return SymbolicVerdict(query="q", found=False, status=status)
 
         attempts, details = [], {}
-        sym, rung = _symbolic_ladder(
-            run_sym, "auto", 1000, 60.0, None, attempts, details
+        sym, rung = run_symbolic_rungs(
+            run_sym, plan_for("auto").symbolic_rungs(), 1000, 60.0, None,
+            attempts, details,
         )
         assert sym.status == "decided" and rung == "mso-retry"
         assert calls == [
@@ -191,8 +196,8 @@ class TestDegradationLadder:
         assert [a["outcome"] for a in attempts] == ["budget", "decided"]
 
     def test_symbolic_retry_skipped_when_no_time_left(self):
-        from repro.core.api import _symbolic_ladder
         from repro.core.symbolic import SymbolicVerdict
+        from repro.engine.plan import plan_for, run_symbolic_rungs
 
         calls = []
 
@@ -201,8 +206,9 @@ class TestDegradationLadder:
             return SymbolicVerdict(query="q", found=False, status="budget")
 
         attempts, details = [], {}
-        sym, rung = _symbolic_ladder(
-            run_sym, "auto", 1000, 0.2, None, attempts, details
+        sym, rung = run_symbolic_rungs(
+            run_sym, plan_for("auto").symbolic_rungs(), 1000, 0.2, None,
+            attempts, details,
         )
         assert len(calls) == 1 and rung == "mso"
         assert sym.status == "budget"

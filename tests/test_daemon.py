@@ -253,32 +253,26 @@ def test_cache_row_corrupt_probe_raise_action(tmp_path):
 
 
 def test_result_cache_over_shared_backend(tmp_path):
-    """The engine-level ResultCache plugs into the shared tier and the
-    soundness gating still applies across instances."""
-    path = tmp_path / "cache.sqlite"
+    """The engine-level ResultCache keeps its rows in the directory's
+    shared sqlite tier and the soundness gating still applies across
+    instances."""
     prog = parse_program(RACY, name="racy")
     query = RaceQuery(program=prog, scope=2)
 
-    shared = SharedCache(path)
-    rc = ResultCache(backend=shared)
+    rc = ResultCache(tmp_path)
     res = check_data_race(prog, engine="bounded", max_internal=2,
                           replay=False, cache=rc)
     assert res.verdict == "race"
     assert rc.stats.stored >= 1
-    shared.close()
+    rc.shared.close()
 
     # A second process (fresh instances, same sqlite file) reuses it.
-    shared2 = SharedCache(path)
-    rc2 = ResultCache(backend=shared2)
+    rc2 = ResultCache(tmp_path)
+    assert rc2.shared.path == tmp_path / "cache.sqlite"
     record = rc2.lookup(query, plan_for("bounded"))
     assert record is not None and record["verdict"] == "race"
     assert rc2.stats.hits == 1
-    shared2.close()
-
-
-def test_result_cache_rejects_both_path_and_backend(tmp_path):
-    with pytest.raises(ValueError):
-        ResultCache(path=tmp_path, backend=SharedCache(tmp_path / "c.db"))
+    rc2.shared.close()
 
 
 # ----------------------------------------------------------------------
@@ -538,6 +532,32 @@ def test_daemon_bad_requests_get_typed_errors(tmp_path):
             assert r["type"] == "error" and "unknown request" in r["detail"]
             r = c.request({"type": "submit", "client": "x"})  # no task
             assert r["type"] == "error" and r["error"] == "BadRequest"
+            r = c.request({"type": "submit", "client": "x",
+                           "priority": "high", "task": racy_task().to_dict()})
+            assert r["type"] == "error" and r["error"] == "BadRequest"
+            assert c.ping()["type"] == "pong"  # connection still served
+
+
+def test_daemon_decodes_each_submission_once(tmp_path, monkeypatch):
+    """The daemon decodes a task once per submission: a miss reuses the
+    query it decoded for the lookup to store the verdict.  (Process
+    isolation keeps the worker's own decode out of this process.)"""
+    from repro.service import worker
+
+    decoded = []
+    real = worker.decode_task
+
+    def counting(task):
+        decoded.append(task.name)
+        return real(task)
+
+    monkeypatch.setattr(worker, "decode_task", counting)
+    with DaemonHandle(tmp_path / "run", isolation="process") as h:
+        with h.client() as c:
+            assert not c.submit_task(racy_task())["cached"]
+            assert decoded == ["racy"]
+            assert c.submit_task(racy_task())["cached"]
+            assert decoded == ["racy", "racy"]
 
 
 def test_client_error_when_no_daemon(tmp_path):

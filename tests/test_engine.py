@@ -1,6 +1,7 @@
 """The engine package: query IR, registry, plans, and the result cache."""
 
 import json
+import sqlite3
 
 import pytest
 
@@ -269,7 +270,7 @@ def test_cache_sampled_clean_verdict_never_reused():
 def test_cache_never_stores_unknown():
     cache = ResultCache()
     query = RaceQuery(program=clean_program(), scope=2)
-    assert not cache.store(query, "unknown", False, None, None, {})
+    assert not cache.store(query, {"verdict": "unknown", "holds": False})
     assert cache.lookup(query, plan_for("auto")) is None
     assert cache.stats.stored == 0
 
@@ -289,18 +290,24 @@ def test_cache_bisim_gated_on_allow_bisim():
 def test_cache_disk_round_trip_and_quarantine(tmp_path):
     query = RaceQuery(program=racy_program(), scope=2)
     cache = ResultCache(tmp_path / "cache")
-    assert cache.store(
-        query, "race", False, "bounded@2", "bounded",
-        {"verdict": "race", "holds": False},
-    )
+    assert cache.store(query, {
+        "verdict": "race",
+        "holds": False,
+        "details": {
+            "decided_by": "bounded@2",
+            "attempts": [{"rung": "bounded@2", "engine": "bounded"}],
+        },
+    })
     # A fresh cache over the same directory serves the stored verdict.
     warm = ResultCache(tmp_path / "cache")
     hit = warm.lookup(query, plan_for("auto"))
     assert hit is not None and hit["verdict"] == "race"
     assert warm.stats.hits == 1
-    # Corrupt the checksummed record: quarantined, treated as a miss.
-    victim = next((tmp_path / "cache" / "store").glob("*.json"))
-    victim.write_text(victim.read_text().replace("race", "rice", 1))
+    # Corrupt the checksummed row: quarantined, treated as a miss.
+    conn = sqlite3.connect(tmp_path / "cache" / "cache.sqlite")
+    conn.execute("UPDATE records SET payload = replace(payload, 'race', 'rice')")
+    conn.commit()
+    conn.close()
     cold = ResultCache(tmp_path / "cache")
     assert cold.lookup(query, plan_for("auto")) is None
     assert cold.stats.misses == 1

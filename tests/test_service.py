@@ -2,14 +2,15 @@
 
 Covers the worker wire protocol, the sandboxed child (including real
 SIGSEGV crashes injected with ``REPRO_FAULT=worker-abort``), the
-supervisor's retry/circuit-breaker policy, the checksummed store and
-journal, and the resumable batch layer.  Everything that spawns a child
+supervisor's retry/circuit-breaker policy, the journal, and the
+resumable batch layer over its sqlite store.  Everything that spawns a child
 uses the bounded engine on tiny programs so a full run stays in seconds.
 """
 
 import io
 import json
 import os
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,6 @@ from repro.service import (
     CircuitBreaker,
     Journal,
     Limits,
-    ResultStore,
     RetryPolicy,
     Supervisor,
     Task,
@@ -267,26 +267,7 @@ def test_supervisor_map_parallel():
 
 
 # ----------------------------------------------------------------------
-# Store + journal
-
-
-def test_store_roundtrip_and_quarantine(tmp_path):
-    store = ResultStore(tmp_path)
-    store.put("k1", {"verdict": "race-free"})
-    assert store.get("k1") == {"verdict": "race-free"}
-    # Corrupt the record on disk: it must be quarantined, not believed.
-    path = store.path_for("k1")
-    rec = json.loads(path.read_text())
-    rec["payload"]["verdict"] = "race"
-    path.write_text(json.dumps(rec))
-    assert store.get("k1") is None
-    assert store.quarantined == ["k1"]
-    assert not path.exists()
-    assert (tmp_path / "quarantine" / "k1.json").exists()
-    # Unparseable garbage quarantines too.
-    store.path_for("k2").write_text("{nope")
-    assert store.get("k2") is None
-    assert store.get("missing") is None
+# Journal
 
 
 def test_journal_replay_skips_torn_tail(tmp_path):
@@ -407,6 +388,19 @@ def test_load_manifest_validates(tmp_path):
     ]}))
     with pytest.raises(BatchError):
         load_manifest(dup)
+    # Non-object entries and sections are usage errors, not crashes.
+    racy = {"name": "x", "kind": "check-race", "source": RACY}
+    for data in (
+        {"tasks": ["oops"]},
+        {"defaults": [], "tasks": [racy]},
+        {"defaults": {"options": "fast"}, "tasks": [racy]},
+        {"tasks": [{**racy, "options": ["bounded"]}]},
+        {"tasks": [{**racy, "limits": 60}]},
+        {"tasks": [{"name": "f", "kind": "fuzz-case", "case": "oops"}]},
+    ):
+        bad.write_text(json.dumps(data))
+        with pytest.raises(BatchError):
+            load_manifest(bad)
 
 
 def test_batch_run_and_full_resume(tmp_path):
@@ -437,6 +431,16 @@ def test_batch_run_and_full_resume(tmp_path):
         run_batch(other, run, resume=True)  # manifest mismatch
 
 
+def test_batch_run_dir_holds_one_sqlite_store(tmp_path):
+    """Resume records and query-keyed verdicts share run/cache.sqlite;
+    no file-per-record store directories appear."""
+    run = tmp_path / "run"
+    run_batch(write_manifest(tmp_path / "m.json"), run)
+    assert (run / "cache.sqlite").is_file()
+    for gone in ("store", "cache", "quarantine"):
+        assert not (run / gone).exists()
+
+
 def test_batch_resume_after_torn_journal(tmp_path):
     """Simulated kill -9: keep one journaled verdict, tear the journal
     tail, drop the other store record — resume recomputes exactly the
@@ -452,7 +456,10 @@ def test_batch_resume_after_torn_journal(tmp_path):
     lines = journal.read_text().splitlines()
     keep, drop = lines[0], json.loads(lines[1])
     journal.write_text(keep + "\n" + '{"event": "verdict", "key": "to')
-    (run_b / "store" / f"{drop['key']}.json").unlink()
+    conn = sqlite3.connect(run_b / "cache.sqlite")
+    conn.execute("DELETE FROM records WHERE key = ?", (drop["key"],))
+    conn.commit()
+    conn.close()
     (run_b / "results.json").unlink()
 
     report = run_batch(m, run_b, resume=True)
@@ -469,8 +476,15 @@ def test_batch_corrupt_store_record_recomputed(tmp_path):
     run = tmp_path / "run"
     run_batch(m, run)
     golden = (run / "results.json").read_bytes()
-    victim = next((run / "store").glob("*.json"))
-    victim.write_text(victim.read_text().replace("race", "rice", 1))
+    # Corrupt one task's resume row (keyed by the journaled task key).
+    victim = json.loads((run / "journal.jsonl").read_text().splitlines()[0])
+    conn = sqlite3.connect(run / "cache.sqlite")
+    conn.execute(
+        "UPDATE records SET payload = replace(payload, 'race', 'rice') "
+        "WHERE key = ?", (victim["key"],),
+    )
+    conn.commit()
+    conn.close()
     report = run_batch(m, run, resume=True)
     assert report.quarantined == 1
     assert report.ran + report.cache_hits == 1
