@@ -30,6 +30,39 @@ class TestDataRaceApi:
         assert "race-free" in str(r) and "bounded" in str(r)
 
 
+class TestInterpSpec:
+    """``engine="interp"`` end to end: one scope-shrinking interp rung."""
+
+    def _assert_interp_decided(self, r):
+        assert [a["rung"] for a in r.details["attempts"]] == ["interp@2"]
+        assert r.details["decided_by"] == "interp@2"
+        assert r.engine == "interp"
+
+    def test_race_query(self, cycletree_par, sizecount_par):
+        r = check_data_race(
+            cycletree_par, engine="interp", max_internal=2, replay=False
+        )
+        assert r.verdict == "race" and not r.holds
+        self._assert_interp_decided(r)
+        r = check_data_race(
+            sizecount_par, engine="interp", max_internal=2, replay=False
+        )
+        assert r.verdict == "race-free" and r.holds
+        self._assert_interp_decided(r)
+
+    def test_equivalence_query(self, sizecount_seq, sizecount_fused_bad):
+        r = check_equivalence(
+            sizecount_seq,
+            sizecount_fused_bad,
+            sizecount.invalid_fusion_correspondence(),
+            engine="interp",
+            max_internal=2,
+            replay=False,
+        )
+        assert r.verdict == "not-equivalent" and not r.holds
+        self._assert_interp_decided(r)
+
+
 class TestEquivalenceApi:
     def test_valid_fusion(self, sizecount_seq, sizecount_fused):
         r = check_equivalence(
@@ -124,6 +157,29 @@ class TestDegradationLadder:
         assert r.details["decided_by"] == "bounded@2"
         rungs = [a["rung"] for a in r.details["attempts"]]
         assert rungs == ["mso", "bounded@2"]
+        from repro.engine import normalized_attempts
+
+        assert normalized_attempts(r.details["attempts"]) == [
+            {
+                "rung": "mso",
+                "engine": "mso",
+                "limits": {
+                    "det_budget": 50_000,
+                    "product_budget": 50_000,
+                    "deadline_s": 0.05,
+                    "node_ceiling": None,
+                },
+                "outcome": "deadline",
+                "found": None,
+            },
+            {
+                "rung": "bounded@2",
+                "engine": "bounded",
+                "limits": {"max_internal": 2, "deadline_s": None},
+                "outcome": "decided",
+                "found": False,
+            },
+        ]
 
     def test_attempts_record_decided_rung(self, sizecount_par):
         r = check_data_race(sizecount_par, engine="auto", replay=False)
@@ -194,6 +250,11 @@ class TestDegradationLadder:
             (1000 * LADDER_ESCALATION, calls[0][1] * LADDER_ESCALATION),
         ]
         assert [a["outcome"] for a in attempts] == ["budget", "decided"]
+        retry = attempts[1]["limits"]
+        assert retry["det_budget"] == 1000 * LADDER_ESCALATION
+        assert retry["product_budget"] == 50_000 * LADDER_ESCALATION
+        assert 0 < retry["deadline_s"] <= 60.0  # the first run's remainder
+        assert retry["node_ceiling"] is None
 
     def test_symbolic_retry_skipped_when_no_time_left(self):
         from repro.core.symbolic import SymbolicVerdict
