@@ -4,20 +4,20 @@
 façades over :mod:`repro.engine`: each call builds a Query-IR object
 (:class:`~repro.engine.query.RaceQuery` /
 :class:`~repro.engine.query.EquivalenceQuery`), resolves the ``engine=``
-spec to a declarative :class:`~repro.engine.plan.Plan` through the
-engine registry, and hands both to the
-:class:`~repro.engine.plan.PlanExecutor`:
+spec to a :class:`~repro.engine.plan.Plan`, and hands both to
+:func:`repro.engine.plan.execute`:
 
 * ``engine="mso"`` — the paper's MSO/automata pipeline, deciding over
   all trees;
 * ``engine="bounded"`` — exhaustive on every tree shape up to a bound;
+* ``engine="interp"`` — the interpreter's dynamic evidence on every
+  tree shape up to a bound, under seeded field valuations;
 * ``engine="auto"`` — the **degradation ladder** (DESIGN.md §7/§10):
   the lazy symbolic engine under a :class:`~repro.runtime.
   ResourceGuard`, one retry with escalated budgets when only the state
   budget was exhausted (wall clock permitting), then the bounded
   checker, shrinking its scope whenever a rung overruns its own limits;
-* any other registered engine name resolves through the registry; an
-  unknown name raises ``ValueError`` listing the known ones.
+* an unknown name raises ``ValueError`` listing the known ones.
 
 Every rung attempted is recorded in ``details["attempts"]`` and
 ``details["decided_by"]`` names the rung whose answer is reported.  A
@@ -43,8 +43,8 @@ from typing import Dict, Mapping, Optional, Sequence, Set
 from ..engine import (
     EquivalenceQuery,
     Limits as QueryLimits,
-    PlanExecutor,
     RaceQuery,
+    execute,
     plan_for,
     program_fields,
 )
@@ -76,7 +76,7 @@ class VerificationResult:
 
     query: str
     verdict: str  # "race-free"|"race"|"equivalent"|"not-equivalent"|"unknown"
-    engine: str  # "mso" | "bounded" | "mso+bounded" | "bisim"
+    engine: str  # "mso" | "bounded" | "mso+bounded" | "interp" | "bisim"
     elapsed: float
     holds: bool
     witness: Optional[object] = None
@@ -346,7 +346,7 @@ def _solve(
             },
         )
     else:
-        outcome = PlanExecutor(cache=cache).execute(query, plan)
+        outcome = execute(query, plan, cache=cache)
         if bis is not None:
             outcome.details["bisimulation"] = str(bis)
         found, clean = _VERDICTS[query.kind]

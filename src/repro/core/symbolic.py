@@ -77,14 +77,6 @@ class SymbolicVerdict:
         )
 
 
-def _interface(side, keep):
-    """Project a side automaton down to its interface tracks and reduce."""
-    from ..automata.minimize import reduce_nfta
-
-    out = side.projected([t for t in side.tracks if t not in keep])
-    return reduce_nfta(out)
-
-
 def _conflicting_block_pairs(model: ProgramModel):
     """Non-call block pairs with a statically conflicting cell.
 
@@ -315,54 +307,37 @@ def check_conflict_mso(
                     if not ams or not bms or (ams, bms) in seen_sets:
                         continue
                     seen_sets.add((ams, bms))
-                    p_parts = p_side_parts(qa, qb)
-                    if solver.lazy_products:
-                        # An empty P-side interface (e.g. unsatisfiable
-                        # dependence geometry) decides the combo before
-                        # any P'-side automaton is even built.
-                        iface_p = solver.interface_conj(
-                            p_parts, (X1, X2),
-                            cache_key=f"iface-P:{qa.sid}:{qb.sid}",
-                        )
-                        if not iface_p.accepting:
-                            verdict.queries += 1
-                            continue
-                    q_parts = q_side_parts(ams, bms)
-                    if solver.lazy_products:
-                        # The two sides share only the tree shape and
-                        # the endpoint markers (P*/Q* track prefixes are
-                        # disjoint), so the joint conjunction is empty
-                        # iff the sides' {x1, x2}-interface automata
-                        # intersect empty — and each side depends on
-                        # only its own loop variables, so saturations
-                        # are shared across the sweep.
-                        iface_q = solver.interface_conj(
-                            q_parts, (X1, X2),
-                            cache_key=(
-                                f"iface-Q:{','.join(ams)}|{','.join(bms)}"
-                            ),
-                        )
-                        acc = solver.automaton_conj([iface_p, iface_q])
-                        res = solver.sat_of(
-                            acc, exist_fo=(X1, X2), want_witness=False
-                        )
-                    else:
-                        side_p = solver.automaton_conj(p_parts)
-                        side_q = solver.automaton_conj(q_parts)
-                        iface_p = _interface(side_p, (X1, X2))
-                        iface_q = _interface(side_q, (X1, X2))
-                        acc = solver.automaton_conj([iface_p, iface_q])
-                        res = solver.sat_of(acc, exist_fo=(X1, X2))
+                    # An empty P-side interface (e.g. unsatisfiable
+                    # dependence geometry) decides the combo before any
+                    # P'-side automaton is even built.
+                    iface_p = solver.interface_conj(
+                        p_side_parts(qa, qb), (X1, X2),
+                        cache_key=f"iface-P:{qa.sid}:{qb.sid}",
+                    )
+                    if not iface_p.accepting:
+                        verdict.queries += 1
+                        continue
+                    # The two sides share only the tree shape and the
+                    # endpoint markers (P*/Q* track prefixes are
+                    # disjoint), so the joint conjunction is empty iff
+                    # the sides' {x1, x2}-interface automata intersect
+                    # empty — and each side depends on only its own loop
+                    # variables, so saturations are shared across the
+                    # sweep.
+                    iface_q = solver.interface_conj(
+                        q_side_parts(ams, bms), (X1, X2),
+                        cache_key=f"iface-Q:{','.join(ams)}|{','.join(bms)}",
+                    )
+                    acc = solver.automaton_conj([iface_p, iface_q])
+                    res = solver.sat_of(
+                        acc, exist_fo=(X1, X2), want_witness=False
+                    )
                     verdict.queries += 1
                     verdict.max_states = max(
                         verdict.max_states, res.automaton_states
                     )
                     if res.is_sat:
-                        hit = (
-                            localize(qa, qb, ams, bms)
-                            if solver.lazy_products
-                            else (ams[0], bms[0], res)
-                        )
+                        hit = localize(qa, qb, ams, bms)
                         if hit is None:
                             continue
                         qam, qbm, res = hit

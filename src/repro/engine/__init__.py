@@ -13,10 +13,11 @@ dispatches the same way:
   :class:`EquivalenceQuery` + :class:`Limits`: the question as data,
   hashed without its limits;
 * :mod:`repro.engine.engines` — the :class:`Engine` protocol with
-  declared :class:`Capabilities`, the three built-ins, and the
-  name registry;
-* :mod:`repro.engine.plan` — the degradation ladder as a declarative
-  :class:`Plan` interpreted by one :class:`PlanExecutor` producing the
+  declared :class:`Capabilities` and the three backends in a fixed
+  name → engine table;
+* :mod:`repro.engine.plan` — the degradation ladder as a two-field
+  :class:`Plan` (does the MSO procedure run, which scope engine
+  follows) run by one :func:`~repro.engine.plan.execute` producing the
   historical ``details["attempts"]`` schema;
 * :mod:`repro.engine.cache` — a content-addressed verdict cache whose
   reuse rules read the deciding engine's capabilities.
@@ -32,17 +33,13 @@ from .engines import (
     SymbolicEngine,
     get_engine,
     known_engines,
-    register_engine,
 )
 from .keys import canonical_json, content_key
 from .plan import (
     LADDER_ESCALATION,
     Plan,
-    PlanExecutor,
     PlanOutcome,
-    Rung,
-    degraded,
-    degraded_spec,
+    execute,
     known_specs,
     normalized_attempts,
     plan_for,
@@ -62,17 +59,13 @@ __all__ = [
     "SymbolicEngine",
     "BoundedEngine",
     "InterpEngine",
-    "register_engine",
     "get_engine",
     "known_engines",
-    "Rung",
     "Plan",
     "plan_for",
     "known_specs",
-    "degraded",
-    "degraded_spec",
     "LADDER_ESCALATION",
-    "PlanExecutor",
+    "execute",
     "PlanOutcome",
     "normalized_attempts",
     "CacheStats",

@@ -1,4 +1,4 @@
-"""The Engine protocol, the three built-in backends, and the registry.
+"""The Engine protocol and the three backends, looked up by name.
 
 Every backend answers the same two questions — :class:`~repro.engine.
 query.RaceQuery` and :class:`~repro.engine.query.EquivalenceQuery` —
@@ -14,18 +14,13 @@ and declares :class:`Capabilities` saying what its verdicts are worth:
   ``"all-trees"`` (the MSO pipeline decides over every tree),
   ``"scope"`` (exhaustive up to the query's bound), or
   ``"scope-sampled"`` (the interpreter's seeded valuations — clean
-  means "no evidence found", not a proof);
-* ``witness_kinds`` — the shape of evidence a counterexample carries.
+  means "no evidence found", not a proof).
 
 The cache (:mod:`repro.engine.cache`) reads these declarations to
-decide which stored verdicts are reusable, and plans (:mod:`repro.
-engine.plan`) use the execution ``kind`` (``"symbolic"`` engines take a
-solver + guard, ``"scope"`` engines take a tree bound) to know how to
-drive a rung.
-
-Engines register by name; ``engine="auto"|"mso"|"bounded"`` on the
-public API and any future backend resolve uniformly through
-:func:`get_engine` / :func:`known_engines`.
+decide which stored verdicts are reusable.  The set of engines is
+fixed: :func:`get_engine` / :func:`known_engines` read one name →
+engine table, and the plans (:mod:`repro.engine.plan`) name the
+engines they run.
 """
 
 from __future__ import annotations
@@ -45,7 +40,6 @@ __all__ = [
     "BoundedEngine",
     "InterpEngine",
     "InterpVerdict",
-    "register_engine",
     "get_engine",
     "known_engines",
 ]
@@ -55,10 +49,8 @@ __all__ = [
 class Capabilities:
     """What one engine's verdicts are worth (see module docstring)."""
 
-    kind: str  # "symbolic" | "scope"
     sound_for: FrozenSet[str]  # query kinds with trustworthy counterexamples
     complete_for: str  # "all-trees" | "scope" | "scope-sampled"
-    witness_kinds: FrozenSet[str]
 
 
 @dataclass
@@ -94,15 +86,15 @@ class InterpVerdict:
 
 
 class Engine(abc.ABC):
-    """One verification backend, registered by name."""
+    """One verification backend, looked up by name."""
 
     name: str
     capabilities: Capabilities
 
     @abc.abstractmethod
     def bind(self, query) -> Callable:
-        """A rung runner for ``query``: symbolic engines return
-        ``(solver, guard) -> SymbolicVerdict``; scope engines return
+        """A rung runner for ``query``: ``mso`` returns
+        ``(solver, guard) -> SymbolicVerdict``; the scope engines return
         ``(scope, guard) -> verdict`` with ``.found``/``.witness``."""
 
     @abc.abstractmethod
@@ -116,11 +108,19 @@ class SymbolicEngine(Engine):
 
     name = "mso"
     capabilities = Capabilities(
-        kind="symbolic",
         sound_for=frozenset({"race", "equiv"}),
         complete_for="all-trees",
-        witness_kinds=frozenset({"tree", "cells"}),
     )
+
+    @staticmethod
+    def solver(det_budget: int, product_budget: Optional[int] = None):
+        """An ``MSOSolver`` with these budgets (``product_budget=None``:
+        the solver's own default)."""
+        from ..solver.solver import MSOSolver
+
+        if product_budget is None:
+            return MSOSolver(det_budget=det_budget)
+        return MSOSolver(det_budget=det_budget, product_budget=product_budget)
 
     def bind(self, query) -> Callable:
         from ..core.symbolic import check_conflict_mso, check_data_race_mso
@@ -136,16 +136,8 @@ class SymbolicEngine(Engine):
 
     def run(self, query, guard: Optional[ResourceGuard] = None,
             limits: Optional[Limits] = None) -> EngineVerdict:
-        from ..solver.solver import MSOSolver
-
         limits = limits if limits is not None else query.limits
-        if limits.product_budget is not None:
-            solver = MSOSolver(
-                det_budget=limits.det_budget,
-                product_budget=limits.product_budget,
-            )
-        else:
-            solver = MSOSolver(det_budget=limits.det_budget)
+        solver = self.solver(limits.det_budget, limits.product_budget)
         own_guard = guard is None
         if own_guard:
             guard = ResourceGuard.start(
@@ -175,10 +167,8 @@ class BoundedEngine(Engine):
 
     name = "bounded"
     capabilities = Capabilities(
-        kind="scope",
         sound_for=frozenset({"race", "equiv"}),
         complete_for="scope",
-        witness_kinds=frozenset({"tree", "cells"}),
     )
 
     def bind(self, query) -> Callable:
@@ -221,10 +211,8 @@ class InterpEngine(Engine):
 
     name = "interp"
     capabilities = Capabilities(
-        kind="scope",
         sound_for=frozenset({"race", "equiv"}),
         complete_for="scope-sampled",
-        witness_kinds=frozenset({"input"}),
     )
 
     #: Default seeded valuations and schedule cap (the oracle overrides
@@ -393,35 +381,24 @@ class InterpEngine(Engine):
 
 
 # ----------------------------------------------------------------------
-# Registry
+# The engine table
 
 
-_REGISTRY: Dict[str, Engine] = {}
-
-
-def register_engine(engine: Engine, replace: bool = False) -> Engine:
-    """Register a backend by its ``name``; later plans and ``engine=``
-    specs resolve it uniformly."""
-    if engine.name in _REGISTRY and not replace:
-        raise ValueError(f"engine {engine.name!r} is already registered")
-    _REGISTRY[engine.name] = engine
-    return engine
+_ENGINES: Dict[str, Engine] = {
+    engine.name: engine
+    for engine in (SymbolicEngine(), BoundedEngine(), InterpEngine())
+}
 
 
 def get_engine(name: str) -> Engine:
-    engine = _REGISTRY.get(name)
+    engine = _ENGINES.get(name)
     if engine is None:
         raise ValueError(
             f"unknown engine {name!r}; known engines: "
-            f"{', '.join(sorted(_REGISTRY))}"
+            f"{', '.join(known_engines())}"
         )
     return engine
 
 
 def known_engines() -> List[str]:
-    return sorted(_REGISTRY)
-
-
-register_engine(SymbolicEngine())
-register_engine(BoundedEngine())
-register_engine(InterpEngine())
+    return sorted(_ENGINES)

@@ -1,31 +1,32 @@
-"""Declarative plans: the degradation ladder as data.
+"""Plans: which engines answer an ``engine=`` spec, and in what order.
 
-A :class:`Plan` is a tuple of :class:`Rung`\\ s — engine name plus
-policy (budget scaling, deadline sharing, scope shrinking, when the
-rung fires, what an internal error does).  One :class:`PlanExecutor`
-interprets any plan and produces exactly the historical
-``details["attempts"]`` / ``details["decided_by"]`` schema that
-``core.api`` once hard-coded as its degradation ladder (DESIGN.md §7 →
-§10):
+A :class:`Plan` says two things: whether the paper's MSO procedure runs
+(``symbolic``) and which scope engine answers when it does not decide
+(``scope``, or ``None``).  :func:`execute` runs a plan over one query
+and produces the ``details["attempts"]`` / ``details["decided_by"]``
+schema (DESIGN.md §7 → §10):
 
-* ``engine="auto"`` — guarded symbolic run, one ×4-escalated retry when
-  (and only when) the first run died on its *state budget* and ≥1s of
-  wall clock remains (sharing the first run's absolute deadline), then
-  the bounded engine, shrinking its scope whenever a rung overruns;
-* ``engine="mso"`` — the strict single symbolic rung
+* ``engine="auto"`` — ``(True, "bounded")``: a guarded symbolic run,
+  one ×4-escalated retry when (and only when) the first run died on its
+  *state budget* and ≥1s of wall clock remains (sharing the first run's
+  absolute deadline), then the bounded engine, shrinking its scope
+  whenever a run overruns;
+* ``engine="mso"`` — ``(True, None)``: the strict single symbolic run
   (``SolverInternalError`` propagates);
-* ``engine="bounded"`` — the scope-shrinking bounded rungs alone;
-* any other registered engine name — a synthesized single-rung plan.
+* ``engine="bounded"`` — ``(False, "bounded")``: the scope-shrinking
+  bounded runs alone;
+* ``engine="interp"`` — ``(False, "interp")``: the same over the
+  interpreter's dynamic evidence.
 
-The supervisor's circuit-breaker degradation is the plan
-transformation :func:`degraded` (drop the symbolic rungs, keep the
-scope rungs) instead of bespoke worker code.
+Leniency follows from the shape: a plan with a scope fallback retries
+the symbolic run once and lets an internal solver error fall through
+to the scope engine; a plan without one does neither.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..runtime import (
@@ -34,103 +35,59 @@ from ..runtime import (
     SolverInternalError,
     exhaustion_status,
 )
-from .engines import get_engine, known_engines
+from .engines import SymbolicEngine, get_engine
+from .query import Limits
 
 __all__ = [
     "LADDER_ESCALATION",
-    "Rung",
     "Plan",
     "plan_for",
     "known_specs",
-    "degraded",
-    "degraded_spec",
     "record_attempt",
-    "run_symbolic_rungs",
-    "run_scope_rungs",
+    "run_symbolic",
+    "run_scope",
     "merge_verdicts",
-    "note_symbolic",
     "PlanOutcome",
-    "PlanExecutor",
+    "execute",
     "worker_attempt_record",
     "normalized_attempts",
 ]
 
-#: The retry rung multiplies the symbolic budgets by this factor.
+#: The retry run multiplies the symbolic budgets by this factor.
 LADDER_ESCALATION = 4
-#: Skip a retry rung when less wall-clock than this remains; the
-#: escalated run would only burn the next rung's time.
+#: Skip the retry when less wall-clock than this remains; the escalated
+#: run would only burn the scope engine's time.
 _MIN_RETRY_S = 1.0
 
 
 @dataclass(frozen=True)
-class Rung:
-    """One ladder step: an engine plus firing/limit policy."""
-
-    name: str
-    engine: str
-    #: Budget multiplier relative to the query's limits.
-    scale: int = 1
-    #: "always" | "after-budget" (previous symbolic rung exhausted its
-    #: state budget) | "undecided" (no symbolic rung decided).
-    when: str = "always"
-    #: Skip this rung when less wall clock than this remains.
-    min_remaining_s: float = 0.0
-    #: Inherit the previous rung's absolute deadline instead of a fresh
-    #: one, so the rungs together never exceed the query's deadline.
-    share_deadline: bool = False
-    #: Scope rungs only: shrink the tree bound until a run fits.
-    shrink_scope: bool = False
-    #: "continue" records a SolverInternalError and falls through;
-    #: "raise" propagates it (the strict single-engine contract).
-    on_internal_error: str = "continue"
-
-
-@dataclass(frozen=True)
 class Plan:
-    """A named sequence of rungs, interpreted by :class:`PlanExecutor`."""
+    """Whether the MSO procedure runs, and which scope engine follows."""
 
     name: str
-    rungs: Tuple[Rung, ...]
-
-    def symbolic_rungs(self) -> Tuple[Rung, ...]:
-        return tuple(
-            r for r in self.rungs
-            if get_engine(r.engine).capabilities.kind == "symbolic"
-        )
-
-    def scope_rung(self) -> Optional[Rung]:
-        for r in self.rungs:
-            if get_engine(r.engine).capabilities.kind == "scope":
-                return r
-        return None
+    symbolic: bool
+    scope: Optional[str]
 
     def engine_names(self) -> Tuple[str, ...]:
-        return tuple(dict.fromkeys(r.engine for r in self.rungs))
+        return (("mso",) if self.symbolic else ()) + (
+            (self.scope,) if self.scope is not None else ()
+        )
 
 
 _PLANS: Dict[str, Plan] = {
-    "auto": Plan("auto", (
-        Rung("mso", "mso"),
-        Rung(
-            "mso-retry", "mso",
-            scale=LADDER_ESCALATION,
-            when="after-budget",
-            min_remaining_s=_MIN_RETRY_S,
-            share_deadline=True,
-        ),
-        Rung("bounded", "bounded", when="undecided", shrink_scope=True),
-    )),
-    "mso": Plan("mso", (Rung("mso", "mso", on_internal_error="raise"),)),
-    "bounded": Plan("bounded", (
-        Rung("bounded", "bounded", shrink_scope=True),
-    )),
+    plan.name: plan
+    for plan in (
+        Plan("auto", True, "bounded"),
+        Plan("mso", True, None),
+        Plan("bounded", False, "bounded"),
+        Plan("interp", False, "interp"),
+    )
 }
 
 
 def known_specs() -> List[str]:
-    """Every valid ``engine=`` spec: the named plans plus every
-    registered engine (each resolves to a single-rung plan)."""
-    return sorted(set(_PLANS) | set(known_engines()))
+    """Every valid ``engine=`` spec."""
+    return sorted(_PLANS)
 
 
 def plan_for(spec: str) -> Plan:
@@ -141,36 +98,12 @@ def plan_for(spec: str) -> Plan:
     ladder.
     """
     plan = _PLANS.get(spec)
-    if plan is not None:
-        return plan
-    if spec in known_engines():
-        # A registered engine without a bespoke plan: one strict rung.
-        if get_engine(spec).capabilities.kind == "symbolic":
-            return Plan(spec, (Rung(spec, spec, on_internal_error="raise"),))
-        return Plan(spec, (Rung(spec, spec, shrink_scope=True),))
-    raise ValueError(
-        f"unknown engine {spec!r}; known engines: "
-        f"{', '.join(known_specs())}"
-    )
-
-
-def degraded(plan: Plan) -> Plan:
-    """The circuit-breaker transformation: drop the symbolic rungs and
-    run the scope rungs unconditionally (bounded-only service)."""
-    scope_rungs = tuple(
-        dc_replace(r, when="always")
-        for r in plan.rungs
-        if get_engine(r.engine).capabilities.kind == "scope"
-    )
-    if not scope_rungs:
-        return _PLANS["bounded"]
-    return Plan("bounded", scope_rungs)
-
-
-def degraded_spec(spec: str) -> str:
-    """The serializable ``engine=`` spec of a plan's degraded form
-    (what the supervisor writes into a rewritten task payload)."""
-    return degraded(plan_for(spec)).name
+    if plan is None:
+        raise ValueError(
+            f"unknown engine {spec!r}; known engines: "
+            f"{', '.join(known_specs())}"
+        )
+    return plan
 
 
 # ----------------------------------------------------------------------
@@ -232,151 +165,129 @@ def normalized_attempts(
 
 
 # ----------------------------------------------------------------------
-# Rung interpreters
+# The two rungs
 
 
-def _default_solver(det_budget: int, product_budget: Optional[int]):
-    from ..solver.solver import MSOSolver
-
-    if product_budget is None:
-        return MSOSolver(det_budget=det_budget)
-    return MSOSolver(det_budget=det_budget, product_budget=product_budget)
-
-
-def run_symbolic_rungs(
+def _symbolic_attempt(
+    rung: str,
     run_sym: Callable,
-    rungs: Tuple[Rung, ...],
-    det_budget: int,
-    mso_deadline_s: Optional[float],
-    node_ceiling: Optional[int],
+    solver,
+    guard: ResourceGuard,
+    limits: Dict[str, object],
     attempts: List[Dict[str, object]],
     details: Dict[str, object],
-    product_budget: Optional[int] = None,
-    make_solver: Optional[Callable] = None,
+    strict: bool,
 ):
-    """Interpret the symbolic rungs of a plan.
-
-    A retry rung only fires when its ``when``/``min_remaining_s`` policy
-    allows (for the auto plan: the previous run died on its *state
-    budget* — a deadline or memory ceiling would just be hit again —
-    and ≥1s of wall clock remains); ``share_deadline`` rungs inherit
-    the first run's absolute deadline so together they never exceed
-    ``mso_deadline_s``.  ``SolverInternalError`` propagates when the
-    rung's policy is ``"raise"``; otherwise it is recorded and the plan
-    falls through to the scope rungs.
-    """
-    if not rungs:
-        return None, None
-    make_solver = make_solver or _default_solver
-    first = rungs[0]
-    guard = ResourceGuard.start(
-        deadline_s=mso_deadline_s, node_ceiling=node_ceiling
-    )
-    solver = make_solver(det_budget * first.scale, product_budget)
-    base_product = solver.product_budget
-    limits: Dict[str, object] = {
-        "det_budget": det_budget * first.scale,
-        "product_budget": solver.product_budget,
-        "deadline_s": mso_deadline_s,
-        "node_ceiling": node_ceiling,
-    }
+    """One guarded symbolic run, recorded; ``None`` after an internal
+    error that ``strict`` does not propagate."""
     t0 = time.perf_counter()
     try:
         sym = run_sym(solver, guard)
     except SolverInternalError as e:
-        record_attempt(
-            attempts, first.name, first.engine, limits, "error", t0,
-            note=str(e),
-        )
+        record_attempt(attempts, rung, "mso", limits, "error", t0, note=str(e))
         details["mso_error"] = str(e)
-        if first.on_internal_error == "raise":
+        if strict:
             raise
-        return None, None
+        return None
     finally:
         guard.unbind_managers()
     record_attempt(
         attempts,
-        first.name,
-        first.engine,
+        rung,
+        "mso",
         limits,
         sym.status,
         t0,
         note="counterexample" if sym.found else None,
         found=sym.found if sym.status == "decided" else None,
     )
+    return sym
 
-    chosen, chosen_rung = sym, first.name
-    prev = sym
-    for rung in rungs[1:]:
-        if rung.when == "after-budget" and prev.status != "budget":
-            break
-        remaining = guard.remaining_s()
-        if remaining is not None and remaining < rung.min_remaining_s:
-            break
-        solver2 = make_solver(
-            det_budget * rung.scale, base_product * rung.scale
-        )
-        guard2 = (
-            ResourceGuard(deadline=guard.deadline, node_ceiling=node_ceiling)
-            if rung.share_deadline
-            else ResourceGuard.start(
-                deadline_s=mso_deadline_s, node_ceiling=node_ceiling
-            )
-        )
-        limits2: Dict[str, object] = {
+
+def run_symbolic(
+    run_sym: Callable,
+    limits: Limits,
+    attempts: List[Dict[str, object]],
+    details: Dict[str, object],
+    lenient: bool,
+    cache=None,
+):
+    """The ``mso`` rung and, when ``lenient``, its one ``mso-retry``.
+
+    ``run_sym(solver, guard)`` answers the query symbolically.  The
+    retry runs only when the first run died on its *state budget* — a
+    deadline or memory ceiling would just be hit again — and ≥1s of
+    wall clock remains; it inherits the first run's absolute deadline,
+    so together they never exceed ``limits.mso_deadline_s``.  A
+    ``SolverInternalError`` propagates unless ``lenient``.  Returns the
+    verdict to report and its rung name, or ``(None, None)`` when the
+    first run errored.  An attached ``cache`` only feeds observability:
+    its counters are mirrored into each solver's stats.
+    """
+
+    def solver_for(det_budget, product_budget):
+        solver = SymbolicEngine.solver(det_budget, product_budget)
+        if cache is not None:
+            solver.stats.note_cache(cache.stats)
+        return solver
+
+    guard = ResourceGuard.start(
+        deadline_s=limits.mso_deadline_s, node_ceiling=limits.node_ceiling
+    )
+    solver = solver_for(limits.det_budget, limits.product_budget)
+    sym = _symbolic_attempt(
+        "mso", run_sym, solver, guard,
+        {
+            "det_budget": limits.det_budget,
+            "product_budget": solver.product_budget,
+            "deadline_s": limits.mso_deadline_s,
+            "node_ceiling": limits.node_ceiling,
+        },
+        attempts, details, strict=not lenient,
+    )
+    if sym is None:
+        return None, None
+    remaining = guard.remaining_s()
+    if (not lenient or sym.status != "budget"
+            or (remaining is not None and remaining < _MIN_RETRY_S)):
+        return sym, "mso"
+    solver2 = solver_for(
+        limits.det_budget * LADDER_ESCALATION,
+        solver.product_budget * LADDER_ESCALATION,
+    )
+    sym2 = _symbolic_attempt(
+        "mso-retry", run_sym, solver2,
+        ResourceGuard(deadline=guard.deadline, node_ceiling=limits.node_ceiling),
+        {
             "det_budget": solver2.compiler.det_budget,
             "product_budget": solver2.product_budget,
             "deadline_s": round(remaining, 3) if remaining is not None else None,
-            "node_ceiling": node_ceiling,
-        }
-        t1 = time.perf_counter()
-        try:
-            sym2 = run_sym(solver2, guard2)
-        except SolverInternalError as e:
-            record_attempt(
-                attempts, rung.name, rung.engine, limits2, "error", t1,
-                note=str(e),
-            )
-            details["mso_error"] = str(e)
-            break
-        finally:
-            guard2.unbind_managers()
-        record_attempt(
-            attempts,
-            rung.name,
-            rung.engine,
-            limits2,
-            sym2.status,
-            t1,
-            note="counterexample" if sym2.found else None,
-            found=sym2.found if sym2.status == "decided" else None,
-        )
-        if sym2.status == "decided":
-            chosen, chosen_rung = sym2, rung.name
-            break
-        prev = sym2
-        guard = guard2
-    return chosen, chosen_rung
+            "node_ceiling": limits.node_ceiling,
+        },
+        attempts, details, strict=False,
+    )
+    if sym2 is not None and sym2.status == "decided":
+        return sym2, "mso-retry"
+    return sym, "mso"
 
 
-def run_scope_rungs(
+def run_scope(
     run_bnd: Callable,
-    rung: Rung,
+    engine: str,
     max_internal: int,
     deadline_s: Optional[float],
     attempts: List[Dict[str, object]],
 ):
-    """Interpret a plan's scope rung: shrink the bound until a run fits.
+    """The scope rung: shrink the bound until a run fits.
 
     With no ``deadline_s`` the first (largest-scope) run always
     completes — the seed behaviour.  With one, each scope gets a fresh
     deadline; an overrun shrinks the scope instead of failing the query.
+    Returns the verdict and the scope that decided it, or
+    ``(None, None)``.
     """
-    scopes = (
-        range(max_internal, 0, -1) if rung.shrink_scope else (max_internal,)
-    )
-    for scope in scopes:
-        name = f"{rung.engine}@{scope}"
+    for scope in range(max_internal, 0, -1):
+        name = f"{engine}@{scope}"
         guard = (
             ResourceGuard.start(deadline_s=deadline_s)
             if deadline_s is not None
@@ -391,13 +302,13 @@ def run_scope_rungs(
             bnd = run_bnd(scope, guard)
         except ResourceExhausted as e:
             record_attempt(
-                attempts, name, rung.engine, limits, exhaustion_status(e), t0
+                attempts, name, engine, limits, exhaustion_status(e), t0
             )
             continue
         record_attempt(
             attempts,
             name,
-            rung.engine,
+            engine,
             limits,
             "decided",
             t0,
@@ -427,17 +338,8 @@ def merge_verdicts(sym, bnd):
     return False, None, None
 
 
-def note_symbolic(details: Dict[str, object], sym) -> None:
-    details["mso"] = str(sym)
-    details["mso_status"] = sym.status
-    details["mso_queries"] = sym.queries
-    details["mso_reached_states"] = sym.max_states
-    if sym.stats is not None:
-        details["mso_stats"] = sym.stats
-
-
 # ----------------------------------------------------------------------
-# The executor
+# Execution
 
 
 @dataclass
@@ -448,101 +350,60 @@ class PlanOutcome:
     witness: Optional[object]
     witness_tree: Optional[object]
     undecided: bool
-    decided_by: Optional[str]
     engine_label: str
-    attempts: List[Dict[str, object]]
     details: Dict[str, object]
-    sym: Optional[object] = None
-    scope_verdict: Optional[object] = None
 
 
-class PlanExecutor:
-    """Interprets any :class:`Plan` over one query, producing the
-    attempts/decided_by schema byte-for-byte as the hard-coded ladder
-    did.  An attached :class:`~repro.engine.cache.ResultCache` only
-    feeds observability here (its counters are mirrored into each
-    solver's :class:`~repro.solver.stats.SolverStats`); lookup/store
-    policy lives with the caller."""
+def execute(query, plan: Plan, cache=None) -> PlanOutcome:
+    """Run ``plan`` over one query: the symbolic rung if the plan has
+    one, then the scope rung unless the symbolic rung decided.  Lookup
+    and store policy for ``cache`` lives with the caller."""
+    attempts: List[Dict[str, object]] = []
+    details: Dict[str, object] = {"attempts": attempts}
 
-    def __init__(self, cache=None) -> None:
-        self.cache = cache
-
-    def _make_solver(self, det_budget: int, product_budget: Optional[int]):
-        solver = _default_solver(det_budget, product_budget)
-        if self.cache is not None:
-            solver.stats.note_cache(self.cache.stats)
-        return solver
-
-    def execute(self, query, plan: Plan) -> PlanOutcome:
-        attempts: List[Dict[str, object]] = []
-        details: Dict[str, object] = {"attempts": attempts}
-        srungs = plan.symbolic_rungs()
-        scope_rung = plan.scope_rung()
-
-        sym = None
-        sym_rung = None
-        if srungs:
-            runner = get_engine(srungs[0].engine).bind(query)
-            sym, sym_rung = run_symbolic_rungs(
-                runner,
-                srungs,
-                query.limits.det_budget,
-                query.limits.mso_deadline_s,
-                query.limits.node_ceiling,
-                attempts,
-                details,
-                product_budget=query.limits.product_budget,
-                make_solver=self._make_solver,
-            )
-            if sym is not None:
-                note_symbolic(details, sym)
-        sym_decided = sym is not None and sym.status == "decided"
-
-        bnd = None
-        bnd_scope = None
-        if scope_rung is not None and (
-            scope_rung.when == "always" or not sym_decided
-        ):
-            runner = get_engine(scope_rung.engine).bind(query)
-            bnd, bnd_scope = run_scope_rungs(
-                runner,
-                scope_rung,
-                query.scope,
-                query.limits.bounded_deadline_s,
-                attempts,
-            )
-            if bnd is not None:
-                details[scope_rung.engine] = str(bnd)
-
-        found, witness_tree, witness = merge_verdicts(sym, bnd)
-        undecided = not sym_decided and bnd is None
-        decided_by = (
-            None
-            if undecided
-            else (sym_rung if sym_decided else f"{scope_rung.engine}@{bnd_scope}")
+    sym = sym_rung = None
+    if plan.symbolic:
+        sym, sym_rung = run_symbolic(
+            get_engine("mso").bind(query),
+            query.limits,
+            attempts,
+            details,
+            lenient=plan.scope is not None,
+            cache=cache,
         )
-        details["decided_by"] = decided_by
+        if sym is not None:
+            details["mso"] = str(sym)
+            details["mso_status"] = sym.status
+            details["mso_queries"] = sym.queries
+            details["mso_reached_states"] = sym.max_states
+            if sym.stats is not None:
+                details["mso_stats"] = sym.stats
+    sym_decided = sym is not None and sym.status == "decided"
 
-        if srungs and scope_rung is None:
-            engine_label = srungs[0].engine
-        elif srungs and scope_rung is not None:
-            engine_label = (
-                srungs[0].engine
-                if sym_decided
-                else f"{srungs[0].engine}+{scope_rung.engine}"
-            )
-        else:
-            engine_label = scope_rung.engine if scope_rung else plan.name
-
-        return PlanOutcome(
-            found=found,
-            witness=witness,
-            witness_tree=witness_tree,
-            undecided=undecided,
-            decided_by=decided_by,
-            engine_label=engine_label,
-            attempts=attempts,
-            details=details,
-            sym=sym,
-            scope_verdict=bnd,
+    bnd = bnd_scope = None
+    if plan.scope is not None and not sym_decided:
+        bnd, bnd_scope = run_scope(
+            get_engine(plan.scope).bind(query),
+            plan.scope,
+            query.scope,
+            query.limits.bounded_deadline_s,
+            attempts,
         )
+        if bnd is not None:
+            details[plan.scope] = str(bnd)
+
+    found, witness_tree, witness = merge_verdicts(sym, bnd)
+    if sym_decided:
+        details["decided_by"] = sym_rung
+    elif bnd is not None:
+        details["decided_by"] = f"{plan.scope}@{bnd_scope}"
+    else:
+        details["decided_by"] = None
+    return PlanOutcome(
+        found=found,
+        witness=witness,
+        witness_tree=witness_tree,
+        undecided=not sym_decided and bnd is None,
+        engine_label="mso" if sym_decided else "+".join(plan.engine_names()),
+        details=details,
+    )

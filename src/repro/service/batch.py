@@ -107,6 +107,24 @@ def _merged(
     }
 
 
+def _map_overrides(
+    entry: Dict[str, Any], name: str
+) -> Optional[Dict[str, List[str]]]:
+    overrides = entry.get("map_overrides")
+    if overrides is not None and not (
+        isinstance(overrides, dict)
+        and all(
+            isinstance(v, list) and all(isinstance(s, str) for s in v)
+            for v in overrides.values()
+        )
+    ):
+        raise BatchError(
+            f"task {name!r}: 'map_overrides' must map block ids to lists "
+            "of block ids"
+        )
+    return overrides
+
+
 def load_manifest(path: Path) -> List[Task]:
     """Parse a manifest into fully-resolved (source-inlined) tasks."""
     path = Path(path)
@@ -130,7 +148,12 @@ def load_manifest(path: Path) -> List[Task]:
         seen_names.add(name)
         kind = entry.get("kind")
         options = _merged(defaults, entry, "options", name)
-        limits = Limits.from_dict(_merged(defaults, entry, "limits", name))
+        try:
+            limits = Limits.from_dict(
+                _merged(defaults, entry, "limits", name)
+            )
+        except ValueError as e:
+            raise BatchError(f"task {name!r}: {e}") from e
         if kind == "check-race":
             tasks.append(task_for_race(
                 source=_read_source(entry, "source", base, name),
@@ -145,7 +168,7 @@ def load_manifest(path: Path) -> List[Task]:
                 source2=_read_source(entry, "source2", base, name),
                 entry=entry.get("entry", "Main"),
                 options=options,
-                map_overrides=entry.get("map_overrides"),
+                map_overrides=_map_overrides(entry, name),
                 limits=limits,
                 name=name,
                 name2=entry.get("name2", f"{name}-fused"),

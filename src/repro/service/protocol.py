@@ -79,12 +79,30 @@ class Limits:
 
     @classmethod
     def from_dict(cls, data: Optional[Dict[str, Any]]) -> "Limits":
+        """Raises ``ValueError`` unless every limit is null or a positive
+        number (an integer for ``mem_bytes``)."""
         data = data or {}
-        return cls(
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"limits must be an object, not {type(data).__name__}"
+            )
+        limits = cls(
             wall_s=data.get("wall_s", 120.0),
             cpu_s=data.get("cpu_s"),
             mem_bytes=data.get("mem_bytes"),
         )
+        for name, value in asdict(limits).items():
+            kind = int if name == "mem_bytes" else (int, float)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, kind)
+                or not value > 0
+            ):
+                raise ValueError(
+                    f"limit {name!r} must be a positive "
+                    f"{'integer' if kind is int else 'number'} or null, "
+                    f"not {value!r}"
+                )
+        return limits
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ The supervisor sits between callers (the batch layer, ``core.api``'s
   derived from the task key, so concurrent workers decorrelate without
   consuming RNG state anywhere.
 * **Circuit breaker** — repeated crashes of *symbolic* workers trip the
-  breaker; while it is open, every subsequent ``check-*``/fuzz task is
-  degraded to the bounded-only ladder rung (``engine="bounded"`` /
+  breaker; while it is open, every subsequent symbolic ``check-*``/fuzz
+  task is degraded to the bounded engine alone (``engine="bounded"`` /
   ``run_symbolic=False``) before being handed to a worker.  That is the
   process-level analogue of PR 2's in-process degradation ladder: when
   the symbolic engine does not fail cooperatively, stop feeding it
@@ -125,7 +125,7 @@ def _task_is_symbolic(task: Task) -> bool:
 
         spec = (task.payload.get("options") or {}).get("engine", "auto")
         try:
-            return bool(plan_for(spec).symbolic_rungs())
+            return plan_for(spec).symbolic
         except ValueError:
             return True  # unknown spec: assume the worst for the breaker
     if task.kind == "fuzz-case":
@@ -137,20 +137,14 @@ def _task_is_symbolic(task: Task) -> bool:
 def _degrade_task(task: Task) -> Task:
     """The symbolic-free rendering of a task (circuit breaker open).
 
-    For ``check-*`` tasks this is the plan transformation
-    :func:`repro.engine.plan.degraded_spec` — drop every symbolic rung,
-    keep the scope rungs; the fuzz oracle has its own flag.
+    A ``check-*`` task runs ``engine="bounded"`` instead; the fuzz
+    oracle has its own flag.
     """
     payload = dict(task.payload)
     if task.kind in ("check-race", "check-fusion"):
-        from ..engine.plan import degraded_spec
-
-        payload["options"] = dict(payload.get("options") or {})
-        spec = payload["options"].get("engine", "auto")
-        try:
-            payload["options"]["engine"] = degraded_spec(spec)
-        except ValueError:
-            payload["options"]["engine"] = "bounded"
+        payload["options"] = {
+            **(payload.get("options") or {}), "engine": "bounded"
+        }
     elif task.kind == "fuzz-case":
         payload["oracle"] = dict(payload.get("oracle") or {})
         payload["oracle"]["run_symbolic"] = False

@@ -7,14 +7,11 @@ shows the labelling — this is how counterexample configurations are
 decoded).  A state budget turns blow-ups into a clean ``budget`` status for
 the caller's engine-fallback logic.
 
-With ``lazy_products`` (the default) conjunctions are never multiplied
-out: ``automaton_conj`` returns an implicit
-:class:`~repro.automata.product.ProductAutomaton` of the compiled
-factors, and ``sat_of`` runs the emptiness fixpoint directly on it — the
-``product_budget`` then bounds *reached* product states rather than the
-size of a materialized product.  ``lazy_products=False`` restores the
-seed's eager pairwise-product pipeline (still used by differential
-tests).
+Conjunctions are never multiplied out: ``automaton_conj`` returns an
+implicit :class:`~repro.automata.product.ProductAutomaton` of the
+compiled factors, and ``sat_of`` runs the emptiness fixpoint directly on
+it — the ``product_budget`` bounds *reached* product states rather than
+the size of a materialized product.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
-from ..automata.determinize import StateBudgetExceeded
 from ..automata.emptiness import (
     Witness,
     find_witness,
@@ -100,22 +96,19 @@ class MSOSolver:
         minimize_always: bool = True,
         det_budget: int = 200_000,
         product_budget: int = 50_000,
-        lazy_products: bool = True,
     ) -> None:
         self.compiler = Compiler(
             registry=registry,
             minimize_always=minimize_always,
             det_budget=det_budget,
         )
-        # Conjunction products beyond this state count raise
+        # Conjunction products reaching more states than this raise
         # StateBudgetExceeded so callers can fall back to the bounded
-        # engine instead of grinding.  Lazily it bounds *reached* product
-        # states; eagerly, materialized ones.  The default leaves ~2x
+        # engine instead of grinding.  The default leaves ~2x
         # headroom over the largest Table-1 saturation (T1.6 peaks near
         # 24k reached tuples under antichain pruning), so every paper
         # query decides on the first "mso" rung.
         self.product_budget = product_budget
-        self.lazy_products = lazy_products
         # Optional wall-clock deadline (time.perf_counter() value); when
         # exceeded mid-query, DeadlineExceeded is raised so the caller's
         # fallback logic runs rather than a query overshooting.  A full
@@ -124,7 +117,7 @@ class MSOSolver:
         self.deadline: Optional[float] = None
         self.guard: Optional[ResourceGuard] = None
         self.stats = SolverStats(budget=product_budget)
-        self._conj_cache: Dict[str, Automaton] = {}
+        self._conj_cache: Dict[str, ProductAutomaton] = {}
         self._iface_cache: Dict[str, TreeAutomaton] = {}
 
     @property
@@ -150,10 +143,7 @@ class MSOSolver:
         self._sync_compiler()
         try:
             with self.stats.phase("compile"):
-                if self.lazy_products:
-                    a = self.compiler.compile_product(formula)
-                else:
-                    a = self.compiler.compile(formula)
+                a = self.compiler.compile_product(formula)
             res = self.sat_of(a, want_witness=want_witness)
         except ResourceExhausted as e:
             return SolveResult(
@@ -166,17 +156,16 @@ class MSOSolver:
         res.elapsed = time.perf_counter() - t0
         return res
 
-    def automaton_conj(self, parts, cache_key: Optional[str] = None) -> Automaton:
+    def automaton_conj(
+        self, parts, cache_key: Optional[str] = None
+    ) -> ProductAutomaton:
         """Conjunction of formulas/automata, ready for emptiness.
 
-        Lazily (the default): compiles each part and returns the implicit
+        Compiles each part and returns the implicit
         :class:`ProductAutomaton` — no product state is built until an
-        emptiness query explores it.  Eagerly: the seed's pairwise
-        product pipeline, minimized along the way.  With ``cache_key``
-        the result is cached for reuse across queries (e.g. the
-        q-independent ``Configuration`` core)."""
-        from ..automata.minimize import minimize, prune_unreachable, reduce_nfta
-
+        emptiness query explores it.  With ``cache_key`` the result is
+        cached for reuse across queries (e.g. the q-independent
+        ``Configuration`` core)."""
         if cache_key is not None:
             cached = self._conj_cache.get(cache_key)
             if cached is not None:
@@ -191,43 +180,13 @@ class MSOSolver:
                 else self.compiler.compile(p)
                 for p in parts
             ]
-        guard = self._active_guard()
-        if self.lazy_products:
-            acc: Automaton = ProductAutomaton(autos, guard=guard)
-            # An unsatisfiable factor decides the whole conjunction;
-            # keeping just that factor lets exploration finish instantly
-            # instead of saturating the other factors' product.
-            for f in acc.factors:
-                if not f.accepting:
-                    acc = ProductAutomaton([f])
-                    break
-            if cache_key is not None:
-                self._conj_cache[cache_key] = acc
-            return acc
-        autos.sort(key=lambda a: a.n_states)
-        acc = autos[0]
-        for nxt in autos[1:]:
-            if guard is not None:
-                guard.check_now("solver.conj")
-            acc = acc.product(
-                nxt,
-                lambda x, y: x and y,
-                max_states=self.product_budget,
-                guard=guard,
-            )
-            acc = prune_unreachable(acc)
-            if acc.deterministic and acc.n_states > 8:
-                acc = minimize(acc.completed(), guard=guard)
-            elif not acc.deterministic and acc.n_states > 32:
-                acc = reduce_nfta(acc, guard=guard)
-            if acc.n_states > self.product_budget:
-                raise StateBudgetExceeded(
-                    f"conjunction product exceeded {self.product_budget} "
-                    "states",
-                    phase="solver.conj",
-                    counters={"states": acc.n_states},
-                )
-            if not acc.accepting:
+        acc = ProductAutomaton(autos, guard=self._active_guard())
+        # An unsatisfiable factor decides the whole conjunction; keeping
+        # just that factor lets exploration finish instantly instead of
+        # saturating the other factors' product.
+        for f in acc.factors:
+            if not f.accepting:
+                acc = ProductAutomaton([f])
                 break
         if cache_key is not None:
             self._conj_cache[cache_key] = acc
@@ -268,24 +227,19 @@ class MSOSolver:
             self.stats.conj_cache_misses += 1
         acc = self.automaton_conj(parts)
         guard = self._active_guard()
-        if isinstance(acc, ProductAutomaton):
-            unsat = next(
-                (f for f in acc.factors if not f.accepting), None
-            )
-            if unsat is not None:
-                side = unsat
-            else:
-                with self.stats.phase("explore"):
-                    exp = acc.explore(
-                        max_states=self.product_budget,
-                        stop_on_accepting=False,
-                        record=True,
-                        guard=guard,
-                    )
-                self.stats.note_exploration(exp.reached)
-                side = acc.materialized_explored(exp)
+        unsat = next((f for f in acc.factors if not f.accepting), None)
+        if unsat is not None:
+            side = unsat
         else:
-            side = acc
+            with self.stats.phase("explore"):
+                exp = acc.explore(
+                    max_states=self.product_budget,
+                    stop_on_accepting=False,
+                    record=True,
+                    guard=guard,
+                )
+            self.stats.note_exploration(exp.reached)
+            side = acc.materialized_explored(exp)
         with self.stats.phase("compile"):
             drop = [t for t in side.tracks if t not in keep]
             iface = reduce_nfta(

@@ -226,11 +226,8 @@ class TestDegradationLadder:
         """Stubbed ladder: budget exhaustion triggers exactly one retry
         with LADDER_ESCALATION'd budgets sharing the remaining deadline."""
         from repro.core.symbolic import SymbolicVerdict
-        from repro.engine.plan import (
-            LADDER_ESCALATION,
-            plan_for,
-            run_symbolic_rungs,
-        )
+        from repro.engine import Limits
+        from repro.engine.plan import LADDER_ESCALATION, run_symbolic
 
         calls = []
 
@@ -240,9 +237,9 @@ class TestDegradationLadder:
             return SymbolicVerdict(query="q", found=False, status=status)
 
         attempts, details = [], {}
-        sym, rung = run_symbolic_rungs(
-            run_sym, plan_for("auto").symbolic_rungs(), 1000, 60.0, None,
-            attempts, details,
+        sym, rung = run_symbolic(
+            run_sym, Limits(det_budget=1000, mso_deadline_s=60.0),
+            attempts, details, lenient=True,
         )
         assert sym.status == "decided" and rung == "mso-retry"
         assert calls == [
@@ -258,7 +255,8 @@ class TestDegradationLadder:
 
     def test_symbolic_retry_skipped_when_no_time_left(self):
         from repro.core.symbolic import SymbolicVerdict
-        from repro.engine.plan import plan_for, run_symbolic_rungs
+        from repro.engine import Limits
+        from repro.engine.plan import run_symbolic
 
         calls = []
 
@@ -267,9 +265,9 @@ class TestDegradationLadder:
             return SymbolicVerdict(query="q", found=False, status="budget")
 
         attempts, details = [], {}
-        sym, rung = run_symbolic_rungs(
-            run_sym, plan_for("auto").symbolic_rungs(), 1000, 0.2, None,
-            attempts, details,
+        sym, rung = run_symbolic(
+            run_sym, Limits(det_budget=1000, mso_deadline_s=0.2),
+            attempts, details, lenient=True,
         )
         assert len(calls) == 1 and rung == "mso"
         assert sym.status == "budget"

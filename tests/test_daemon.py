@@ -535,7 +535,13 @@ def test_daemon_bad_requests_get_typed_errors(tmp_path):
             r = c.request({"type": "submit", "client": "x",
                            "priority": "high", "task": racy_task().to_dict()})
             assert r["type"] == "error" and r["error"] == "BadRequest"
+            for limits in ({"wall_s": "soon"}, {"cpu_s": 0}, 60):
+                task = {**racy_task().to_dict(), "limits": limits}
+                r = c.request({"type": "submit", "client": "x",
+                               "task": task})
+                assert r["type"] == "error" and r["error"] == "BadRequest"
             assert c.ping()["type"] == "pong"  # connection still served
+            assert c.status()["failed"] == 0
 
 
 def test_daemon_decodes_each_submission_once(tmp_path, monkeypatch):

@@ -7,22 +7,17 @@ import pytest
 
 from repro.core.api import check_data_race, check_equivalence
 from repro.engine import (
-    BoundedEngine,
     EquivalenceQuery,
     Limits,
     RaceQuery,
     ResultCache,
     canonical_json,
     content_key,
-    degraded,
-    degraded_spec,
     get_engine,
     known_engines,
     known_specs,
     plan_for,
-    register_engine,
 )
-from repro.engine.engines import _REGISTRY
 from repro.lang import parse_program
 from repro.solver.stats import SolverStats
 
@@ -135,22 +130,6 @@ def test_unknown_engine_lists_known_names():
     assert "warp" in msg and "bounded" in msg and "mso" in msg
 
 
-def test_register_engine_rejects_duplicates():
-    class Fake(BoundedEngine):
-        name = "bounded"
-
-    with pytest.raises(ValueError):
-        register_engine(Fake())
-    # replace=True is the escape hatch; restore the original afterwards.
-    original = get_engine("bounded")
-    try:
-        replacement = Fake()
-        assert register_engine(replacement, replace=True) is replacement
-        assert get_engine("bounded") is replacement
-    finally:
-        _REGISTRY["bounded"] = original
-
-
 def test_bounded_engine_runs_a_query_raw():
     verdict = get_engine("bounded").run(
         RaceQuery(program=racy_program(), scope=2)
@@ -174,18 +153,14 @@ def test_interp_engine_finds_dynamic_race():
 
 
 def test_plan_for_named_plans():
-    auto = plan_for("auto")
-    assert [r.name for r in auto.rungs] == ["mso", "mso-retry", "bounded"]
-    assert len(auto.symbolic_rungs()) == 2
-    assert auto.scope_rung().shrink_scope
-    assert plan_for("mso").rungs[0].on_internal_error == "raise"
-    assert plan_for("bounded").symbolic_rungs() == ()
+    assert plan_for("auto").engine_names() == ("mso", "bounded")
+    assert plan_for("mso").engine_names() == ("mso",)
+    assert plan_for("bounded").engine_names() == ("bounded",)
 
 
-def test_plan_for_synthesizes_single_rung_for_registered_engine():
+def test_plan_for_interp_runs_the_interpreter_alone():
     plan = plan_for("interp")
-    assert plan.name == "interp" and len(plan.rungs) == 1
-    assert plan.rungs[0].shrink_scope  # scope engine → shrink policy
+    assert plan.name == "interp" and plan.engine_names() == ("interp",)
 
 
 def test_plan_for_unknown_spec_lists_known_specs():
@@ -194,16 +169,6 @@ def test_plan_for_unknown_spec_lists_known_specs():
     msg = str(exc.value)
     for name in known_specs():
         assert name in msg
-
-
-def test_degraded_plan_drops_symbolic_rungs():
-    d = degraded(plan_for("auto"))
-    assert d.symbolic_rungs() == ()
-    assert d.scope_rung() is not None
-    assert all(r.when == "always" for r in d.rungs)
-    assert degraded_spec("auto") == "bounded"
-    assert degraded_spec("mso") == "bounded"
-    assert degraded_spec("bounded") == "bounded"
 
 
 # ----------------------------------------------------------------------

@@ -390,6 +390,8 @@ def test_load_manifest_validates(tmp_path):
         load_manifest(dup)
     # Non-object entries and sections are usage errors, not crashes.
     racy = {"name": "x", "kind": "check-race", "source": RACY}
+    fusion = {"name": "f", "kind": "check-fusion", "source": RACY,
+              "source2": RACY}
     for data in (
         {"tasks": ["oops"]},
         {"defaults": [], "tasks": [racy]},
@@ -397,10 +399,23 @@ def test_load_manifest_validates(tmp_path):
         {"tasks": [{**racy, "options": ["bounded"]}]},
         {"tasks": [{**racy, "limits": 60}]},
         {"tasks": [{"name": "f", "kind": "fuzz-case", "case": "oops"}]},
+        # map_overrides must map ids to lists of ids; limits must be
+        # positive numbers or null.
+        {"tasks": [{**fusion, "map_overrides": ["s1"]}]},
+        {"tasks": [{**fusion, "map_overrides": {"s1": 5}}]},
+        {"tasks": [{**fusion, "map_overrides": {"s1": [5]}}]},
+        {"tasks": [{**racy, "limits": {"wall_s": "soon"}}]},
+        {"tasks": [{**racy, "limits": {"cpu_s": -1}}]},
+        {"tasks": [{**racy, "limits": {"mem_bytes": 1.5}}]},
+        {"defaults": {"limits": {"wall_s": True}}, "tasks": [racy]},
     ):
         bad.write_text(json.dumps(data))
         with pytest.raises(BatchError):
             load_manifest(bad)
+    # Rejected before the run directory is created.
+    with pytest.raises(BatchError):
+        run_batch(bad, tmp_path / "never")
+    assert not (tmp_path / "never").exists()
 
 
 def test_batch_run_and_full_resume(tmp_path):
