@@ -21,6 +21,7 @@ from repro.core.bounded import (
     default_scope,
 )
 from repro.core.symbolic import check_conflict_mso, check_data_race_mso
+from repro.runtime import ResourceGuard
 
 PAPER = [
     # (id, description, kind, paper verdict, paper MONA secs)
@@ -66,12 +67,13 @@ def run_bounded(task, scope):
 
 def run_mso(task, deadline_s=120.0):
     t0 = time.perf_counter()
+    guard = ResourceGuard(deadline=t0 + deadline_s)
     if task[0] == "race":
-        v = check_data_race_mso(task[1], deadline=t0 + deadline_s)
+        v = check_data_race_mso(task[1], guard=guard)
         good, bad = "race-free", "counterexample"
     else:
         v = check_conflict_mso(
-            task[1], task[2], task[3], deadline=t0 + deadline_s
+            task[1], task[2], task[3], guard=guard
         )
         good, bad = "valid", "counterexample"
     if v.status != "decided":

@@ -58,13 +58,13 @@ def test_compile_without_minimization(benchmark):
     time-to-give-up."""
     import time
 
-    from repro.runtime import ResourceExhausted
+    from repro.runtime import ResourceExhausted, ResourceGuard
 
     f = _config_core_formula()
 
     def go():
         c = Compiler(minimize_always=False)
-        c.deadline = time.perf_counter() + 15
+        c.guard = ResourceGuard(deadline=time.perf_counter() + 15)
         try:
             return c.compile(f)
         except ResourceExhausted:

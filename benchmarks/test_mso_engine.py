@@ -10,6 +10,7 @@ import pytest
 
 from repro.casestudies import cycletree, sizecount
 from repro.core.symbolic import check_data_race_mso
+from repro.runtime import ResourceGuard
 
 
 def test_mso_sizecount_race_free(benchmark):
@@ -21,7 +22,7 @@ def test_mso_sizecount_race_free(benchmark):
     def go():
         return check_data_race_mso(
             sizecount.parallel_program(),
-            deadline=time.perf_counter() + 120,
+            guard=ResourceGuard(deadline=time.perf_counter() + 120),
         )
 
     v = benchmark.pedantic(go, rounds=1, iterations=1)
@@ -40,7 +41,7 @@ def test_mso_cycletree_race_found(benchmark):
         return check_data_race_mso(
             cycletree.parallel_program(),
             det_budget=50_000,
-            deadline=time.perf_counter() + 120,
+            guard=ResourceGuard(deadline=time.perf_counter() + 120),
         )
 
     v = benchmark.pedantic(go, rounds=1, iterations=1)

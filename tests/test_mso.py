@@ -91,6 +91,13 @@ OPEN_ATOMS = [
     (S.IsNilT(S.NodeTerm("x", "r")), ("x",), ()),
     (S.ChildIs("x", "l", "z"), ("x", "z"), ()),
     (S.ChildIs("x", "lr", "z"), ("x", "z"), ()),
+    (S.ParentRelNil("u", "l", "lr"), ("u",), ()),
+    (S.ParentRelNil("u", "r", "rl"), ("u",), ()),
+    (S.ParentRelIn("u", "l", "rl", "X"), ("u",), ("X",)),
+    (S.IsNilT(S.NodeTerm("x")), ("x",), ()),
+    (S.IsNilT(S.NodeTerm("x", "lr")), ("x",), ()),
+    (S.In(S.NodeTerm("x"), "X"), ("x",), ("X",)),
+    (S.ChildIs("x", "r", "z"), ("x", "z"), ()),
 ]
 
 

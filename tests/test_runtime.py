@@ -18,7 +18,6 @@ from repro.runtime import (
     ResourceGuard,
     SolverInternalError,
     StateBudgetExceeded,
-    as_guard,
     exhaustion_status,
 )
 
@@ -96,13 +95,6 @@ class TestResourceGuard:
         assert "remaining_s" in c
         assert ResourceGuard().remaining_s() is None
 
-    def test_as_guard_coercion(self):
-        assert as_guard(None, None) is None
-        g = ResourceGuard()
-        assert as_guard(g, 123.0) is g
-        wrapped = as_guard(None, 123.0)
-        assert wrapped.deadline == 123.0
-
 
 class TestDistinguishableOutcomes:
     """T1.3 (parallel sizecount): deadline vs budget are distinct."""
@@ -111,7 +103,8 @@ class TestDistinguishableOutcomes:
         from repro.core.symbolic import check_data_race_mso
 
         v = check_data_race_mso(
-            sizecount_par, deadline=time.perf_counter() + 0.05
+            sizecount_par,
+            guard=ResourceGuard(deadline=time.perf_counter() + 0.05),
         )
         assert v.status == "deadline"
         assert not v.holds

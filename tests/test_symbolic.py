@@ -10,6 +10,7 @@ import pytest
 
 from repro.casestudies import cycletree, sizecount
 from repro.core.symbolic import check_data_race_mso
+from repro.runtime import ResourceGuard
 from repro.solver.solver import MSOSolver
 
 
@@ -21,7 +22,7 @@ class TestSymbolicRace:
         v = check_data_race_mso(
             sizecount.parallel_program(),
             solver=MSOSolver(product_budget=30_000),
-            deadline=time.perf_counter() + 60,
+            guard=ResourceGuard(deadline=time.perf_counter() + 60),
         )
         if v.status != "decided":
             pytest.skip(
@@ -35,7 +36,7 @@ class TestSymbolicRace:
 
         v = check_data_race_mso(
             cycletree.parallel_program(),
-            deadline=time.perf_counter() + 60,
+            guard=ResourceGuard(deadline=time.perf_counter() + 60),
         )
         if v.status != "decided":
             pytest.skip("symbolic engine exceeded its budget on this host")

@@ -55,12 +55,15 @@ class TestDecoding:
         from repro.core.configurations import ProgramModel
         from repro.core.encode import Encoder
         from repro.core.symbolic import check_data_race_mso
+        from repro.runtime import ResourceGuard
 
         import time
 
         prog = cycletree.parallel_program()
         v = check_data_race_mso(
-            prog, det_budget=20_000, deadline=time.perf_counter() + 60
+            prog,
+            det_budget=20_000,
+            guard=ResourceGuard(deadline=time.perf_counter() + 60),
         )
         if v.status != "decided":  # budget-dependent; skip if exceeded
             pytest.skip("symbolic engine exceeded budget on this host")
