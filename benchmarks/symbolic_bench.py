@@ -13,11 +13,14 @@ Modes::
     python benchmarks/symbolic_bench.py --json BENCH_symbolic.json   # emit
     python benchmarks/symbolic_bench.py --check BENCH_symbolic.json  # gate
 
-``--check`` re-runs the bench and fails (exit 1) on any verdict change, or
-on any task slowing down more than 25% against the committed baseline
-(with a 0.5 s absolute grace so sub-second tasks don't flap on noise).
-CI runs the gate; regenerate the baseline with ``--json`` after a change
-that legitimately shifts the numbers and commit the diff.
+``--check`` re-runs the bench and fails (exit 1) on any verdict change,
+on any change of a task's deterministic counters (``queries``,
+``total_reached``, ``bdd_nodes``: the same automata give the same
+numbers), or on any task slowing down more than 25% against the
+committed baseline (with a 0.5 s absolute grace so sub-second tasks don't
+flap on noise).  CI runs the gate; regenerate the baseline with
+``--json`` after a change that legitimately shifts the numbers (e.g. one
+that alters the automata built) and commit the diff.
 """
 
 import argparse
@@ -34,6 +37,8 @@ from benchmarks.table1 import PAPER, run_bounded, run_mso, tasks  # noqa: E402
 from repro.core.bounded import default_scope  # noqa: E402
 from repro.solver.solver import MSOSolver  # noqa: E402
 
+#: Per-task counters that must equal the baseline exactly.
+COUNTERS = ("queries", "total_reached", "bdd_nodes")
 #: >25% slower than baseline fails the gate …
 SLOWDOWN = 1.25
 #: … unless the absolute regression is under this (seconds): timer noise.
@@ -117,6 +122,12 @@ def check(baseline_path: Path, fresh) -> int:
                 f"{tid}: verdict changed {brec['verdict']!r} -> "
                 f"{frec['verdict']!r}"
             )
+        for key in COUNTERS:
+            if frec.get(key) != brec.get(key):
+                failures.append(
+                    f"{tid}: {key} changed {brec.get(key)!r} -> "
+                    f"{frec.get(key)!r}"
+                )
         limit = max(brec["seconds"] * SLOWDOWN, brec["seconds"] + GRACE_S)
         if frec["seconds"] > limit:
             failures.append(
@@ -129,7 +140,8 @@ def check(baseline_path: Path, fresh) -> int:
             print(f"  - {f}", file=sys.stderr)
         return 1
     n = len(base.get("tasks", {}))
-    print(f"symbolic-bench gate OK ({n} tasks within 25% of baseline)")
+    print(f"symbolic-bench gate OK ({n} tasks: same verdicts and counters, "
+          f"within 25% of baseline)")
     return 0
 
 

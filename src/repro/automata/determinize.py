@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ..runtime import ResourceGuard, as_guard
+from ..runtime import ResourceGuard
 
 # Re-exported for backward compatibility: the seed pipeline defined
 # ``StateBudgetExceeded`` here, and tests/solver code import it from this
@@ -18,7 +18,6 @@ __all__ = ["determinize", "StateBudgetExceeded"]
 def determinize(
     a: TreeAutomaton,
     max_states: int = 200_000,
-    deadline=None,
     guard: Optional[ResourceGuard] = None,
 ) -> TreeAutomaton:
     """Equivalent deterministic, complete automaton (subset construction).
@@ -27,10 +26,9 @@ def determinize(
     space, so the result is complete by construction (the empty subset acts
     as the sink).  ``max_states`` bounds the blow-up; exceeding it raises
     ``StateBudgetExceeded`` so callers can fall back to the bounded engine.
-    A :class:`~repro.runtime.ResourceGuard` (or a legacy ``deadline``
-    float) cancels the construction with ``DeadlineExceeded`` on expiry.
+    A :class:`~repro.runtime.ResourceGuard` cancels the construction with
+    ``DeadlineExceeded`` on expiry.
     """
-    guard = as_guard(guard, deadline)
     mgr = a.manager
     index: Dict[FrozenSet[int], int] = {}
     order: List[FrozenSet[int]] = []

@@ -5,7 +5,7 @@ Both entry points accept a plain :class:`TreeAutomaton` or an implicit
 bottom-up reachability fixpoint runs lazily (a plain automaton is a
 1-factor product), constructs only reachable states, short-circuits on
 the first accepting state, and can be bounded by a reached-state budget
-and a wall-clock deadline.
+and a :class:`~repro.runtime.ResourceGuard`.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ class Witness:
     tree: Tree
     labels: Dict[str, FrozenSet[str]]
 
-    def nodes_with(self, track: str) -> FrozenSet[str]:
-        return self.labels.get(track, frozenset())
-
     def render(self) -> str:
         lines = [self.tree.render()]
         for t in sorted(self.labels):
@@ -54,7 +51,6 @@ def _as_product(a: Automaton) -> ProductAutomaton:
 def is_empty(
     a: Automaton,
     max_states: Optional[int] = None,
-    deadline: Optional[float] = None,
     guard: Optional[ResourceGuard] = None,
     antichain: Optional[bool] = None,
 ) -> bool:
@@ -65,8 +61,7 @@ def is_empty(
     verdict is the same either way, per the antichain invariant.
     """
     exp = _as_product(a).explore(
-        max_states=max_states, deadline=deadline, guard=guard,
-        antichain=antichain,
+        max_states=max_states, guard=guard, antichain=antichain
     )
     return exp.empty
 
@@ -74,15 +69,13 @@ def is_empty(
 def find_witness(
     a: Automaton,
     max_states: Optional[int] = None,
-    deadline: Optional[float] = None,
     guard: Optional[ResourceGuard] = None,
     antichain: Optional[bool] = None,
 ) -> Optional[Witness]:
     """A smallest-ish accepted labelled tree, or None when empty."""
     prod = _as_product(a)
     exp = prod.explore(
-        max_states=max_states, deadline=deadline, guard=guard,
-        antichain=antichain,
+        max_states=max_states, guard=guard, antichain=antichain
     )
     return witness_from_exploration(prod, exp)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ..runtime import ResourceGuard, as_guard
+from ..runtime import ResourceGuard
 from .tta import TreeAutomaton
 
 __all__ = ["minimize", "prune_dead", "prune_unreachable", "reduce_nfta"]
@@ -24,8 +24,8 @@ __all__ = ["minimize", "prune_dead", "prune_unreachable", "reduce_nfta"]
 Trans_t = List[Tuple[int, int]]
 
 
-def prune_unreachable(a: TreeAutomaton) -> TreeAutomaton:
-    """Drop states that no labelled tree can reach (bottom-up)."""
+def _reachable(a: TreeAutomaton) -> set:
+    """States some labelled tree reaches (bottom-up fixpoint)."""
     reach = set(q for _, q in a.leaf)
     changed = True
     while changed:
@@ -36,6 +36,12 @@ def prune_unreachable(a: TreeAutomaton) -> TreeAutomaton:
                     if q not in reach:
                         reach.add(q)
                         changed = True
+    return reach
+
+
+def prune_unreachable(a: TreeAutomaton) -> TreeAutomaton:
+    """Drop states that no labelled tree can reach (bottom-up)."""
+    reach = _reachable(a)
     if len(reach) == a.n_states:
         return a
     remap = {q: i for i, q in enumerate(sorted(reach))}
@@ -68,16 +74,7 @@ def prune_dead(a: TreeAutomaton) -> TreeAutomaton:
     product exploration above all, where a dead component dooms every
     product tuple containing it.
     """
-    reach = set(q for _, q in a.leaf)
-    changed = True
-    while changed:
-        changed = False
-        for (ql, qr), entries in a.delta.items():
-            if ql in reach and qr in reach:
-                for _, q in entries:
-                    if q not in reach:
-                        reach.add(q)
-                        changed = True
+    reach = _reachable(a)
     useful = set(q for q in a.accepting if q in reach)
     changed = True
     while changed:
@@ -118,7 +115,6 @@ def prune_dead(a: TreeAutomaton) -> TreeAutomaton:
 def reduce_nfta(
     a: TreeAutomaton,
     max_rounds: int = 50,
-    deadline=None,
     guard: Optional[ResourceGuard] = None,
 ) -> TreeAutomaton:
     """Bisimulation-based state reduction for nondeterministic automata.
@@ -127,7 +123,6 @@ def reduce_nfta(
     transition behaviour (as left and right child).  Sound for NFTAs —
     merged states are forward-bisimilar, so the language is unchanged —
     but not necessarily minimal (NFTA minimization is PSPACE-hard)."""
-    guard = as_guard(guard, deadline)
     a = prune_unreachable(a)
     mgr = a.manager
     n = a.n_states
@@ -202,13 +197,10 @@ def reduce_nfta(
     )
 
 
-def minimize(
-    a: TreeAutomaton, deadline=None, guard: Optional[ResourceGuard] = None
-) -> TreeAutomaton:
+def minimize(a: TreeAutomaton, guard: Optional[ResourceGuard] = None) -> TreeAutomaton:
     """Minimize a deterministic (preferably complete) tree automaton."""
     if not a.deterministic:
         raise ValueError("minimize requires a deterministic automaton")
-    guard = as_guard(guard, deadline)
     a = prune_unreachable(a)
     mgr = a.manager
     n = a.n_states

@@ -27,12 +27,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..runtime import (
-    ResourceExhausted,
-    ResourceGuard,
-    StateBudgetExceeded,
-    as_guard,
-)
+from ..runtime import ResourceExhausted, ResourceGuard, StateBudgetExceeded
 from ..runtime import faults as _faults
 from .tta import TreeAutomaton
 
@@ -60,10 +55,7 @@ def _pruned_dead(f: TreeAutomaton) -> TreeAutomaton:
 
 
 def _merge_small_factors(
-    factors,
-    limit: int,
-    deadline: Optional[float] = None,
-    guard: Optional[ResourceGuard] = None,
+    factors, limit: int, guard: Optional[ResourceGuard] = None
 ):
     """Greedily fold factor pairs whose product stays tiny.
 
@@ -81,7 +73,7 @@ def _merge_small_factors(
     *full* product fits the cap (independent automata don't compress —
     their minimal conjunction is the whole product), and each attempt
     materializes at most ``4 * limit`` states before giving up.  Merging
-    is best-effort: when the deadline (or any other guard limit) trips,
+    is best-effort: when the guard's deadline (or any other limit) trips,
     the remaining factors are returned unmerged rather than raising —
     exploration enforces its own limits.
 
@@ -95,7 +87,6 @@ def _merge_small_factors(
     """
     from .minimize import minimize, reduce_nfta
 
-    guard = as_guard(guard, deadline)
     attempt_cap = max(4 * limit, 64)
     registry = factors[0].registry
     cache = getattr(registry, "_merge_cache", None)
@@ -192,6 +183,13 @@ def _merge_small_factors(
         seen.add(id(f))
     return done + pool
 
+
+def _only_empty(factors: List[TreeAutomaton]) -> List[TreeAutomaton]:
+    """Just the first empty-language factor if there is one, else all."""
+    empty = next((f for f in factors if not f.accepting), None)
+    return factors if empty is None else [empty]
+
+
 # Witness table entry: (cube, left_tuple, right_tuple); leaves have None
 # children.  ``cube`` is a {BDD level: bool} partial assignment for the
 # node's label bits, as in :mod:`repro.automata.emptiness`.
@@ -249,7 +247,6 @@ class ProductAutomaton:
         self,
         factors: Sequence,
         merge_limit: Optional[int] = None,
-        merge_deadline: Optional[float] = None,
         guard: Optional[ResourceGuard] = None,
     ) -> None:
         flat: List[TreeAutomaton] = []
@@ -269,16 +266,13 @@ class ProductAutomaton:
         for f in flat[1:]:
             assert f.registry is registry, "factors must share a registry"
         # An empty-language factor (no accepting state survives the dead
-        # prune) dooms the whole conjunction; keep just that factor so
-        # neither the merge phase nor exploration pays for the rest.
-        empty = next((f for f in flat if not f.accepting), None)
-        if empty is not None:
-            flat = [empty]
+        # prune, or a merge) dooms the whole conjunction; keep just that
+        # factor so neither the merge phase nor exploration pays for the
+        # rest.
+        flat = _only_empty(flat)
         limit = self.MERGE_LIMIT if merge_limit is None else merge_limit
         if limit and len(flat) > 1:
-            flat = _merge_small_factors(
-                flat, limit, deadline=merge_deadline, guard=guard
-            )
+            flat = _only_empty(_merge_small_factors(flat, limit, guard=guard))
         self.factors: List[TreeAutomaton] = flat
         self.registry = registry
         # Exploration order: smallest factor state sets first, so the
@@ -330,11 +324,7 @@ class ProductAutomaton:
         return all(f.run(tree, labels) for f in self.factors)
 
     # -- eager fallback ---------------------------------------------------------
-    def materialized(
-        self,
-        max_states: Optional[int] = None,
-        deadline: Optional[float] = None,
-    ) -> TreeAutomaton:
+    def materialized(self, max_states: Optional[int] = None) -> TreeAutomaton:
         """Fold into one explicit automaton via pairwise products.
 
         Only used by differential tests and by callers that need a real
@@ -344,10 +334,7 @@ class ProductAutomaton:
         autos = sorted(self.factors, key=lambda a: a.n_states)
         acc = autos[0]
         for nxt in autos[1:]:
-            acc = acc.product(
-                nxt, lambda x, y: x and y,
-                max_states=max_states, deadline=deadline,
-            )
+            acc = acc.product(nxt, lambda x, y: x and y, max_states=max_states)
         return acc
 
     def materialized_explored(self, exp: Exploration) -> TreeAutomaton:
@@ -410,7 +397,6 @@ class ProductAutomaton:
     def explore(
         self,
         max_states: Optional[int] = None,
-        deadline: Optional[float] = None,
         stop_on_accepting: bool = True,
         guard: Optional[ResourceGuard] = None,
         antichain: Optional[bool] = None,
@@ -423,8 +409,8 @@ class ProductAutomaton:
         and child pointers per tuple (for witness-tree extraction).
         Raises :class:`~repro.runtime.StateBudgetExceeded` when more than
         ``max_states`` tuples are constructed, and
-        :class:`~repro.runtime.DeadlineExceeded` when the ``deadline``
-        (``time.perf_counter()`` value) or the guard's deadline passes.
+        :class:`~repro.runtime.DeadlineExceeded` when the guard's deadline
+        passes.
         With ``stop_on_accepting`` the search returns as soon as an
         accepting tuple is found (sufficient for emptiness/witness
         queries); the returned exploration is then marked incomplete.
@@ -439,7 +425,7 @@ class ProductAutomaton:
         frontier is drained in batches of ``BATCH`` tuples, with the
         processed list compacted of retired tuples between batches.
         """
-        rg = as_guard(guard, deadline)
+        rg = guard  # ``guard`` names BDD guards below
         mgr = self.manager
         factors = self.factors
         order = self._order
@@ -556,10 +542,7 @@ class ProductAutomaton:
                     phase="product.explore",
                     counters={"reached": len(table), "pruned": pruned},
                 )
-            cube = mgr.pick_cube(guard)
-            if cube is None:  # unsatisfiable guard — not a real transition
-                return False
-            table[t] = (cube, lt, rt)
+            table[t] = (mgr.pick_cube(guard), lt, rt)  # combos: guard != false
             if use_antichain:
                 antichain_insert(t)
             if rg is not None:
@@ -617,65 +600,15 @@ class ProductAutomaton:
                 return finish(False)
 
         deltas = [f.delta for f in factors]
-        true = mgr.true
 
         def expand(l: tuple, r: tuple) -> bool:
-            """Synchronized expansion of one child pair.
-
-            The factor loops are inlined (no generator) — this is the
-            innermost hot path of the whole symbolic engine; guards
-            conjoin in exploration order so an empty intersection stops
-            before the larger factors are consulted.
-            """
+            """Synchronized expansion of one child pair."""
             entry_lists = []
             for i in order:
                 entries = deltas[i].get((l[i], r[i]))
                 if not entries:
                     return False
                 entry_lists.append(entries)
-            tick()
-            if n == 1:
-                for g0, q0 in entry_lists[0]:
-                    if discover((q0,), g0, l, r) and stop_on_accepting:
-                        return True
-                return False
-            buf = [0] * n
-            o0 = order[0]
-            o1 = order[1]
-            if n == 2:
-                for g0, q0 in entry_lists[0]:
-                    buf[o0] = q0
-                    for g1, q1 in entry_lists[1]:
-                        g = apply_and(g0, g1)
-                        if g != false:
-                            buf[o1] = q1
-                            if (
-                                discover(tuple(buf), g, l, r)
-                                and stop_on_accepting
-                            ):
-                                return True
-                return False
-            if n == 3:
-                o2 = order[2]
-                e1 = entry_lists[1]
-                e2 = entry_lists[2]
-                for g0, q0 in entry_lists[0]:
-                    buf[o0] = q0
-                    for g1, q1 in e1:
-                        g01 = apply_and(g0, g1)
-                        if g01 == false:
-                            continue
-                        buf[o1] = q1
-                        for g2, q2 in e2:
-                            g = apply_and(g01, g2)
-                            if g != false:
-                                buf[o2] = q2
-                                if (
-                                    discover(tuple(buf), g, l, r)
-                                    and stop_on_accepting
-                                ):
-                                    return True
-                return False
             for guard, t in combos(entry_lists):
                 if discover(t, guard, l, r) and stop_on_accepting:
                     return True

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ..bdd.bdd import BDDManager
-from ..runtime import ResourceGuard, StateBudgetExceeded, as_guard
+from ..runtime import ResourceGuard, StateBudgetExceeded
 from ..trees.heap import Tree, TreeNode
 
 __all__ = ["TreeAutomaton", "TrackRegistry", "split_guards"]
@@ -118,18 +118,16 @@ class TreeAutomaton:
         other: "TreeAutomaton",
         acc: Callable[[bool, bool], bool],
         max_states: Optional[int] = None,
-        deadline: Optional[float] = None,
         guard: Optional[ResourceGuard] = None,
     ) -> "TreeAutomaton":
         """Synchronized product with acceptance combiner ``acc``.
 
         Sound for conjunction on arbitrary automata; for disjunction both
         sides must be complete (use :meth:`completed`).  Only reachable
-        product states are built.  A guard (or legacy ``deadline`` float)
-        cancels the construction with ``DeadlineExceeded`` on expiry.
+        product states are built.  A guard cancels the construction with
+        ``DeadlineExceeded`` on expiry.
         """
         assert self.registry is other.registry
-        guard = as_guard(guard, deadline)
         mgr = self.manager
         index: Dict[Tuple[int, int], int] = {}
         leaf: Trans = []
@@ -262,17 +260,11 @@ class TreeAutomaton:
             complete=True,
         )
 
-    def complemented(
-        self, deadline=None, guard: Optional[ResourceGuard] = None
-    ) -> "TreeAutomaton":
+    def complemented(self, guard: Optional[ResourceGuard] = None) -> "TreeAutomaton":
         """Complement; determinizes and completes first when needed."""
         from .determinize import determinize
 
-        det = (
-            self
-            if self.deterministic
-            else determinize(self, deadline=deadline, guard=guard)
-        )
+        det = self if self.deterministic else determinize(self, guard=guard)
         det = det.completed()
         return TreeAutomaton(
             registry=det.registry,
@@ -300,19 +292,6 @@ class TreeAutomaton:
             },
             accepting=self.accepting,
             deterministic=False,
-            complete=self.complete,
-        )
-
-    def with_tracks(self, tracks: Iterable[str]) -> "TreeAutomaton":
-        """Cylindrification: declare extra tracks (guards unchanged)."""
-        return TreeAutomaton(
-            registry=self.registry,
-            tracks=self.tracks | frozenset(tracks),
-            n_states=self.n_states,
-            leaf=self.leaf,
-            delta=self.delta,
-            accepting=self.accepting,
-            deterministic=self.deterministic,
             complete=self.complete,
         )
 

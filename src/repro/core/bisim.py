@@ -97,13 +97,6 @@ def check_bisimulation(
             return [b for (a, b) in rel if a == t.sid]
         return sorted(mapping.get(t.sid, set()))
 
-    def target_preimages(t2_sid: str) -> List[str]:
-        out = [a for (a, b) in rel if b == t2_sid]
-        for q_sid, images in mapping.items():
-            if t2_sid in images:
-                out.append(q_sid)
-        return out
-
     def compatible(s_sid: str, s2_sid: str) -> Optional[str]:
         f1 = _callee_of(mp, p, s_sid)
         f2 = _callee_of(mq, p_prime, s2_sid)

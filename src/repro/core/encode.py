@@ -190,12 +190,6 @@ class Encoder:
         return S.Or(tuple(disjuncts))
 
     # -- Configuration (Def. 2 as labels) -----------------------------------------
-    def configuration_parts(
-        self, ct: ConfigTracks, q: Block, x: str
-    ) -> List[S.Formula]:
-        """The conjuncts of ``Configuration(L, C, q, x)``."""
-        return self.current_parts(ct, q, x) + self.config_core_parts(ct)
-
     def current_parts(
         self, ct: ConfigTracks, q: Block, x: str
     ) -> List[S.Formula]:

@@ -8,7 +8,7 @@ statically-conflicting endpoint pair, so the expensive q-independent
 memo table.
 
 Failure semantics (DESIGN.md §7): both checkers take a
-:class:`~repro.runtime.ResourceGuard` (or a legacy ``deadline`` float);
+:class:`~repro.runtime.ResourceGuard`;
 resource exhaustion is reported as a distinct ``SymbolicVerdict.status``
 (``"deadline"`` / ``"budget"`` / ``"memory"``), and any unexpected
 exception escapes as a typed
@@ -30,7 +30,6 @@ from ..runtime import (
     ResourceExhausted,
     ResourceGuard,
     SolverInternalError,
-    as_guard,
     exhaustion_status,
 )
 from ..solver.solver import MSOSolver
@@ -99,18 +98,11 @@ def _conflicting_block_pairs(model: ProgramModel):
         yield q1, q2
 
 
-def _attach_guard(
-    solver: MSOSolver,
-    guard: Optional[ResourceGuard],
-    deadline: Optional[float],
-) -> Optional[ResourceGuard]:
-    """Install guard/deadline on the solver and bind its BDD manager."""
-    guard = as_guard(guard, deadline)
-    solver.deadline = deadline
+def _attach_guard(solver: MSOSolver, guard: Optional[ResourceGuard]) -> None:
+    """Install the guard on the solver and bind its BDD manager."""
     solver.guard = guard
     if guard is not None:
         guard.bind_manager(solver.registry.manager)
-    return guard
 
 
 def _wrap_internal(e: Exception, guard: Optional[ResourceGuard]) -> SolverInternalError:
@@ -124,7 +116,6 @@ def check_data_race_mso(
     program: A.Program,
     solver: Optional[MSOSolver] = None,
     det_budget: int = 50_000,
-    deadline: Optional[float] = None,
     guard: Optional[ResourceGuard] = None,
 ) -> SymbolicVerdict:
     """``DataRace[[P]]`` (Thm 2) by MSO satisfiability, over all trees."""
@@ -133,7 +124,7 @@ def check_data_race_mso(
     solver = solver or MSOSolver(det_budget=det_budget)
     ct1, ct2 = enc.tracks(1), enc.tracks(2)
     enc.preregister(solver.registry, (ct1, ct2))
-    guard = _attach_guard(solver, guard, deadline)
+    _attach_guard(solver, guard)
     t0 = time.perf_counter()
     verdict = SymbolicVerdict(query=f"data-race({program.name})", found=False, status="decided")
     try:
@@ -186,7 +177,6 @@ def check_conflict_mso(
     mapping: Mapping[str, Set[str]],
     solver: Optional[MSOSolver] = None,
     det_budget: int = 50_000,
-    deadline: Optional[float] = None,
     guard: Optional[ResourceGuard] = None,
 ) -> SymbolicVerdict:
     """``Conflict[[P, P']]`` (Thm 3) by MSO satisfiability.
@@ -204,7 +194,7 @@ def check_conflict_mso(
     ct3, ct4 = enc_q.tracks(3), enc_q.tracks(4)
     enc_p.preregister(solver.registry, (ct1, ct2))
     enc_q.preregister(solver.registry, (ct3, ct4))
-    guard = _attach_guard(solver, guard, deadline)
+    _attach_guard(solver, guard)
     t0 = time.perf_counter()
     verdict = SymbolicVerdict(
         query=f"conflict({p.name} vs {p_prime.name})", found=False, status="decided"

@@ -195,8 +195,5 @@ class Trace:
         iterations."""
         return [(it.sid, it.node) for it in self.iterations]
 
-    def field_events(self) -> List[Event]:
-        return [e for e in self.events if e.target == "field"]
-
     def __len__(self) -> int:
         return len(self.iterations)

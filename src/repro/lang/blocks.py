@@ -181,9 +181,6 @@ class BlockTable:
         ``main`` entry is handled by :meth:`entry_calls` (the pseudo-call)."""
         return s.is_call and t.func == s.callee
 
-    def same_func(self, s: Block, t: Block) -> bool:
-        return s.func == t.func
-
     def relation(self, s: Block, t: Block) -> str:
         """The Fig. 11 relation between two distinct same-function blocks."""
         if s.func != t.func:

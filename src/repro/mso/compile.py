@@ -9,25 +9,28 @@ quantifier.
 
 Two engineering choices keep the pipeline tractable in pure Python:
 
-* **child-term atoms** (``x.l ∈ X``, ``isNil(x.r)``, ``y == x.l``) have
+* **child-term atoms** (``x.l ∈ X``, ``isNil(x.r)``, ``y == x.l``) and
+  the encoder atoms (``ParentRelIn``/``ParentRelNil``, ``AgreeUpTo``) have
   direct automata, so the Retreet encoder emits no inner quantifiers for
-  ``Next``/``PathCond``;
+  ``Next``/``Prev``/``PathCond``/``Consistent``.  Every atom about a node
+  ``x.dirs`` is one state closure (:meth:`Compiler._closure`) over a
+  per-subtree property vector; the atoms differ only in the property and
+  in how ``x``'s status combines;
 * automata are minimized after every complement (and large product), and
   determinization carries a state budget that converts blow-ups into a
   clean :class:`~repro.automata.determinize.StateBudgetExceeded` for the
-  caller's fallback logic.
+  caller's fallback logic.  The only other bound is the
+  :class:`~repro.runtime.ResourceGuard` installed on ``Compiler.guard``.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
-from ..automata.determinize import determinize
 from ..automata.minimize import minimize, prune_unreachable
 from ..automata.tta import TrackRegistry, TreeAutomaton
-from ..runtime import ResourceGuard, as_guard
+from ..runtime import ResourceGuard
 from . import syntax as S
 
 __all__ = ["Compiler", "freshen", "structural_key"]
@@ -41,46 +44,6 @@ def freshen(f: S.Formula, counter: Optional[List[int]] = None, env=None) -> S.Fo
     """Rename bound variables to globally unique names."""
     counter = counter if counter is not None else [0]
     env = env or {}
-
-    def rn(name: str) -> str:
-        return env.get(name, name)
-
-    if isinstance(f, (S.TrueF, S.FalseF)):
-        return f
-    if isinstance(f, S.In):
-        return S.In(S.NodeTerm(rn(f.term.var), f.term.dirs), rn(f.setvar))
-    if isinstance(f, S.IsNilT):
-        return S.IsNilT(S.NodeTerm(rn(f.term.var), f.term.dirs))
-    if isinstance(f, S.RootT):
-        return S.RootT(S.NodeTerm(rn(f.term.var), f.term.dirs))
-    if isinstance(f, S.EqT):
-        return S.EqT(
-            S.NodeTerm(rn(f.a.var), f.a.dirs), S.NodeTerm(rn(f.b.var), f.b.dirs)
-        )
-    if isinstance(f, S.Reach):
-        return S.Reach(rn(f.a), rn(f.b))
-    if isinstance(f, S.LeftOf):
-        return S.LeftOf(rn(f.parent), rn(f.child))
-    if isinstance(f, S.RightOf):
-        return S.RightOf(rn(f.parent), rn(f.child))
-    if isinstance(f, S.Subset):
-        return S.Subset(rn(f.a), rn(f.b))
-    if isinstance(f, S.Sing):
-        return S.Sing(rn(f.setvar))
-    if isinstance(f, S.Empty):
-        return S.Empty(rn(f.setvar))
-    if isinstance(f, S.ChildIs):
-        return S.ChildIs(rn(f.xvar), f.dirs, rn(f.zvar))
-    if isinstance(f, S.ParentRelIn):
-        return S.ParentRelIn(rn(f.uvar), f.d, f.dirs, rn(f.setvar))
-    if isinstance(f, S.ParentRelNil):
-        return S.ParentRelNil(rn(f.uvar), f.d, f.dirs)
-    if isinstance(f, S.AgreeUpTo):
-        return S.AgreeUpTo(
-            rn(f.zvar),
-            tuple((rn(a), rn(b)) for a, b in f.pairs),
-            tuple((rn(a), rn(b)) for a, b in f.strict_pairs),
-        )
     if isinstance(f, S.Not):
         return S.Not(freshen(f.body, counter, env))
     if isinstance(f, S.And):
@@ -96,7 +59,7 @@ def freshen(f: S.Formula, counter: Optional[List[int]] = None, env=None) -> S.Fo
             env2[n] = fn
             fresh_names.append(fn)
         return type(f)(tuple(fresh_names), freshen(f.body, counter, env2))
-    raise TypeError(f"unknown formula {f!r}")
+    return S.rename_formula(f, env)  # an atom: rename its free variables
 
 
 def structural_key(f: S.Formula) -> str:
@@ -119,6 +82,45 @@ def structural_key(f: S.Formula) -> str:
     keeps free variables distinct.
     """
     return str(freshen(f))
+
+
+# ---------------------------------------------------------------------------
+# Status rules of the atoms about x.dirs (see Compiler._path_atom)
+# ---------------------------------------------------------------------------
+
+def _merge_stat(a: int, b: int) -> int:
+    """Combine the children's statuses: 3 (dead) absorbs, and a variable
+    seen in both subtrees is a duplicate."""
+    return 3 if a == 3 or b == 3 or (a and b) else a or b
+
+
+def _target_stat(kids, here: bool, v) -> int:
+    """``x.dirs`` atoms: 0 x unseen, 1 seen with P at x.dirs (v[0] at x),
+    2 seen without, 3 x twice."""
+    base = 0 if kids is None else _merge_stat(*kids)
+    if not here:
+        return base
+    return 3 if base else (1 if v[0] else 2)
+
+
+def _parent_stat(d: str):
+    """ParentRel atoms: 0 u unseen, 1 pending (u at the subtree root),
+    2 ok, 3 dead.  The pending mark resolves at u's parent: u must be the
+    ``d``-child and P must hold at parent.dirs (v[0] there); a mark that
+    passes a parent step unresolved (u in the other child) is dead."""
+
+    def stat(kids, here: bool, v) -> int:
+        base = 0
+        if kids is not None:
+            child, other = kids if d == "l" else kids[::-1]
+            if child == 1:
+                child = 2 if v[0] else 3
+            base = _merge_stat(child, 3 if other == 1 else other)
+        if not here:
+            return base
+        return 1 if base == 0 else 3  # u here too: duplicate unless alone
+
+    return stat
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +152,10 @@ class Compiler:
         self.registry = registry or TrackRegistry()
         self.minimize_always = minimize_always
         self.det_budget = det_budget
-        # Optional wall-clock deadline (time.perf_counter() value) checked
-        # inside long-running constructions; superseded by ``guard`` when
-        # a ResourceGuard is installed (the solver sets both).
-        self.deadline: Optional[float] = None
+        # Checked inside long-running constructions (the solver installs it).
         self.guard: Optional[ResourceGuard] = None
         self.stats = CompileStats()
         self._cache: Dict[str, TreeAutomaton] = {}
-
-    def _guard(self) -> Optional[ResourceGuard]:
-        return as_guard(self.guard, self.deadline)
 
     # -- public API ---------------------------------------------------------
     def compile(self, formula: S.Formula, already_fresh: bool = False) -> TreeAutomaton:
@@ -206,20 +202,32 @@ class Compiler:
             return self._const(True)
         if isinstance(f, S.FalseF):
             return self._const(False)
+        # Atoms about the node x.dirs; ``x.dirs == z`` is ``x.dirs ∈ {z}``
+        # (z's singleton-ness is conjoined at its quantifier).
         if isinstance(f, S.In):
-            return self._atom_in(f.term, f.setvar)
+            return self._path_atom(f.term.var, f.term.dirs, self._member(f.setvar))
         if isinstance(f, S.IsNilT):
-            return self._atom_isnil(f.term)
+            return self._path_atom(f.term.var, f.term.dirs, self._nil())
+        if isinstance(f, S.ChildIs):
+            return self._path_atom(f.xvar, f.dirs, self._member(f.zvar))
+        if isinstance(f, S.LeftOf):
+            return self._path_atom(f.parent, "l", self._member(f.child))
+        if isinstance(f, S.RightOf):
+            return self._path_atom(f.parent, "r", self._member(f.child))
+        if isinstance(f, S.ParentRelIn):
+            return self._path_atom(
+                f.uvar, f.dirs, self._member(f.setvar), _parent_stat(f.d), 2
+            )
+        if isinstance(f, S.ParentRelNil):
+            return self._path_atom(f.uvar, f.dirs, self._nil(), _parent_stat(f.d), 2)
+        if isinstance(f, S.AgreeUpTo):
+            return self._atom_agree_upto(f)
         if isinstance(f, S.RootT):
             return self._atom_root(f.term)
         if isinstance(f, S.EqT):
             return self._atom_eq(f)
         if isinstance(f, S.Reach):
             return self._atom_reach(f.a, f.b)
-        if isinstance(f, S.LeftOf):
-            return self._atom_childis(f.parent, "l", f.child)
-        if isinstance(f, S.RightOf):
-            return self._atom_childis(f.parent, "r", f.child)
         if isinstance(f, S.Subset):
             return self._atom_subset(f.a, f.b)
         if isinstance(f, S.Sing):
@@ -229,7 +237,7 @@ class Compiler:
         if isinstance(f, S.Not):
             inner = self._compile(f.body)
             self.stats.complements += 1
-            out = inner.complemented(guard=self._guard())
+            out = inner.complemented(guard=self.guard)
             return self._maybe_min(out)
         if isinstance(f, S.And):
             return self._combine(f.parts, union=False)
@@ -260,7 +268,7 @@ class Compiler:
     def _maybe_min(self, a: TreeAutomaton) -> TreeAutomaton:
         if self.minimize_always and a.deterministic:
             self.stats.minimizations += 1
-            return minimize(a, guard=self._guard())
+            return minimize(a, guard=self.guard)
         return prune_unreachable(a)
 
     def _combine(self, parts: Tuple[S.Formula, ...], union: bool) -> TreeAutomaton:
@@ -269,7 +277,7 @@ class Compiler:
         autos.sort(key=lambda a: a.n_states)
         if union:
             return self._union(autos)
-        guard = self._guard()
+        guard = self.guard
         acc = autos[0]
         for nxt in autos[1:]:
             self.stats.products += 1
@@ -397,142 +405,95 @@ class Compiler:
             complete=True,
         )
 
-    # -- generic descendant-tracking machinery ------------------------------------
+    # -- atoms about the node x.dirs --------------------------------------------
     #
-    # For a term x.dirs we track, per subtree, a boolean vector v of length
-    # len(dirs)+1 where v[k] answers a per-node property P at the node
-    # root.dirs[k:] (v[-1] = P at the subtree root itself, taken from the
-    # label).  v[k] = v_child(dirs[k])[k+1]; at a leaf the descendant slots
-    # take P's value on virtual nil nodes.
-    #
-    # Combined with an x-status {0 unseen, 1 seen-true, 2 seen-false,
-    # 3 multiple}, this yields the In/IsNil/ChildIs atoms uniformly.
+    # Per subtree we track a boolean vector v of length len(dirs)+1 where
+    # v[k] answers a per-node property P at root.dirs[k:] (v[-1] = P at the
+    # subtree root itself, taken from the label).  v[k] = v_child(dirs[k])[k+1];
+    # at a leaf the descendant slots take P's value on virtual nil nodes.
+    # Paired with a status of x (``_target_stat``/``_parent_stat``) this
+    # yields In/IsNil/ChildIs/LeftOf/RightOf and ParentRelIn/ParentRelNil.
 
-    def _descendant_atom(
-        self,
-        xvar: str,
-        dirs: str,
-        tracks: FrozenSet[str],
-        leaf_prop,  # label-guard pairs: list of (guard, bool) partition for P on a leaf
-        node_prop,  # same for an internal node
-        virtual_value: bool,  # P on virtual nil nodes below the frontier
-    ) -> TreeAutomaton:
-        mgr = self._mgr
-        k = len(dirs)
-        xb = self._bit(xvar)
-        nxb = self._bit(xvar, False)
+    def _closure(self, leaf, step, tracks, accept) -> TreeAutomaton:
+        """Deterministic complete automaton over hashable state keys.
 
-        # State encoding: (xstat, v) with v a tuple of k+1 bools.
-        states: Dict[Tuple[int, Tuple[bool, ...]], int] = {}
+        ``leaf`` lists ``(guard, key)`` pairs and ``step(kl, kr)`` returns
+        the pairs for a node whose children are in states ``kl``/``kr``.
+        States are numbered in discovery order; every pair of known states
+        is stepped, round by round, until no new key appears.  Pairs with a
+        false guard are dropped; ``accept(key)`` picks the accepting keys.
+        """
+        false = self._mgr.false
+        ids: Dict[object, int] = {}
 
-        def mk(xstat: int, v: Tuple[bool, ...]) -> int:
-            key = (xstat, v)
-            if key not in states:
-                states[key] = len(states)
-            return states[key]
+        def number(pairs):
+            return [(g, ids.setdefault(k, len(ids))) for g, k in pairs if g != false]
 
-        leaf: List[Tuple[int, int]] = []
-        for guard, pval in leaf_prop:
-            v = tuple([virtual_value] * k + [pval])
-            # x on a leaf: the target is k below -> virtual; truth = v[0].
-            res_true = 1 if (v[0] if k > 0 else pval) else 2
-            leaf.append((mgr.apply_and(guard, nxb), mk(0, v)))
-            leaf.append((mgr.apply_and(guard, xb), mk(res_true, v)))
-        leaf = [(g, q) for g, q in leaf if g != mgr.false]
-
-        # Build transitions over discovered states until closure.
+        leaf_entries = number(leaf)
         delta: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        done = set()
-        while True:
-            snapshot = list(states.items())
-            new = False
-            for (xl, vl), il in snapshot:
-                for (xr, vr), ir in snapshot:
-                    keypair = (il, ir)
-                    if keypair in done:
-                        continue
-                    done.add(keypair)
-                    entries: List[Tuple[int, int]] = []
-                    for guard, pval in node_prop:
-                        v = tuple(
-                            (vl if dirs[i] == "l" else vr)[i + 1]
-                            for i in range(k)
-                        ) + (pval,)
-                        # x-status merge of children.
-                        if xl == 3 or xr == 3 or (xl and xr):
-                            base = 3
-                        else:
-                            base = xl or xr
-                        # without x here:
-                        g0 = mgr.apply_and(guard, nxb)
-                        if g0 != mgr.false:
-                            entries.append((g0, mk(base, v)))
-                        # with x here:
-                        g1 = mgr.apply_and(guard, xb)
-                        if g1 != mgr.false:
-                            if base != 0:
-                                xs = 3
-                            else:
-                                target_val = v[0] if k > 0 else pval
-                                xs = 1 if target_val else 2
-                            entries.append((g1, mk(xs, v)))
-                    delta[keypair] = entries
-            if len(states) == len(snapshot) and not new:
-                if all(
-                    (i, j) in done
-                    for i in states.values()
-                    for j in states.values()
-                ):
-                    break
-        accepting = frozenset(i for (xs, _v), i in states.items() if xs == 1)
+        while len(delta) < len(ids) ** 2:
+            keys = list(ids)
+            for il, kl in enumerate(keys):
+                for ir, kr in enumerate(keys):
+                    if (il, ir) not in delta:
+                        delta[(il, ir)] = number(step(kl, kr))
         return TreeAutomaton(
             registry=self.registry,
-            tracks=tracks | frozenset({xvar}),
-            n_states=len(states),
-            leaf=leaf,
+            tracks=tracks,
+            n_states=len(ids),
+            leaf=leaf_entries,
             delta=delta,
-            accepting=accepting,
+            accepting=frozenset(i for k, i in ids.items() if accept(k)),
             deterministic=True,
             complete=True,
         )
 
-    def _atom_in(self, term: S.NodeTerm, setvar: str) -> TreeAutomaton:
-        inb = self._bit(setvar)
-        ninb = self._bit(setvar, False)
-        prop = [(inb, True), (ninb, False)]
-        return self._descendant_atom(
-            term.var,
-            term.dirs,
-            frozenset({setvar}),
-            leaf_prop=prop,
-            node_prop=prop,
-            virtual_value=False,  # virtual nil nodes belong to no set
-        )
+    def _member(self, setvar: str):
+        """P = "node ∈ setvar"; virtual nil nodes belong to no set."""
+        cells = [(self._bit(setvar), True), (self._bit(setvar, False), False)]
+        return cells, cells, False, frozenset({setvar})
 
-    def _atom_isnil(self, term: S.NodeTerm) -> TreeAutomaton:
+    def _nil(self):
+        """P = "node is nil": true on leaves, false inside; below nil, nil."""
         t = self._mgr.true
-        return self._descendant_atom(
-            term.var,
-            term.dirs,
-            frozenset(),
-            leaf_prop=[(t, True)],
-            node_prop=[(t, False)],
-            virtual_value=True,  # children of nil are nil
-        )
+        return [(t, True)], [(t, False)], True, frozenset()
 
-    def _atom_childis(self, xvar: str, dirs: str, zvar: str) -> TreeAutomaton:
-        """``x.dirs == z`` — implemented as In(x.dirs, {z}); singleton-ness
-        of z is enforced by conjoining Sing at the quantifier level."""
-        zb = self._bit(zvar)
-        nzb = self._bit(zvar, False)
-        prop = [(zb, True), (nzb, False)]
-        return self._descendant_atom(
-            xvar,
-            dirs,
-            frozenset({zvar}),
-            leaf_prop=prop,
-            node_prop=prop,
-            virtual_value=False,
+    def _path_atom(self, var: str, dirs: str, prop, stat=_target_stat, accept=1):
+        """States ``(status of var, v)`` for an atom about ``var.dirs``.
+
+        ``prop`` is ``_member``/``_nil``'s (leaf cells, node cells, virtual
+        value, tracks), each cell a ``(guard, P)`` pair partitioning the
+        labels.  ``stat(kids, here, v)`` is var's status from the
+        children's (``None`` at a leaf), whether var is at this node, and
+        this node's vector; ``accept`` is the accepting status.
+        """
+        leaf_cells, node_cells, virtual, tracks = prop
+        mgr = self._mgr
+        xb, nxb = self._bit(var), self._bit(var, False)
+
+        def split(cells):
+            return [(mgr.apply_and(g, nxb), mgr.apply_and(g, xb), p) for g, p in cells]
+
+        def pairs(kids, below, cells):
+            out = []
+            for g0, g1, p in cells:
+                v = below + (p,)
+                out.append((g0, (stat(kids, False, v), v)))
+                out.append((g1, (stat(kids, True, v), v)))
+            return out
+
+        leaf_cells, node_cells = split(leaf_cells), split(node_cells)
+
+        def step(kl, kr):
+            (sl, vl), (sr, vr) = kl, kr
+            below = tuple((vl if c == "l" else vr)[i + 1] for i, c in enumerate(dirs))
+            return pairs((sl, sr), below, node_cells)
+
+        return self._closure(
+            pairs(None, (virtual,) * len(dirs), leaf_cells),
+            step,
+            tracks | {var},
+            lambda key: key[0] == accept,
         )
 
     def _atom_root(self, term: S.NodeTerm) -> TreeAutomaton:
@@ -614,10 +575,7 @@ class Compiler:
     def _childis_formula(term: S.NodeTerm, z: str) -> S.Formula:
         if not term.dirs:
             return S.EqT(S.NodeTerm(term.var), S.NodeTerm(z))
-        # In(term, {z}) via the ChildIs automaton — expressed through
-        # LeftOf/RightOf chains would need intermediate nodes; instead reuse
-        # the descendant atom by treating {z} as the set:
-        return _ChildIs(term.var, term.dirs, z)
+        return S.ChildIs(term.var, term.dirs, z)
 
     def _atom_reach(self, a: str, b: str) -> TreeAutomaton:
         """Proper ancestry.  States:
@@ -684,276 +642,67 @@ class Compiler:
             complete=True,
         )
 
+    def _atom_agree_upto(self, f: S.AgreeUpTo) -> TreeAutomaton:
+        """States: 0 z not in subtree; 1 z inside & path so far agrees; 2 dead.
 
-# Alias kept for the local helper below.
-_ChildIs = S.ChildIs
+        At ``z`` itself only the inclusive pairs must agree; strictly above it
+        both the inclusive and the strict pairs must."""
+        mgr = self._mgr
+        zb = self._bit(f.zvar)
+        nzb = self._bit(f.zvar, False)
 
+        def iff_all(pairs) -> int:
+            g = mgr.true
+            for a, b in pairs:
+                ab, bb = self._bit(a), self._bit(b)
+                iff = mgr.apply_or(
+                    mgr.apply_and(ab, bb),
+                    mgr.apply_and(mgr.apply_not(ab), mgr.apply_not(bb)),
+                )
+                g = mgr.apply_and(g, iff)
+            return g
 
-# ---------------------------------------------------------------------------
-# Automata for the encoder atoms
-# ---------------------------------------------------------------------------
-
-def _atom_parent_rel(
-    self: Compiler, uvar: str, d: str, dirs: str, prop, virtual_value: bool,
-    extra_tracks: FrozenSet[str],
-) -> TreeAutomaton:
-    """Shared automaton for ParentRelIn / ParentRelNil.
-
-    ``prop`` is a list of (guard, bool) partitioning labels by the tracked
-    per-node property P.  Each subtree state carries (ustat, v) where v[k] =
-    P at root.dirs[k:] (v[-1] = P at the root's own label) and ustat is
-    {0 unseen, 1 pending (u at subtree root), 2 ok, 3 dead}.  The pending
-    mark resolves at u's parent: u must be the ``d``-child and P must hold
-    at parent.dirs (= v_parent[0], available at the parent step).
-    """
-    mgr = self.registry.manager
-    k = len(dirs)
-    ub = self._bit(uvar)
-    nub = self._bit(uvar, False)
-    states: Dict[Tuple[int, Tuple[bool, ...]], int] = {}
-
-    def mk(ustat: int, v: Tuple[bool, ...]) -> int:
-        key = (ustat, v)
-        if key not in states:
-            states[key] = len(states)
-        return states[key]
-
-    leaf: List[Tuple[int, int]] = []
-    for guard, pval in prop:
-        v = tuple([virtual_value] * k + [pval])
-        g0 = mgr.apply_and(guard, nub)
-        if g0 != mgr.false:
-            leaf.append((g0, mk(0, v)))
-        g1 = mgr.apply_and(guard, ub)
-        if g1 != mgr.false:
-            leaf.append((g1, mk(1, v)))
-
-    delta: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    done = set()
-    while True:
-        snapshot = list(states.items())
-        for (ul, vl), il in snapshot:
-            for (ur, vr), ir in snapshot:
-                key = (il, ir)
-                if key in done:
-                    continue
-                done.add(key)
-                entries: List[Tuple[int, int]] = []
-                for guard, pval in prop:
-                    v = tuple(
-                        (vl if dirs[i] == "l" else vr)[i + 1] for i in range(k)
-                    ) + (pval,)
-                    # Resolve a pending child mark at this (parent) node.
-                    child_stat = ul if d == "l" else ur
-                    other_stat = ur if d == "l" else ul
-                    resolved: Optional[int] = None
-                    if child_stat == 1:
-                        target = v[0] if k > 0 else pval
-                        resolved = 2 if target else 3
-                        merged = _merge_ustat(resolved, _settle(other_stat))
-                    else:
-                        merged = _merge_ustat(_settle(ul), _settle(ur))
-                    g0 = mgr.apply_and(guard, nub)
-                    if g0 != mgr.false:
-                        entries.append((g0, mk(merged, v)))
-                    g1 = mgr.apply_and(guard, ub)
-                    if g1 != mgr.false:
-                        # u here too -> duplicate unless nothing below.
-                        entries.append(
-                            (g1, mk(1 if merged == 0 else 3, v))
-                        )
-                delta[key] = entries
-        if len(states) == len(snapshot):
-            if all(
-                (i, j) in done
-                for i in states.values()
-                for j in states.values()
-            ):
-                break
-    accepting = frozenset(i for (us, _v), i in states.items() if us == 2)
-    return TreeAutomaton(
-        registry=self.registry,
-        tracks=extra_tracks | frozenset({uvar}),
-        n_states=len(states),
-        leaf=leaf,
-        delta=delta,
-        accepting=accepting,
-        deterministic=True,
-        complete=True,
-    )
-
-
-def _settle(ustat: int) -> int:
-    """A pending mark whose parent step passed without resolution (u was in
-    the non-``d`` child, or deeper) can never resolve: dead."""
-    return 3 if ustat == 1 else ustat
-
-
-def _merge_ustat(a: int, b: int) -> int:
-    if a == 3 or b == 3:
-        return 3
-    if a and b:
-        return 3  # duplicates
-    return a or b
-
-
-def _atom_agree_upto(self: Compiler, f: S.AgreeUpTo) -> TreeAutomaton:
-    """States: 0 z not in subtree; 1 z inside & path so far agrees; 2 dead.
-
-    At ``z`` itself only the inclusive pairs must agree; strictly above it
-    both the inclusive and the strict pairs must."""
-    mgr = self.registry.manager
-    zb = self._bit(f.zvar)
-    nzb = self._bit(f.zvar, False)
-
-    def iff_all(pairs) -> int:
-        g = mgr.true
-        for a, b in pairs:
-            ab, bb = self._bit(a), self._bit(b)
-            iff = mgr.apply_or(
-                mgr.apply_and(ab, bb),
-                mgr.apply_and(mgr.apply_not(ab), mgr.apply_not(bb)),
-            )
-            g = mgr.apply_and(g, iff)
-        return g
-
-    agree_at_z = iff_all(f.pairs)
-    agree_above = mgr.apply_and(agree_at_z, iff_all(f.strict_pairs))
-    dis_at_z = mgr.apply_not(agree_at_z)
-    dis_above = mgr.apply_not(agree_above)
-    delta: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for l in (0, 1, 2):
-        for r in (0, 1, 2):
-            if l == 2 or r == 2 or (l == 1 and r == 1):
-                base = 2
-            else:
-                base = 1 if (l == 1 or r == 1) else 0
-            entries = []
-            if base == 0:
-                # z could sit here; inclusive pairs must agree at z.
-                entries.append((nzb, 0))
-                entries.append((mgr.apply_and(zb, agree_at_z), 1))
-                entries.append((mgr.apply_and(zb, dis_at_z), 2))
-            elif base == 1:
-                # On the path above z: full agreement; no second z.
-                entries.append((mgr.apply_and(nzb, agree_above), 1))
-                entries.append((mgr.apply_and(nzb, dis_above), 2))
-                entries.append((zb, 2))
-            else:
-                entries.append((mgr.true, 2))
-            delta[(l, r)] = entries
-    tracks = (
-        frozenset({f.zvar})
-        | frozenset(t for pair in f.pairs for t in pair)
-        | frozenset(t for pair in f.strict_pairs for t in pair)
-    )
-    return TreeAutomaton(
-        registry=self.registry,
-        tracks=tracks,
-        n_states=3,
-        leaf=[
-            (nzb, 0),
-            (mgr.apply_and(zb, agree_at_z), 1),
-            (mgr.apply_and(zb, dis_at_z), 2),
-        ],
-        accepting=frozenset({1}),
-        delta=delta,
-        deterministic=True,
-        complete=True,
-    )
-
-
-# Register the internal atoms in the compiler dispatch.
-_original_build = Compiler._build
-
-
-def _build_extended(self: Compiler, f: S.Formula) -> TreeAutomaton:
-    if isinstance(f, _ChildIs):
-        return self._atom_childis(f.xvar, f.dirs, f.zvar)
-    if isinstance(f, S.ParentRelIn):
-        xb = self._bit(f.setvar)
-        nxb = self._bit(f.setvar, False)
-        return _atom_parent_rel(
-            self, f.uvar, f.d, f.dirs,
-            prop=[(xb, True), (nxb, False)],
-            virtual_value=False,
-            extra_tracks=frozenset({f.setvar}),
-        )
-    if isinstance(f, S.ParentRelNil):
-        t = self.registry.manager.true
-        # P = "this node is nil": on leaves True, internal False.  The
-        # prop partition differs between leaf and internal node, so build
-        # with distinct leaf/node property tables via the descendant trick:
-        return _atom_parent_rel_nil(self, f)
-    if isinstance(f, S.AgreeUpTo):
-        return _atom_agree_upto(self, f)
-    return _original_build(self, f)
-
-
-def _atom_parent_rel_nil(self: Compiler, f: S.ParentRelNil) -> TreeAutomaton:
-    """ParentRel variant where the property is is-nil (leaf-dependent)."""
-    # Reuse _atom_parent_rel twice is awkward because prop depends on
-    # leafness; inline a tailored build: P(leaf)=True, P(internal)=False.
-    mgr = self.registry.manager
-    uvar, d, dirs = f.uvar, f.d, f.dirs
-    k = len(dirs)
-    ub = self._bit(uvar)
-    nub = self._bit(uvar, False)
-    states: Dict[Tuple[int, Tuple[bool, ...]], int] = {}
-
-    def mk(ustat: int, v: Tuple[bool, ...]) -> int:
-        key = (ustat, v)
-        if key not in states:
-            states[key] = len(states)
-        return states[key]
-
-    leaf = []
-    v_leaf = tuple([True] * (k + 1))
-    leaf.append((nub, mk(0, v_leaf)))
-    leaf.append((ub, mk(1, v_leaf)))
-    delta: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    done = set()
-    while True:
-        snapshot = list(states.items())
-        for (ul, vl), il in snapshot:
-            for (ur, vr), ir in snapshot:
-                key = (il, ir)
-                if key in done:
-                    continue
-                done.add(key)
-                v = tuple(
-                    (vl if dirs[i] == "l" else vr)[i + 1] for i in range(k)
-                ) + (False,)
-                child_stat = ul if d == "l" else ur
-                other_stat = ur if d == "l" else ul
-                if child_stat == 1:
-                    target = v[0] if k > 0 else False
-                    merged = _merge_ustat(
-                        2 if target else 3, _settle(other_stat)
-                    )
+        agree_at_z = iff_all(f.pairs)
+        agree_above = mgr.apply_and(agree_at_z, iff_all(f.strict_pairs))
+        dis_at_z = mgr.apply_not(agree_at_z)
+        dis_above = mgr.apply_not(agree_above)
+        delta: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        for l in (0, 1, 2):
+            for r in (0, 1, 2):
+                if l == 2 or r == 2 or (l == 1 and r == 1):
+                    base = 2
                 else:
-                    merged = _merge_ustat(_settle(ul), _settle(ur))
-                entries = [(nub, mk(merged, v))]
-                entries.append((ub, mk(1 if merged == 0 else 3, v)))
-                delta[key] = entries
-        if len(states) == len(snapshot):
-            if all(
-                (i, j) in done
-                for i in states.values()
-                for j in states.values()
-            ):
-                break
-    accepting = frozenset(i for (us, _v), i in states.items() if us == 2)
-    return TreeAutomaton(
-        registry=self.registry,
-        tracks=frozenset({uvar}),
-        n_states=len(states),
-        leaf=leaf,
-        delta=delta,
-        accepting=accepting,
-        deterministic=True,
-        complete=True,
-    )
-
-
-Compiler._build = _build_extended  # type: ignore[method-assign]
+                    base = 1 if (l == 1 or r == 1) else 0
+                entries = []
+                if base == 0:
+                    # z could sit here; inclusive pairs must agree at z.
+                    entries.append((nzb, 0))
+                    entries.append((mgr.apply_and(zb, agree_at_z), 1))
+                    entries.append((mgr.apply_and(zb, dis_at_z), 2))
+                elif base == 1:
+                    # On the path above z: full agreement; no second z.
+                    entries.append((mgr.apply_and(nzb, agree_above), 1))
+                    entries.append((mgr.apply_and(nzb, dis_above), 2))
+                    entries.append((zb, 2))
+                else:
+                    entries.append((mgr.true, 2))
+                delta[(l, r)] = entries
+        tracks = (
+            frozenset({f.zvar})
+            | frozenset(t for pair in f.pairs for t in pair)
+            | frozenset(t for pair in f.strict_pairs for t in pair)
+        )
+        return TreeAutomaton(
+            registry=self.registry,
+            tracks=tracks,
+            n_states=3,
+            leaf=[
+                (nzb, 0),
+                (mgr.apply_and(zb, agree_at_z), 1),
+                (mgr.apply_and(zb, dis_at_z), 2),
+            ],
+            accepting=frozenset({1}),
+            delta=delta,
+            deterministic=True,
+            complete=True,
+        )

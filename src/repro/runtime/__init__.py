@@ -13,7 +13,7 @@ from .errors import (
     StateBudgetExceeded,
     exhaustion_status,
 )
-from .guard import ResourceGuard, as_guard
+from .guard import ResourceGuard
 
 __all__ = [
     "ReproError",
@@ -24,6 +24,5 @@ __all__ = [
     "SolverInternalError",
     "exhaustion_status",
     "ResourceGuard",
-    "as_guard",
     "faults",
 ]

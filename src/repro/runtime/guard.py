@@ -21,7 +21,7 @@ from typing import Dict, Optional
 
 from .errors import DeadlineExceeded, MemoryCeilingExceeded, StateBudgetExceeded
 
-__all__ = ["ResourceGuard", "as_guard"]
+__all__ = ["ResourceGuard"]
 
 
 class ResourceGuard:
@@ -193,21 +193,3 @@ class ResourceGuard:
             f"state_budget={self.state_budget!r}, "
             f"node_ceiling={self.node_ceiling!r})"
         )
-
-
-def as_guard(
-    guard: Optional[ResourceGuard],
-    deadline: Optional[float] = None,
-) -> Optional[ResourceGuard]:
-    """Coerce legacy ``deadline`` float kwargs into a guard.
-
-    Construction entry points accept both the new ``guard=`` object and
-    the seed pipeline's ``deadline=`` absolute-``perf_counter`` float;
-    this helper merges them (an explicit guard wins, a bare float is
-    wrapped) so internal code only ever deals with guards.
-    """
-    if guard is not None:
-        return guard
-    if deadline is not None:
-        return ResourceGuard(deadline=deadline)
-    return None

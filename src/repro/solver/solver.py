@@ -30,12 +30,7 @@ from ..automata.product import ProductAutomaton
 from ..automata.tta import TrackRegistry, TreeAutomaton
 from ..mso import syntax as S
 from ..mso.compile import Compiler
-from ..runtime import (
-    ResourceExhausted,
-    ResourceGuard,
-    as_guard,
-    exhaustion_status,
-)
+from ..runtime import ResourceExhausted, ResourceGuard, exhaustion_status
 from .stats import SolverStats
 
 __all__ = ["MSOSolver", "SolveResult"]
@@ -109,12 +104,10 @@ class MSOSolver:
         # 24k reached tuples under antichain pruning), so every paper
         # query decides on the first "mso" rung.
         self.product_budget = product_budget
-        # Optional wall-clock deadline (time.perf_counter() value); when
-        # exceeded mid-query, DeadlineExceeded is raised so the caller's
-        # fallback logic runs rather than a query overshooting.  A full
-        # ResourceGuard (deadline + state budget + node ceiling) can be
-        # installed via ``guard`` instead; it supersedes ``deadline``.
-        self.deadline: Optional[float] = None
+        # Optional ResourceGuard (deadline + state budget + node ceiling);
+        # when it trips mid-query the typed ResourceExhausted subclass is
+        # raised so the caller's fallback logic runs rather than a query
+        # overshooting.
         self.guard: Optional[ResourceGuard] = None
         self.stats = SolverStats(budget=product_budget)
         self._conj_cache: Dict[str, ProductAutomaton] = {}
@@ -124,11 +117,7 @@ class MSOSolver:
     def registry(self) -> TrackRegistry:
         return self.compiler.registry
 
-    def _active_guard(self) -> Optional[ResourceGuard]:
-        return as_guard(self.guard, self.deadline)
-
     def _sync_compiler(self) -> None:
-        self.compiler.deadline = self.deadline
         self.compiler.guard = self.guard
 
     def compile(self, formula: S.Formula) -> TreeAutomaton:
@@ -180,14 +169,7 @@ class MSOSolver:
                 else self.compiler.compile(p)
                 for p in parts
             ]
-        acc = ProductAutomaton(autos, guard=self._active_guard())
-        # An unsatisfiable factor decides the whole conjunction; keeping
-        # just that factor lets exploration finish instantly instead of
-        # saturating the other factors' product.
-        for f in acc.factors:
-            if not f.accepting:
-                acc = ProductAutomaton([f])
-                break
+        acc = ProductAutomaton(autos, guard=self.guard)
         if cache_key is not None:
             self._conj_cache[cache_key] = acc
         return acc
@@ -226,7 +208,7 @@ class MSOSolver:
                 return cached
             self.stats.conj_cache_misses += 1
         acc = self.automaton_conj(parts)
-        guard = self._active_guard()
+        guard = self.guard
         unsat = next((f for f in acc.factors if not f.accepting), None)
         if unsat is not None:
             side = unsat
@@ -263,7 +245,7 @@ class MSOSolver:
             with self.stats.phase("explore"):
                 exp = automaton.explore(
                     max_states=self.product_budget,
-                    guard=self._active_guard(),
+                    guard=self.guard,
                 )
             self.stats.note_exploration(exp.reached, exp.pruned, exp.superseded)
             w = None
@@ -295,14 +277,14 @@ class MSOSolver:
             acc = prune_unreachable(acc.projected(exist_fo))
         if want_witness:
             with self.stats.phase("explore"):
-                w = find_witness(acc, guard=self._active_guard())
+                w = find_witness(acc, guard=self.guard)
             status = "sat" if w is not None else "unsat"
         else:
             w = None
             with self.stats.phase("explore"):
                 status = (
                     "unsat"
-                    if is_empty(acc, guard=self._active_guard())
+                    if is_empty(acc, guard=self.guard)
                     else "sat"
                 )
         self.stats.note_exploration(acc.n_states)

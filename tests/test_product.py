@@ -144,6 +144,31 @@ class TestBudget:
         assert exp.reached > 3
 
 
+class TestRecordedExploration:
+    def test_false_guard_transition_is_not_recorded(self):
+        """A false-guard transition fires on no label, so a recorded run
+        must not log it: the logged edge pointed at a tuple the fixpoint
+        never reached, and materializing the run raised ``KeyError``."""
+        registry = TrackRegistry()
+        mgr = registry.manager
+        a = TreeAutomaton(
+            registry=registry,
+            tracks=frozenset({"A"}),
+            n_states=3,
+            leaf=[(mgr.true, 0)],
+            delta={(0, 0): [(registry.bit("A"), 1), (mgr.false, 2)]},
+            accepting=frozenset({1, 2}),
+        )
+        prod = ProductAutomaton([a])
+        exp = prod.explore(stop_on_accepting=False, record=True)
+        m = prod.materialized_explored(exp)
+        assert m.n_states == 2 and not m.deterministic
+        for t in [t for n in range(3) for t in all_shapes(n)]:
+            for root_a in (frozenset(), frozenset({""})):
+                labels = {"A": root_a}
+                assert m.run(t, labels) == a.run(t, labels)
+
+
 class TestRegressionT13:
     def test_sizecount_parallel_decided_under_default_budget(self):
         from repro.casestudies import sizecount
