@@ -544,6 +544,60 @@ def test_daemon_bad_requests_get_typed_errors(tmp_path):
             assert c.status()["failed"] == 0
 
 
+def test_daemon_bad_frames_close_only_their_connection(tmp_path):
+    """An oversized length prefix and a non-JSON payload each end only
+    the connection that sent them; other connections keep being served."""
+    import socket
+    import struct
+
+    from repro.service.protocol import MAX_FRAME_BYTES
+
+    with DaemonHandle(tmp_path / "run") as h:
+        with h.client("bystander") as bystander:
+            assert bystander.ping()["type"] == "pong"
+            for raw in (
+                struct.pack(">I", MAX_FRAME_BYTES + 1),
+                struct.pack(">I", 5) + b"nope!",
+            ):
+                sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                sock.settimeout(10)
+                try:
+                    sock.connect(str(h.daemon.socket_path))
+                    sock.sendall(raw)
+                    assert sock.recv(1) == b""  # closed, no reply
+                finally:
+                    sock.close()
+                with h.client("fresh") as fresh:
+                    assert fresh.ping()["type"] == "pong"
+            assert bystander.ping()["type"] == "pong"
+            assert bystander.status()["failed"] == 0
+
+
+def test_daemon_cache_rows_after_miss_and_hit(tmp_path):
+    """A daemon stores a check task's verdict under its query key and a
+    fuzz case's result under its task key -- one row each, and a cache
+    hit adds none."""
+    from repro.conformance.oracle import Case, OracleConfig
+    from repro.service.worker import decode_task, task_for_case
+
+    task = racy_task()
+    fuzz = task_for_case(
+        Case(kind="race", source=RACY, max_internal=2, name="fz"),
+        OracleConfig(run_symbolic=False),
+    )
+    run_dir = tmp_path / "run"
+    with DaemonHandle(run_dir) as h:
+        with h.client() as c:
+            assert not c.submit_task(task)["cached"]
+            assert c.submit_task(task)["cached"]
+            assert c.submit_task(fuzz)["ok"]
+            assert c.submit_task(fuzz)["cached"]
+    conn = sqlite3.connect(run_dir / "cache.sqlite")
+    rows = {k for (k,) in conn.execute("SELECT key FROM records")}
+    conn.close()
+    assert rows == {decode_task(task)[0].key(), task_key(fuzz)}
+
+
 def test_daemon_decodes_each_submission_once(tmp_path, monkeypatch):
     """The daemon decodes a task once per submission: a miss reuses the
     query it decoded for the lookup to store the verdict.  (Process
@@ -633,6 +687,10 @@ def test_cli_client_and_serve_status_stop(tmp_path, capsys):
         assert main(["serve", str(run_dir), "--status"]) == 0
         status = json.loads(capsys.readouterr().out)
         assert status["completed"] == 1 and status["cache_hits"] == 1
+        assert set(status["breaker"]) == {
+            "open", "threshold", "consecutive_crashes", "trips",
+        }
+        assert set(status["retry_budget"]) == {"per_task_max", "spent_total"}
 
         assert main(["serve", str(run_dir), "--stop"]) == 0
         assert "daemon draining" in capsys.readouterr().err

@@ -456,6 +456,29 @@ def test_batch_run_dir_holds_one_sqlite_store(tmp_path):
         assert not (run / gone).exists()
 
 
+def test_batch_cache_rows_are_resume_and_verdict_rows(tmp_path):
+    """After a batch, cache.sqlite holds one task-keyed resume row per
+    task plus one query-keyed verdict row per decided check task."""
+    from repro.service.worker import decode_task
+
+    m = write_manifest(tmp_path / "m.json", tasks=[
+        {"name": "racy", "kind": "check-race", "source": RACY},
+        {"name": "clean", "kind": "check-race", "source": RACEFREE},
+        {"name": "fz", "kind": "fuzz-case",
+         "case": {"kind": "race", "source": RACY, "max_internal": 2},
+         "oracle": {"run_symbolic": False}},
+    ])
+    run = tmp_path / "run"
+    run_batch(m, run, isolation="inline")
+    conn = sqlite3.connect(run / "cache.sqlite")
+    rows = {k for (k,) in conn.execute("SELECT key FROM records")}
+    conn.close()
+    tasks = load_manifest(m)
+    assert rows == {task_key(t) for t in tasks} | {
+        decode_task(t)[0].key() for t in tasks if t.kind == "check-race"
+    }
+
+
 def test_batch_resume_after_torn_journal(tmp_path):
     """Simulated kill -9: keep one journaled verdict, tear the journal
     tail, drop the other store record — resume recomputes exactly the
