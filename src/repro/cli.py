@@ -20,7 +20,7 @@ Commands:
   ``--resume RUN_DIR`` continues a run killed mid-way, recomputing only
   verdicts that never reached the journal;
 * ``serve RUN_DIR`` — the long-lived multi-tenant solve daemon
-  (DESIGN.md §11): admission control, per-client quotas, weighted fair
+  (DESIGN.md §11): admission control, per-client quotas, fair
   scheduling, and a shared crash-safe sqlite cache tier;
   ``--status`` / ``--stop`` talk to a running daemon;
 * ``client FILE [--fused FILE2]`` — submit one query to a running
@@ -121,6 +121,15 @@ def _load(path: str, entry: str):
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     return prog
+
+
+def _jobs(text: str) -> int:
+    """``--jobs`` value: a worker count of at least one."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, not {text!r}"
+        )
+    return int(text)
 
 
 def _parse_map(items) -> Dict[str, Set[str]]:
@@ -298,7 +307,7 @@ def _dispatch(argv=None) -> int:
         help="resume a previous run: skip every journaled verdict and "
              "compute only the rest",
     )
-    p_batch.add_argument("--jobs", type=int, default=1, metavar="N",
+    p_batch.add_argument("--jobs", type=_jobs, default=1, metavar="N",
                          help="concurrent worker processes (default 1)")
     p_batch.add_argument(
         "--isolation", default="process", choices=["inline", "process"],
@@ -323,7 +332,7 @@ def _dispatch(argv=None) -> int:
     p_serve.add_argument("--socket", metavar="PATH", default=None,
                          help="Unix socket path "
                               "(default: RUN_DIR/daemon.sock)")
-    p_serve.add_argument("--jobs", type=int, default=2, metavar="N",
+    p_serve.add_argument("--jobs", type=_jobs, default=2, metavar="N",
                          help="concurrent solves (default 2)")
     p_serve.add_argument(
         "--isolation", default="process", choices=["inline", "process"],
@@ -345,9 +354,6 @@ def _dispatch(argv=None) -> int:
                          metavar="B",
                          help="per-client quota burst capacity "
                               "(default 8)")
-    p_serve.add_argument("--weight", action="append", metavar="CLIENT=W",
-                         help="fair-share weight for a client id "
-                              "(repeatable; default weight 1)")
     p_serve.add_argument("--warm-corpus", metavar="DIR", default=None,
                          help="pre-solve a conformance corpus into the "
                               "shared cache on startup")
@@ -421,9 +427,8 @@ def _dispatch(argv=None) -> int:
             print(f"  replay: {res.replay.detail}")
         if res.verdict == "unknown":
             for a in res.details.get("attempts", ()):
-                rung = a.get("rung", a.get("attempt", "?"))
                 print(
-                    f"  attempt {rung}: {a['outcome']} "
+                    f"  attempt {a['rung']}: {a['outcome']} "
                     f"({a['elapsed']:.3f}s)",
                     file=sys.stderr,
                 )
@@ -569,10 +574,6 @@ def _dispatch(argv=None) -> int:
                     client.shutdown()
                     print("daemon draining", file=sys.stderr)
             return EXIT_OK
-        weights: Dict[str, float] = {}
-        for item in args.weight or ():
-            lhs, rhs = item.split("=", 1)
-            weights[lhs.strip()] = float(rhs)
         say = (lambda _msg: None) if args.quiet else (
             lambda msg: print(msg, file=sys.stderr)
         )
@@ -584,7 +585,6 @@ def _dispatch(argv=None) -> int:
             queue_depth=args.queue_depth,
             client_rate=args.client_rate,
             client_burst=args.client_burst,
-            weights=weights,
             warm_corpus=(
                 Path(args.warm_corpus) if args.warm_corpus else None
             ),
@@ -592,7 +592,7 @@ def _dispatch(argv=None) -> int:
         return serve_daemon(run_dir, config, log=say)
 
     if args.cmd == "client":
-        from .core.api import _build_task, _via_daemon
+        from .core.api import _isolated
         from .engine import EquivalenceQuery, RaceQuery
 
         if args.socket:
@@ -613,8 +613,8 @@ def _dispatch(argv=None) -> int:
             query = EquivalenceQuery(program=prog, program2=q, mapping=mapping)
         else:
             query = RaceQuery(program=prog)
-        res = _via_daemon(
-            _build_task(query, options), socket_path,
+        res = _isolated(
+            query, options, "daemon", socket_path,
             client_id=args.client_id, priority=args.priority,
             retries=args.retry,
         )

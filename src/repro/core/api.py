@@ -60,6 +60,7 @@ __all__ = [
     "check_equivalence",
     "verification_to_dict",
     "verification_from_dict",
+    "verification_from_reply",
 ]
 
 
@@ -128,10 +129,7 @@ def verification_to_dict(res: VerificationResult) -> Dict[str, object]:
 
 
 def verification_from_dict(
-    value: Dict[str, object],
-    default_query: str = "",
-    default_engine: str = "process",
-    elapsed: Optional[float] = None,
+    value: Dict[str, object], elapsed: Optional[float] = None
 ) -> VerificationResult:
     """Lift a wire-format result dict back into a
     :class:`VerificationResult` (witness becomes its string rendering;
@@ -140,9 +138,9 @@ def verification_from_dict(
 
     replay_data = value.get("replay")
     return VerificationResult(
-        query=value.get("query", default_query),
+        query=value["query"],
         verdict=value["verdict"],
-        engine=value.get("engine", default_engine),
+        engine=value["engine"],
         elapsed=(
             elapsed if elapsed is not None else float(value.get("elapsed", 0.0))
         ),
@@ -185,19 +183,86 @@ def _query_limits(options: Dict[str, object]) -> QueryLimits:
     )
 
 
-def _build_task(query, options: Dict[str, object]):
-    """The serializable worker :class:`~repro.service.protocol.Task`
-    for a query (shared by process isolation and daemon dispatch).
+def verification_from_reply(
+    reply: Dict[str, object],
+    query,
+    limits: Dict[str, object],
+    isolation: str,
+    elapsed: float,
+) -> VerificationResult:
+    """The :class:`VerificationResult` of a finished worker task's reply
+    (:meth:`repro.service.supervisor.SupervisedResult.reply`), read the
+    same whether ``isolation`` is ``"process"`` or ``"daemon"``.
 
-    The program(s) are pretty-printed (:func:`repro.lang.printer.
-    program_source` round-trips through the parser) so the task is
-    plain data a child process — or a daemon on the far side of a
-    socket — can solve without sharing any state with this caller.
+    Every failed worker attempt leads ``details["attempts"]`` in the
+    plan's schema (``limits`` is the task's sandbox-limits dict).  A
+    worker that never produced a verdict yields ``verdict="unknown"``
+    with ``holds=False`` and its post-mortem in ``details["worker"]`` --
+    never a silent wrong answer.
+    """
+    from ..engine.plan import worker_attempt_record
+
+    attempts = [
+        worker_attempt_record(limits, a)
+        for a in reply.get("attempts") or ()
+        if a["outcome"] != "ok"
+    ]
+    if reply["ok"]:
+        res = verification_from_dict(reply["value"], elapsed=elapsed)
+        res.details["attempts"] = attempts + list(
+            res.details.get("attempts") or []
+        )
+    else:
+        res = VerificationResult(
+            query="",
+            verdict="unknown",
+            engine=isolation,
+            elapsed=elapsed,
+            holds=False,
+            details={
+                "attempts": attempts,
+                "decided_by": None,
+                "worker": {
+                    "outcome_class": reply["outcome_class"],
+                    "detail": reply["detail"],
+                    **(reply.get("worker") or {}),
+                },
+            },
+        )
+    res.query = query.display()
+    res.details["isolation"] = isolation
+    if reply.get("degraded"):
+        res.details["circuit_breaker"] = "open"
+    return res
+
+
+def _isolated(
+    query,
+    options: Dict[str, object],
+    isolation: str,
+    daemon_socket=None,
+    client_id: str = "api",
+    priority: Optional[int] = None,
+    retries: int = 0,
+) -> VerificationResult:
+    """Solve ``query`` in a supervised sandboxed worker (``"process"``)
+    or through the running solve daemon at ``daemon_socket``
+    (``"daemon"``, DESIGN.md §11), which shares its pool and cache tier
+    across callers.  Admission rejections
+    (:class:`~repro.service.scheduler.ServiceOverloaded`) propagate to
+    the caller — by design, so backpressure is visible, not swallowed.
+
+    The worker task carries the program(s) pretty-printed
+    (:func:`repro.lang.printer.program_source` round-trips through the
+    parser): plain data a child process — or a daemon on the far side of
+    a socket — can solve without sharing any state with this caller.
     """
     from ..lang.printer import program_source
-    from ..service import Limits
+    from ..service import DaemonClient, Limits, Supervisor
+    from ..service.scheduler import DEFAULT_PRIORITY
     from ..service.worker import task_for_fusion, task_for_race
 
+    t0 = time.perf_counter()
     options = dict(options)
     limits = Limits(
         wall_s=options.pop("wall_s", None),
@@ -208,73 +273,38 @@ def _build_task(query, options: Dict[str, object]):
         "mso_deadline_s", "bounded_deadline_s", "node_ceiling")}
     p = query.program
     if query.kind == "race":
-        return task_for_race(
+        task = task_for_race(
             source=program_source(p), entry=p.entry, options=options,
             limits=limits, name=p.name,
         )
-    q = query.program2
-    return task_for_fusion(
-        source=program_source(p),
-        source2=program_source(q),
-        entry=p.entry,
-        options=options,
-        mapping={k: sorted(v) for k, v in query.mapping.items()},
-        limits=limits,
-        name=p.name,
-        name2=q.name,
-    )
-
-
-def _via_daemon(
-    task,
-    daemon_socket,
-    client_id: str = "api",
-    priority: Optional[int] = None,
-    retries: int = 0,
-) -> VerificationResult:
-    """Route a task through a running solve daemon (DESIGN.md §11).
-
-    The daemon owns the supervisor pool and the shared cache tier, so
-    concurrent callers across processes share verdicts, admission
-    control, and crash isolation.  Admission rejections
-    (:class:`~repro.service.scheduler.ServiceOverloaded`) propagate to
-    the caller — by design, so backpressure is visible, not swallowed.
-    """
-    from ..service.client import DaemonClient
-    from ..service.scheduler import DEFAULT_PRIORITY
-
-    t0 = time.perf_counter()
-    with DaemonClient(daemon_socket, client_id=client_id) as client:
-        reply = client.submit_task(
-            task,
-            priority=DEFAULT_PRIORITY if priority is None else priority,
-            retries=retries,
-        )
-    if not reply.get("ok"):
-        res = VerificationResult(
-            query=task.name,
-            verdict="unknown",
-            engine="daemon",
-            elapsed=time.perf_counter() - t0,
-            holds=False,
-            details={
-                "attempts": reply.get("attempts") or [],
-                "decided_by": None,
-                "daemon_failure": reply.get("detail"),
-            },
-        )
     else:
-        res = verification_from_dict(
-            reply["value"],
-            default_query=task.name,
-            default_engine="daemon",
-            elapsed=time.perf_counter() - t0,
+        task = task_for_fusion(
+            source=program_source(p),
+            source2=program_source(query.program2),
+            entry=p.entry,
+            options=options,
+            mapping={k: sorted(v) for k, v in query.mapping.items()},
+            limits=limits,
+            name=p.name,
+            name2=query.program2.name,
         )
-    res.details["isolation"] = "daemon"
-    res.details["daemon"] = {
-        "cached": bool(reply.get("cached")),
-        "key": reply.get("key"),
-    }
+    if isolation == "process":
+        reply = Supervisor().run_one(task).reply()
+    else:
+        with DaemonClient(daemon_socket, client_id=client_id) as client:
+            reply = client.submit_task(
+                task,
+                priority=DEFAULT_PRIORITY if priority is None else priority,
+                retries=retries,
+            )
+    res = verification_from_reply(
+        reply, query, limits.to_dict(), isolation, time.perf_counter() - t0
+    )
+    if isolation == "daemon":
+        res.details["daemon"] = {
+            "cached": bool(reply.get("cached")),
+            "key": reply.get("key"),
+        }
     return res
 
 
@@ -306,9 +336,7 @@ def _solve(
         )
         if record is not None:
             res = verification_from_dict(
-                record["result"],
-                default_query=query.display(),
-                elapsed=time.perf_counter() - t0,
+                record["result"], elapsed=time.perf_counter() - t0
             )
             res.details["cache"] = {
                 "hit": True,
@@ -326,12 +354,8 @@ def _solve(
     bis = None
     if isolation == "inline" and options.get("check_bisim"):
         bis = check_bisimulation(query.program, query.program2, query.mapping)
-    if isolation == "daemon":
-        res = _via_daemon(_build_task(query, options), daemon_socket)
-    elif isolation == "process":
-        from ..service import run_verification_isolated
-
-        res = run_verification_isolated(_build_task(query, options))
+    if isolation != "inline":
+        res = _isolated(query, options, isolation, daemon_socket)
     elif bis is not None and not bis.bisimilar:
         res = VerificationResult(
             query=query.display(),

@@ -23,7 +23,9 @@ Seven layers:
   retries (exponential backoff + deterministic jitter, retry budget,
   crash/resource/verdict outcome classes) and a circuit breaker that
   falls back to the bounded-only ladder rung when symbolic workers
-  crash repeatedly;
+  crash repeatedly; :meth:`SupervisedResult.reply` is the one JSON form
+  of a finished task, whether the daemon sends it or ``core.api`` reads
+  it in-process;
 * :mod:`repro.service.sharedcache` — the one durable store: a sqlite
   file of checksummed rows (corruption quarantine, WAL crash safety)
   that :class:`repro.engine.cache.ResultCache` opens as
@@ -35,7 +37,7 @@ Seven layers:
 * :mod:`repro.service.scheduler` — admission control for the daemon:
   bounded queue with typed :class:`ServiceOverloaded` rejections and
   retry-after hints, priority-aware load shedding, per-client
-  token-bucket quotas, and stride-scheduled weighted fairness;
+  token-bucket quotas, and stride scheduling with equal client shares;
 * :mod:`repro.service.daemon` + :mod:`repro.service.client` — the
   long-lived multi-tenant solve daemon behind ``repro serve`` (DESIGN.md
   §11) and its blocking socket client (``repro client``,

@@ -56,7 +56,8 @@ from .store import Journal, payload_digest
 from .supervisor import RetryPolicy, SupervisedResult, Supervisor
 from .worker import (
     WorkerOutcome,
-    cache_query,
+    lookup_verdict,
+    store_verdict,
     task_for_fusion,
     task_for_race,
 )
@@ -226,6 +227,17 @@ def _task_verdict(res: SupervisedResult) -> Dict[str, Any]:
     return out
 
 
+def _settled(task: Task, key: str, value: Dict[str, Any]) -> SupervisedResult:
+    """A task answered without a worker: resumed from the journal or
+    reused from the result cache."""
+    return SupervisedResult(
+        task=task,
+        key=key,
+        final=WorkerOutcome(status="ok", value=value),
+        attempts=[],
+    )
+
+
 # ----------------------------------------------------------------------
 # The batch runner
 
@@ -376,28 +388,26 @@ def run_batch(
                 say(f"journaled result for {task.name} missing or corrupt; "
                     "recomputing")
                 continue
-            done[key] = SupervisedResult(
-                task=task,
-                key=key,
-                final=WorkerOutcome(status="ok", value=value),
-                attempts=[],
-            )
+            done[key] = _settled(task, key, value)
 
         pending = [t for t in tasks if task_key(t) not in done]
         say(
             f"batch: {len(tasks)} task(s), {len(done)} already journaled, "
             f"{len(pending)} to run (isolation={isolation}, jobs={jobs})"
         )
-        queries = {task_key(t): cache_query(t) for t in pending}
-
         supervisor = Supervisor(policy=policy, isolation=isolation)
+        queries: Dict[str, Any] = {}
         computed: Dict[str, SupervisedResult] = {}
         cached: Dict[str, SupervisedResult] = {}
 
         def on_result(res: SupervisedResult) -> None:
             if res.ok:
                 value = res.final.value or {}
-                cache.store_task(res.key, res.task.kind, value)
+                row = None if res.key in cached else store_verdict(
+                    cache, res.task, res.key, queries.get(res.key), value
+                )
+                if row != res.key:  # the resume row behind the journal line
+                    cache.store_task(res.key, res.task.kind, value)
                 journal.append({
                     "event": "verdict",
                     "key": res.key,
@@ -405,9 +415,6 @@ def run_batch(
                     "verdict": _task_verdict(res)["verdict"],
                     "attempts": len(res.attempts),
                 })
-                info = queries.get(res.key)
-                if info is not None and res.key not in cached:
-                    cache.store(info[0], value)
             else:
                 journal.append({
                     "event": "failed",
@@ -424,21 +431,11 @@ def run_batch(
 
         for t in pending:
             key = task_key(t)
-            info = queries.get(key)
-            if info is None:
+            hit, queries[key] = lookup_verdict(cache, t, key)
+            if hit is None:
                 continue
-            query, plan, allow_bisim = info
-            record = cache.lookup(query, plan, allow_bisim=allow_bisim)
-            if record is None:
-                continue
-            res = SupervisedResult(
-                task=t,
-                key=key,
-                final=WorkerOutcome(status="ok", value=record["result"]),
-                attempts=[],
-            )
-            cached[key] = res
-            on_result(res)
+            cached[key] = _settled(t, key, hit)
+            on_result(cached[key])
         pending = [t for t in pending if task_key(t) not in cached]
 
         supervisor.map(pending, jobs=jobs, on_result=on_result)
@@ -493,13 +490,7 @@ def run_batch(
                 "violations": report.violations,
                 "unknown": report.unknown,
                 "breaker_open": report.breaker_open,
-                "breaker": supervisor.breaker.as_dict(),
-                "retry_budget": {
-                    "per_task_max": supervisor.policy.max_attempts - 1,
-                    "spent_total": sum(
-                        r.retries for r in computed.values()
-                    ),
-                },
+                **supervisor.health(),
                 "journal_skipped_lines": report.journal_skipped_lines,
                 "quarantined": report.quarantined,
                 "cache_hits": report.cache_hits,

@@ -9,7 +9,7 @@ behind the PR 5 query-keyed cache.  The request path is::
     client ──▶ admission (quota, bounded queue, shedding)
            ──▶ shared-cache lookup (sqlite tier, soundness-gated reuse)
            ──▶ coalescing (identical in-flight keys share one solve)
-           ──▶ fair scheduler (stride over client weights)
+           ──▶ fair scheduler (stride over clients, equal shares)
            ──▶ supervisor pool (sandboxed workers, retries, breaker)
            ──▶ journal + shared cache  ──▶ every waiter's response
 
@@ -42,16 +42,16 @@ import asyncio
 import json
 import os
 import signal
-import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
 from ..runtime import faults
 from .client import DaemonError
-from .protocol import MAX_FRAME_BYTES, FrameError, Task, task_key
+from .protocol import FrameError, Task, task_key
+from .protocol import HEADER_BYTES, decode_frame, encode_frame, frame_length
 from .scheduler import (
     DEFAULT_PRIORITY,
     FairScheduler,
@@ -60,7 +60,7 @@ from .scheduler import (
 )
 from .store import Journal
 from .supervisor import RetryPolicy, SupervisedResult, Supervisor
-from .worker import cache_query
+from .worker import lookup_verdict, store_verdict
 
 __all__ = [
     "DaemonConfig",
@@ -74,36 +74,26 @@ __all__ = [
 
 PROTOCOL_VERSION = 1
 
-_LEN = struct.Struct(">I")
-
 
 # ----------------------------------------------------------------------
-# Async framing (same wire format as repro.service.protocol)
+# Async framing (the codec of repro.service.protocol over asyncio streams)
 
 
 async def read_frame_async(reader: asyncio.StreamReader) -> Optional[Dict]:
     try:
-        header = await reader.readexactly(_LEN.size)
+        header = await reader.readexactly(HEADER_BYTES)
     except asyncio.IncompleteReadError as e:
         if not e.partial:
             return None  # clean EOF
         raise FrameError("stream torn inside frame length prefix") from e
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
     try:
-        data = await reader.readexactly(length)
+        return decode_frame(await reader.readexactly(frame_length(header)))
     except asyncio.IncompleteReadError as e:
         raise FrameError("stream torn inside frame payload") from e
-    try:
-        return json.loads(data.decode("utf-8"))
-    except ValueError as e:
-        raise FrameError(f"frame payload is not JSON: {e}") from e
 
 
 async def write_frame_async(writer: asyncio.StreamWriter, obj: Any) -> None:
-    data = json.dumps(obj, separators=(",", ":")).encode("utf-8")
-    writer.write(_LEN.pack(len(data)) + data)
+    writer.write(encode_frame(obj))
     await writer.drain()
 
 
@@ -122,7 +112,6 @@ class DaemonConfig:
     queue_depth: int = 64
     client_rate: Optional[float] = None  # tokens/second per client
     client_burst: float = 8.0
-    weights: Dict[str, float] = field(default_factory=dict)
     warm_corpus: Optional[Path] = None
     drain_grace_s: float = 60.0
     #: worker-loop poll interval; tests raise it to make admission
@@ -159,41 +148,31 @@ def warm_from_corpus(
         try:
             entry = json.loads(path.read_text(encoding="utf-8"))
             kind = entry.get("kind")
-            scope = int(entry.get("max_internal", 2))
-            before = rcache.stats.hits
-            if kind == "race":
-                prog = parse_program(
-                    entry["source"], name=entry.get("name", path.stem)
-                )
-                res = check_data_race(
-                    prog,
-                    engine="bounded",
-                    max_internal=scope,
-                    bounded_deadline_s=deadline_s,
-                    replay=False,
-                    cache=rcache,
-                )
-            elif kind == "equiv":
-                p = parse_program(
-                    entry["source"], name=entry.get("name", path.stem)
-                )
-                q = parse_program(
-                    entry["source2"], name=f"{entry.get('name', path.stem)}-2"
-                )
-                mapping = correspondence_by_key(p, q, strict=True)
-                res = check_equivalence(
-                    p,
-                    q,
-                    mapping,
-                    engine="bounded",
-                    max_internal=scope,
-                    bounded_deadline_s=deadline_s,
-                    replay=False,
-                    cache=rcache,
-                )
-            else:
+            if kind not in ("race", "equiv"):
                 counts["skipped"] += 1
                 continue
+            name = entry.get("name", path.stem)
+            p = parse_program(entry["source"], name=name)
+            options = dict(
+                engine="bounded",
+                max_internal=int(entry.get("max_internal", 2)),
+                bounded_deadline_s=deadline_s,
+                replay=False,
+                cache=rcache,
+            )
+            before = rcache.stats.hits
+            if kind == "race":
+                res = check_data_race(p, **options)
+            else:
+                q = parse_program(entry["source2"], name=f"{name}-2")
+                overrides = {
+                    k: set(v)
+                    for k, v in (entry.get("correspondence") or {}).items()
+                }
+                mapping = correspondence_by_key(
+                    p, q, overrides=overrides, strict=True
+                )
+                res = check_equivalence(p, q, mapping, **options)
             if rcache.stats.hits > before:
                 counts["already"] += 1
             elif res.verdict != "unknown":
@@ -238,7 +217,6 @@ class SolveDaemon:
             max_depth=self.config.queue_depth,
             quota_rate=self.config.client_rate,
             quota_burst=self.config.client_burst,
-            weights=self.config.weights,
             workers=self.config.jobs,
         )
         self.supervisor = Supervisor(
@@ -262,7 +240,6 @@ class SolveDaemon:
             "failed": 0,
             "cache_hits": 0,
             "coalesced": 0,
-            "retries": 0,
             "replayed": 0,
             "replay_missing": 0,
             "journal_skipped_lines": 0,
@@ -332,47 +309,22 @@ class SolveDaemon:
                 f"{corrupt} quarantined"
             )
 
-    # -- cache plumbing --------------------------------------------------
-
-    def _cache_lookup(self, task: Task, key: str, info) -> Optional[Dict]:
-        """The cached result for a submission: ``check-*`` tasks by
-        their decoded query (``info``, ``None`` when uncacheable), fuzz
-        cases raw by task key."""
-        if task.kind not in ("check-race", "check-fusion"):
-            return self.cache.task_result(key)
-        if info is None:
-            return None
-        query, plan, allow_bisim = info
-        record = self.cache.lookup(query, plan, allow_bisim=allow_bisim)
-        return None if record is None else record.get("result")
-
-    def _store_result(
-        self, sub: Submission, value: Dict[str, Any]
-    ) -> Optional[str]:
-        """Persist one verdict into the shared tier; returns the cache
-        row key (``None`` when nothing durable was stored — e.g. an
-        ``unknown`` verdict, which must always be recomputed)."""
-        if sub.task.kind not in ("check-race", "check-fusion"):
-            self.cache.store_task(sub.key, sub.task.kind, value)
-            return sub.key
-        if sub.query is None:
-            return None
-        query = sub.query[0]
-        return query.key() if self.cache.store(query, value) else None
-
     # -- result fan-out --------------------------------------------------
 
-    def _resolve_waiters(self, key: str, payload: Dict[str, Any]) -> None:
+    def _resolve_waiters(self, key: str, frame: Dict[str, Any]) -> None:
+        """Answer every request waiting on ``key`` with ``frame``."""
         for fut in self._waiters.pop(key, []):
             if not fut.done():
-                fut.set_result(payload)
+                fut.set_result(frame)
 
     def _finish(self, sub: Submission, res: SupervisedResult) -> None:
         self.scheduler.task_done(sub.client, res.final.elapsed)
-        self.stats["retries"] += res.retries
+        reply = res.reply()
         if res.ok:
-            value = res.final.value or {}
-            ckey = self._store_result(sub, value)
+            value = reply["value"]
+            ckey = store_verdict(
+                self.cache, sub.task, sub.key, sub.query, value
+            )
             self.journal.append(
                 {
                     "event": "verdict" if ckey else "undecided",
@@ -384,14 +336,6 @@ class SolveDaemon:
                 }
             )
             self.stats["completed"] += 1
-            payload = {
-                "ok": True,
-                "cached": False,
-                "key": sub.key,
-                "value": value,
-                "attempts": res.attempts,
-                "degraded": res.degraded,
-            }
         else:
             self.journal.append(
                 {
@@ -399,21 +343,14 @@ class SolveDaemon:
                     "key": sub.key,
                     "client": sub.client,
                     "name": sub.task.name,
-                    "outcome": res.final.outcome_class,
-                    "detail": res.final.describe(),
+                    "outcome": reply["outcome_class"],
+                    "detail": reply["detail"],
                 }
             )
             self.stats["failed"] += 1
-            payload = {
-                "ok": False,
-                "cached": False,
-                "key": sub.key,
-                "outcome_class": res.final.outcome_class,
-                "detail": res.final.describe(),
-                "attempts": res.attempts,
-                "degraded": res.degraded,
-            }
-        self._resolve_waiters(sub.key, payload)
+        self._resolve_waiters(
+            sub.key, {"type": "result", "cached": False, **reply}
+        )
 
     # -- worker loops ----------------------------------------------------
 
@@ -437,6 +374,7 @@ class SolveDaemon:
                 self._resolve_waiters(
                     sub.key,
                     {
+                        "type": "result",
                         "ok": False,
                         "key": sub.key,
                         "outcome_class": "error",
@@ -461,11 +399,7 @@ class SolveDaemon:
             "draining": self._draining,
             "in_flight": len(self._running),
             "queue": self.scheduler.stats(),
-            "breaker": self.supervisor.breaker.as_dict(),
-            "retry_budget": {
-                "per_task_max": self.supervisor.policy.max_attempts - 1,
-                "spent_total": self.stats["retries"],
-            },
+            **self.supervisor.health(),
             "cache": {
                 "memory": self.cache.stats.as_dict(),
                 "shared": self.cache.shared.stats(),
@@ -513,8 +447,7 @@ class SolveDaemon:
                 ),
             )
             return
-        info = cache_query(task)
-        hit = self._cache_lookup(task, key, info)
+        hit, query = lookup_verdict(self.cache, task, key)
         if hit is not None:
             self.stats["cache_hits"] += 1
             await write_frame_async(
@@ -543,20 +476,17 @@ class SolveDaemon:
             except ServiceOverloaded as e:
                 await write_frame_async(writer, self._overloaded_frame(e))
                 return
-            sub.query = info
+            sub.query = query
             self._queued[key] = sub
             for victim in shed:
                 self._queued.pop(victim.key, None)
                 self._resolve_waiters(
                     victim.key,
-                    {
-                        "overloaded": True,
-                        **ServiceOverloaded(
-                            "shed",
-                            self.scheduler.retry_after_s(),
-                            client=victim.client,
-                        ).to_dict(),
-                    },
+                    self._overloaded_frame(ServiceOverloaded(
+                        "shed",
+                        self.scheduler.retry_after_s(),
+                        client=victim.client,
+                    )),
                 )
             fut = loop.create_future()
             self._waiters.setdefault(key, []).append(fut)
@@ -565,17 +495,7 @@ class SolveDaemon:
                 writer, {"type": "accepted", "key": key}
             )
             return
-        payload = await fut
-        if payload.get("overloaded"):
-            await write_frame_async(
-                writer, {"type": "error", **{
-                    k: payload[k]
-                    for k in ("error", "reason", "retry_after_s", "client")
-                    if k in payload
-                }},
-            )
-            return
-        await write_frame_async(writer, {"type": "result", **payload})
+        await write_frame_async(writer, await fut)
 
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -699,12 +619,9 @@ class SolveDaemon:
         for key in list(self._waiters):
             self._resolve_waiters(
                 key,
-                {
-                    "overloaded": True,
-                    **ServiceOverloaded(
-                        "shutting-down", self.scheduler.retry_after_s()
-                    ).to_dict(),
-                },
+                self._overloaded_frame(ServiceOverloaded(
+                    "shutting-down", self.scheduler.retry_after_s()
+                )),
             )
         await asyncio.sleep(min(0.2, self.config.poll_s * 2))
         self._executor.shutdown(wait=not self._drain_aborted)

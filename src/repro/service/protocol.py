@@ -46,6 +46,9 @@ __all__ = [
     "canonical_json",
     "write_frame",
     "read_frame",
+    "encode_frame",
+    "frame_length",
+    "decode_frame",
     "jsonable",
 ]
 
@@ -150,13 +153,39 @@ def task_key(task: Task) -> str:
 
 
 # ----------------------------------------------------------------------
-# Framing
+# Framing (the blocking pipe/socket readers here and the daemon's
+# asyncio streams share these pieces)
+
+#: Bytes of the length prefix that starts every frame.
+HEADER_BYTES = _LEN.size
+
+
+def encode_frame(obj: Any) -> bytes:
+    """One length-prefixed JSON frame."""
+    data = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    return _LEN.pack(len(data)) + data
+
+
+def frame_length(header: bytes) -> int:
+    """The payload length a complete prefix announces; raises
+    :class:`FrameError` past :data:`MAX_FRAME_BYTES`."""
+    (length,) = _LEN.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        raise FrameError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
+    return length
+
+
+def decode_frame(data: bytes) -> Any:
+    """The JSON value of one frame payload; raises :class:`FrameError`."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except ValueError as e:
+        raise FrameError(f"frame payload is not JSON: {e}") from e
 
 
 def write_frame(fp, obj: Any) -> None:
     """Write one length-prefixed JSON frame and flush."""
-    data = json.dumps(obj, separators=(",", ":")).encode("utf-8")
-    fp.write(_LEN.pack(len(data)) + data)
+    fp.write(encode_frame(obj))
     fp.flush()
 
 
@@ -168,29 +197,19 @@ def read_frame(fp) -> Optional[Dict[str, Any]]:
     :class:`FrameError` so the caller can classify the death instead of
     mis-parsing half a message.
     """
-    header = fp.read(_LEN.size)
+    header = fp.read(HEADER_BYTES)
     if not header:
         return None
-    if len(header) < _LEN.size:
+    if len(header) < HEADER_BYTES:
         raise FrameError("stream torn inside frame length prefix")
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
-    chunks = []
-    remaining = length
-    while remaining:
-        chunk = fp.read(remaining)
-        if not chunk:
-            raise FrameError(
-                f"stream torn inside frame payload ({remaining} of "
-                f"{length} bytes missing)"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    try:
-        return json.loads(b"".join(chunks).decode("utf-8"))
-    except ValueError as e:
-        raise FrameError(f"frame payload is not JSON: {e}") from e
+    length = frame_length(header)
+    data = fp.read(length)  # buffered readers return short only at EOF
+    if len(data) < length:
+        raise FrameError(
+            f"stream torn inside frame payload ({length - len(data)} of "
+            f"{length} bytes missing)"
+        )
+    return decode_frame(data)
 
 
 def jsonable(value: Any) -> Any:

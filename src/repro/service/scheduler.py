@@ -1,4 +1,4 @@
-"""Admission control and weighted fair scheduling for the solve daemon.
+"""Admission control and fair scheduling for the solve daemon.
 
 The daemon (:mod:`repro.service.daemon`) fronts the PR 4 supervisor
 pool for many concurrent clients; this module is the policy layer that
@@ -19,12 +19,11 @@ convention:
   (``rate`` tokens/second, ``burst`` capacity); an empty bucket rejects
   with the exact time until the next token.  ``rate=None`` disables
   quotas.
-* **Weighted fair scheduling** — stride scheduling over per-client
-  virtual time: each dequeue picks the backlogged client with the
-  smallest *pass* value and advances it by ``1/weight``, so a client
-  with weight 2 receives twice the service of a weight-1 client and no
-  backlog, however deep, can starve another client (the starved
-  client's pass value stays put while the flooder's races ahead).
+* **Fair scheduling** — stride scheduling over per-client virtual
+  time with equal shares: each dequeue picks the backlogged client with
+  the smallest *pass* value and advances it by one, so no backlog,
+  however deep, can starve another client (the starved client's pass
+  value stays put while the flooder's races ahead).
 
 The scheduler is a pure, deterministic data structure: no threads, no
 asyncio, a injectable clock.  The daemon drives it from its event loop;
@@ -138,17 +137,15 @@ class Submission:
     seq: int
     enqueued_s: float
     cancelled: bool = field(default=False, compare=False)
-    #: The daemon's decoded cache query for ``task`` (opaque here), kept
-    #: so the result is stored without decoding the task again.
+    #: The query the daemon decoded ``task`` to for its cache lookup
+    #: (opaque here), kept so the verdict is stored without decoding the
+    #: task again.
     query: Any = field(default=None, compare=False)
 
 
 class _ClientState:
-    def __init__(
-        self, client_id: str, weight: float, bucket: Optional[TokenBucket]
-    ) -> None:
+    def __init__(self, client_id: str, bucket: Optional[TokenBucket]) -> None:
         self.id = client_id
-        self.weight = max(0.001, float(weight))
         self.bucket = bucket
         #: stride-scheduling virtual time; smallest backlogged pass runs.
         self.pass_value = 0.0
@@ -179,23 +176,19 @@ class _ClientState:
 
 
 class FairScheduler:
-    """Bounded, quota-enforcing, weighted-fair admission queue."""
+    """Bounded, quota-enforcing, fair admission queue."""
 
     def __init__(
         self,
         max_depth: int = 64,
         quota_rate: Optional[float] = None,
         quota_burst: float = 8.0,
-        default_weight: float = 1.0,
-        weights: Optional[Dict[str, float]] = None,
         workers: int = 1,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.max_depth = max(1, int(max_depth))
         self.quota_rate = quota_rate
         self.quota_burst = quota_burst
-        self.default_weight = default_weight
-        self.weights = dict(weights or {})
         self.workers = max(1, int(workers))
         self._clock = clock
         self._clients: Dict[str, _ClientState] = {}
@@ -215,22 +208,15 @@ class FairScheduler:
 
     # -- clients ---------------------------------------------------------
 
-    def client(
-        self, client_id: str, weight: Optional[float] = None
-    ) -> _ClientState:
+    def client(self, client_id: str) -> _ClientState:
         state = self._clients.get(client_id)
         if state is None:
-            w = (
-                weight
-                if weight is not None
-                else self.weights.get(client_id, self.default_weight)
-            )
             bucket = (
                 TokenBucket(self.quota_rate, self.quota_burst, self._clock)
                 if self.quota_rate is not None
                 else None
             )
-            state = _ClientState(client_id, w, bucket)
+            state = _ClientState(client_id, bucket)
             # A newcomer (or returner) starts at the current virtual
             # time: no catching up on service it never requested.
             state.pass_value = self._global_pass
@@ -269,7 +255,6 @@ class FairScheduler:
         task: Task,
         priority: int = DEFAULT_PRIORITY,
         key: Optional[str] = None,
-        weight: Optional[float] = None,
     ) -> Tuple[Submission, List[Submission]]:
         """Admit one task; returns ``(submission, shed)`` where ``shed``
         lists lower-priority submissions evicted to make room.
@@ -278,7 +263,7 @@ class FairScheduler:
         exhausted or the queue is full of equal-or-higher-priority work.
         """
         priority = max(0, min(9, int(priority)))
-        state = self.client(client_id, weight)
+        state = self.client(client_id)
         state.counters["submitted"] += 1
         if faults.ARMED:
             try:
@@ -344,7 +329,7 @@ class FairScheduler:
         sub = best.pop()
         self._depth -= 1
         self._global_pass = best.pass_value
-        best.pass_value += 1.0 / best.weight
+        best.pass_value += 1.0
         self.counters["dispatched"] += 1
         return sub
 
@@ -373,7 +358,6 @@ class FairScheduler:
             "counters": dict(self.counters),
             "clients": {
                 cid: {
-                    "weight": state.weight,
                     "backlog": state.backlog(),
                     "pass": round(state.pass_value, 4),
                     "tokens": (

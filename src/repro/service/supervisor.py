@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .protocol import Task, task_key
-from .worker import WorkerOutcome, execute_payload, run_task
+from .worker import WorkerOutcome, _error_dict, execute_payload, run_task
 
 __all__ = [
     "RetryPolicy",
@@ -89,15 +89,6 @@ class CircuitBreaker:
     @property
     def open(self) -> bool:
         return self._open
-
-    @property
-    def consecutive_crashes(self) -> int:
-        return self._consecutive
-
-    @property
-    def trips(self) -> int:
-        """How many times the breaker has transitioned closed → open."""
-        return self._trips
 
     def record(self, outcome_class: str, symbolic: bool) -> None:
         with self._lock:
@@ -170,6 +161,32 @@ class SupervisedResult:
         """Retry-budget spend: attempts beyond the first."""
         return max(0, len(self.attempts) - 1)
 
+    def reply(self) -> Dict[str, Any]:
+        """The JSON form of this finished task: what the daemon sends a
+        client and what ``core.api`` reads for process isolation.
+
+        ``value`` is the solve's result on success; a failure carries
+        ``outcome_class``, ``detail`` and the ``worker`` post-mortem
+        (status, signal, last heartbeat phase and RSS, structured error).
+        """
+        out: Dict[str, Any] = {
+            "ok": self.ok,
+            "key": self.key,
+            "attempts": self.attempts,
+            "degraded": self.degraded,
+        }
+        final = self.final
+        if self.ok:
+            out["value"] = final.value or {}
+            return out
+        out["outcome_class"] = final.outcome_class
+        out["detail"] = final.describe()
+        out["worker"] = {
+            k: getattr(final, k)
+            for k in ("status", "signal", "phase", "rss_kb", "error")
+        }
+        return out
+
 
 class Supervisor:
     """Runs tasks through sandboxed workers with retries and breaker."""
@@ -187,23 +204,26 @@ class Supervisor:
         self.breaker = breaker or CircuitBreaker()
         self.isolation = isolation
         self.env = env
+        # _lock guards the live children and the retry spend, which the
+        # pool's threads update concurrently.
+        self._lock = threading.Lock()
         self._procs: Dict[int, object] = {}
-        self._procs_lock = threading.Lock()
+        self._retries_spent = 0
 
     # -- child bookkeeping (so an interrupt can kill live workers) ------
 
     def _register(self, proc) -> None:
-        with self._procs_lock:
+        with self._lock:
             self._procs[proc.pid] = proc
 
     def _forget(self) -> None:
-        with self._procs_lock:
+        with self._lock:
             self._procs = {
                 pid: p for pid, p in self._procs.items() if p.poll() is None
             }
 
     def kill_live_workers(self) -> None:
-        with self._procs_lock:
+        with self._lock:
             procs = list(self._procs.values())
             self._procs.clear()
         for proc in procs:
@@ -214,6 +234,18 @@ class Supervisor:
                 except OSError:  # pragma: no cover - already reaped
                     pass
 
+    def health(self) -> Dict[str, Any]:
+        """The circuit breaker's state and the retry budget's spend, as
+        the batch ``report.json`` and ``repro serve --status`` show
+        them."""
+        return {
+            "breaker": self.breaker.as_dict(),
+            "retry_budget": {
+                "per_task_max": self.policy.max_attempts - 1,
+                "spent_total": self._retries_spent,
+            },
+        }
+
     # -- single attempt --------------------------------------------------
 
     def _attempt(self, task: Task) -> WorkerOutcome:
@@ -221,17 +253,11 @@ class Supervisor:
             t0 = time.monotonic()
             try:
                 value = execute_payload(task.kind, task.payload)
-                return WorkerOutcome(
-                    status="ok", value=value, elapsed=time.monotonic() - t0
-                )
+                outcome = WorkerOutcome(status="ok", value=value)
             except Exception as e:
-                from .worker import _error_dict
-
-                return WorkerOutcome(
-                    status="failed",
-                    error=_error_dict(e),
-                    elapsed=time.monotonic() - t0,
-                )
+                outcome = WorkerOutcome(status="failed", error=_error_dict(e))
+            outcome.elapsed = time.monotonic() - t0
+            return outcome
         outcome = run_task(task, env=self.env, on_spawn=self._register)
         self._forget()
         return outcome
@@ -274,13 +300,16 @@ class Supervisor:
             attempts.append(record)
             time.sleep(backoff)
         assert final is not None
-        return SupervisedResult(
+        res = SupervisedResult(
             task=task,
             key=key,
             final=final,
             attempts=attempts,
             degraded=degraded_any,
         )
+        with self._lock:
+            self._retries_spent += res.retries
+        return res
 
     # -- bounded pool -----------------------------------------------------
 

@@ -56,13 +56,13 @@ __all__ = [
     "execute_payload",
     "child_main",
     "decode_task",
-    "cache_query",
+    "lookup_verdict",
+    "store_verdict",
     "task_for_race",
     "task_for_fusion",
     "task_for_case",
     "run_case_isolated",
     "run_verification_isolated",
-    "verification_from_supervised",
 ]
 
 #: Seconds between heartbeat frames from the child.
@@ -489,46 +489,25 @@ def run_task(
     elapsed = time.monotonic() - t0
     sig = -returncode if returncode is not None and returncode < 0 else None
 
+    seen = dict(phase=phase, rss_kb=rss_kb, elapsed=elapsed,
+                stderr_tail=stderr_tail)
     if result_frame is not None:
         if result_frame.get("ok"):
-            return WorkerOutcome(
-                status="ok",
-                value=result_frame.get("value"),
-                phase=phase,
-                rss_kb=rss_kb,
-                elapsed=elapsed,
-                returncode=returncode,
-                stderr_tail=stderr_tail,
-            )
-        return WorkerOutcome(
-            status="failed",
-            error=result_frame.get("error") or {},
-            phase=phase,
-            rss_kb=rss_kb,
-            elapsed=elapsed,
-            returncode=returncode,
-            stderr_tail=stderr_tail,
-        )
+            return WorkerOutcome(status="ok", value=result_frame.get("value"),
+                                 returncode=returncode, **seen)
+        return WorkerOutcome(status="failed",
+                             error=result_frame.get("error") or {},
+                             returncode=returncode, **seen)
     if timed_out:
-        return WorkerOutcome(
-            status="timeout",
-            phase=phase,
-            rss_kb=rss_kb,
-            elapsed=elapsed,
-            signal=signal.SIGKILL,
-            returncode=returncode,
-            stderr_tail=stderr_tail,
-        )
+        return WorkerOutcome(status="timeout", signal=signal.SIGKILL,
+                             returncode=returncode, **seen)
     # EOF (or a torn frame) without a result: a non-cooperative death.
     return WorkerOutcome(
         status="crashed",
-        phase=phase,
-        rss_kb=rss_kb,
-        elapsed=elapsed,
         signal=sig,
         returncode=returncode if sig is None else None,
         error={"torn_frame": True} if torn else None,
-        stderr_tail=stderr_tail,
+        **seen,
     )
 
 
@@ -583,24 +562,45 @@ def decode_task(task: Task) -> Tuple[Any, Dict[str, Any]]:
     ), options
 
 
-def cache_query(task: Task) -> Optional[Tuple[Any, Any, bool]]:
-    """``(query, plan, allow_bisim)`` for a result-cache lookup of
-    ``task``, or ``None`` when the task is not cacheable.
+def lookup_verdict(cache, task: Task, key: str) -> Tuple[Optional[Dict], Any]:
+    """``(cached result or None, query)`` for ``task`` (task key ``key``)
+    in ``cache``, a :class:`~repro.engine.cache.ResultCache`; pass the
+    query on to :func:`store_verdict` so the task is decoded once.
 
-    Fuzz cases have no query.  A ``check-*`` task that fails to decode
-    is uncacheable too: it is dispatched to a worker, which reports the
-    real error — the cache never turns a malformed task into a crash.
+    A ``check-*`` task is looked up by its decoded query under the reuse
+    policy of its plan; a fuzz case raw by its task key (its query is
+    ``None``).  A ``check-*`` task that fails to decode is a miss with no
+    query: a worker reports the real error -- the cache never turns a
+    malformed task into a crash.
     """
     if task.kind not in ("check-race", "check-fusion"):
-        return None
+        return cache.task_result(key), None
     from ..engine import plan_for
 
     try:
         query, options = decode_task(task)
         plan = plan_for(options.get("engine", "auto"))
     except Exception:
+        return None, None
+    record = cache.lookup(
+        query, plan, allow_bisim=bool(options.get("check_bisim", True))
+    )
+    return (None if record is None else record["result"]), query
+
+
+def store_verdict(
+    cache, task: Task, key: str, query, value: Dict[str, Any]
+) -> Optional[str]:
+    """Store a finished task's result where :func:`lookup_verdict` finds
+    it; returns the row key, or ``None`` when nothing was stored (an
+    ``unknown`` verdict, which must always be recomputed, or a task that
+    did not decode)."""
+    if task.kind not in ("check-race", "check-fusion"):
+        cache.store_task(key, task.kind, value)
+        return key
+    if query is None:
         return None
-    return query, plan, bool(options.get("check_bisim", True))
+    return query.key() if cache.store(query, value) else None
 
 
 # ----------------------------------------------------------------------
@@ -678,83 +678,19 @@ def task_for_case(case, cfg=None, limits: Optional[Limits] = None) -> Task:
     )
 
 
-def _worker_attempt_record(task: Task, attempt: Dict[str, Any]) -> Dict[str, Any]:
-    """A supervisor attempt rendered in the plan executor's attempts
-    format (the shared schema lives in :mod:`repro.engine.plan`)."""
-    from ..engine.plan import worker_attempt_record
-
-    return worker_attempt_record(task.limits.to_dict(), attempt)
-
-
-def verification_from_supervised(supervised) -> "VerificationResult":
-    """Convert a supervised worker run of a ``check-*`` task back into
-    a :class:`~repro.core.api.VerificationResult`.
-
-    A child that never produced a verdict (crash/timeout after the
-    retry budget) yields ``verdict="unknown"`` with ``holds=False`` —
-    never a silent wrong answer — and every failed worker attempt
-    appears in ``details["attempts"]`` with its outcome class.
-    """
-    from ..core.api import VerificationResult, verification_from_dict
-
-    task = supervised.task
-    final = supervised.final
-    failed_attempts = [
-        _worker_attempt_record(task, a)
-        for a in supervised.attempts
-        if a["outcome"] != "ok"
-    ]
-    query = {
-        "check-race": f"data-race({task.payload.get('name', task.name)})",
-        "check-fusion": (
-            f"equivalence({task.payload.get('name', 'p')} vs "
-            f"{task.payload.get('name2', 'q')})"
-        ),
-    }.get(task.kind, task.name)
-
-    if final.status == "ok":
-        value = final.value or {}
-        res = verification_from_dict(
-            value, default_query=query, elapsed=final.elapsed
-        )
-        res.details["attempts"] = failed_attempts + list(
-            res.details.get("attempts") or []
-        )
-        res.details["isolation"] = "process"
-        if supervised.degraded:
-            res.details["circuit_breaker"] = "open"
-        return res
-    details = {
-        "attempts": failed_attempts,
-        "decided_by": None,
-        "isolation": "process",
-        "worker": {
-            "status": final.status,
-            "outcome_class": final.outcome_class,
-            "detail": final.describe(),
-            "signal": final.signal,
-            "phase": final.phase,
-            "rss_kb": final.rss_kb,
-        },
-    }
-    if final.status == "failed":
-        details["worker"]["error"] = final.error
-    return VerificationResult(
-        query=query,
-        verdict="unknown",
-        engine="process",
-        elapsed=sum(a["elapsed"] for a in supervised.attempts),
-        holds=False,
-        details=details,
-    )
-
-
 def run_verification_isolated(task: Task, policy=None, supervisor=None):
-    """Run one ``check-*`` task under process isolation and supervision."""
+    """Run one ``check-*`` task under process isolation and supervision;
+    returns a :class:`~repro.core.api.VerificationResult`."""
+    from ..core.api import verification_from_reply
     from .supervisor import Supervisor
 
+    t0 = time.perf_counter()
     sup = supervisor or Supervisor(policy=policy)
-    return verification_from_supervised(sup.run_one(task))
+    reply = sup.run_one(task).reply()
+    return verification_from_reply(
+        reply, decode_task(task)[0], task.limits.to_dict(), "process",
+        time.perf_counter() - t0,
+    )
 
 
 def run_case_isolated(
@@ -776,13 +712,12 @@ def run_case_isolated(
     from .supervisor import Supervisor
 
     sup = supervisor or Supervisor(policy=policy)
-    supervised = sup.run_one(task_for_case(case, cfg, limits))
-    final = supervised.final
+    reply = sup.run_one(task_for_case(case, cfg, limits)).reply()
     result = CaseResult(case=case)
-    result.engines["worker_attempts"] = supervised.attempts
-    result.elapsed = sum(a["elapsed"] for a in supervised.attempts)
-    if final.status == "ok":
-        value = final.value or {}
+    result.engines["worker_attempts"] = reply["attempts"]
+    result.elapsed = sum(a["elapsed"] for a in reply["attempts"])
+    if reply["ok"]:
+        value = reply["value"]
         result.mismatches = [
             Mismatch(kind=m["kind"], detail=m["detail"])
             for m in value.get("mismatches", ())
@@ -791,14 +726,10 @@ def run_case_isolated(
         result.engines.update(value.get("engines") or {})
         return result
     result.engines["worker"] = {
-        "status": final.status,
-        "outcome_class": final.outcome_class,
-        "signal": final.signal,
-        "phase": final.phase,
-        "rss_kb": final.rss_kb,
+        "outcome_class": reply["outcome_class"], **reply["worker"]
     }
     result.mismatches.append(
-        Mismatch(kind="engine-error", detail=f"isolated {final.describe()}")
+        Mismatch(kind="engine-error", detail=f"isolated {reply['detail']}")
     )
     return result
 

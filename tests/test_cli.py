@@ -184,3 +184,20 @@ class TestBatch:
                     "--quiet"])
         assert rc2 == 1
         assert "1 resumed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cmd", ["serve", "batch"])
+    def test_jobs_zero_is_a_usage_error(self, racy_file, tmp_path, capsys,
+                                        cmd):
+        # Rejected while parsing flags: the run directory is never made.
+        run_dir = tmp_path / "run"
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"tasks": [
+            {"name": "racy", "kind": "check-race", "file": racy_file},
+        ]}))
+        argv = (["serve", str(run_dir)] if cmd == "serve" else
+                ["batch", str(manifest), "--run-dir", str(run_dir)])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--jobs", "0"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not run_dir.exists()

@@ -150,17 +150,6 @@ def test_load_sheds_lowest_priority_newest_first():
     assert s.stats()["counters"]["shed"] == 1
 
 
-def test_stride_scheduling_weighted_two_to_one():
-    s = FairScheduler(max_depth=100, weights={"heavy": 2.0, "light": 1.0})
-    for i in range(30):
-        s.submit("heavy" if i % 2 else "light", distinct_task(i))
-    served = [s.next_ready().client for _ in range(15)]
-    # Exact stride ratio over any window: weight 2 gets twice the
-    # service of weight 1 (10 vs 5 in 15 dequeues).
-    assert served.count("heavy") == 10
-    assert served.count("light") == 5
-
-
 def test_no_starvation_under_flood():
     s = FairScheduler(max_depth=1000)
     for i in range(50):
@@ -661,6 +650,67 @@ def test_warm_start_from_corpus(tmp_path):
             # The warmed verdict is served as a cache hit.
             r = c.submit_task(racy_task(name="warm-racy"))
             assert r["cached"] and r["value"]["verdict"] == "race"
+
+
+def test_warm_start_uses_corpus_correspondence(tmp_path):
+    """A corpus entry's ``correspondence`` overrides the block mapping,
+    as ``map_overrides`` does for a check-fusion task."""
+    import shutil
+
+    from repro.service.daemon import warm_from_corpus
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(
+        Path(__file__).parent / "corpus" / "minimax-fusion.json", corpus
+    )
+    cache = ResultCache(tmp_path / "run")
+    try:
+        counts = warm_from_corpus(cache, corpus)
+    finally:
+        cache.shared.close()
+    assert counts == {"warmed": 1, "already": 0, "skipped": 0}
+
+
+@pytest.mark.parametrize("transient", [True, False],
+                         ids=["transient", "permanent"])
+def test_process_and_daemon_report_a_worker_crash_alike(
+    tmp_path, monkeypatch, transient
+):
+    """The same worker crash reads the same through process isolation
+    and through the daemon: query, verdict, attempts (the crash
+    included) and, on failure, the worker's outcome class."""
+    from repro.engine import normalized_attempts
+
+    prog = parse_program(RACY, name="racy")
+    monkeypatch.setenv("REPRO_FAULT", "worker-abort:1")
+    results = {}
+    with DaemonHandle(tmp_path / "run", isolation="process") as h:
+        for route in ("process", "daemon"):
+            if transient:
+                monkeypatch.setenv(
+                    "REPRO_FAULT_ONCE", str(tmp_path / f"{route}.once")
+                )
+            else:
+                monkeypatch.delenv("REPRO_FAULT_ONCE", raising=False)
+            extra = {"daemon_socket": h.daemon.socket_path} \
+                if route == "daemon" else {}
+            results[route] = check_data_race(
+                prog, max_internal=2, replay=False, wall_s=60.0,
+                isolation=route, **extra,
+            )
+    proc, daemon = results["process"], results["daemon"]
+    assert proc.query == daemon.query == "data-race(racy)"
+    assert proc.verdict == daemon.verdict
+    assert normalized_attempts(proc.details["attempts"]) == \
+        normalized_attempts(daemon.details["attempts"])
+    assert proc.details["attempts"][0]["rung"] == "worker#1"
+    if transient:
+        assert proc.verdict == "race"
+    else:
+        assert proc.verdict == "unknown"
+        assert proc.details["worker"]["outcome_class"] == "crashed"
+        assert daemon.details["worker"]["outcome_class"] == "crashed"
 
 
 def test_cli_client_and_serve_status_stop(tmp_path, capsys):
