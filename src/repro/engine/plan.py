@@ -141,10 +141,11 @@ def worker_attempt_record(
     limits: Dict[str, object], attempt: Dict[str, object]
 ) -> Dict[str, object]:
     """A supervisor attempt rendered in the plan's attempts format
-    (``limits`` is the task's sandbox-limits dict)."""
+    (``limits`` is the task's sandbox-limits dict); its engine is where
+    the attempt ran, ``"process"`` or ``"inline"``."""
     rec = {
         "rung": f"worker#{attempt['attempt']}",
-        "engine": "process",
+        "engine": attempt["isolation"],
         "limits": dict(limits),
         "outcome": attempt["outcome"],
         "elapsed": attempt["elapsed"],

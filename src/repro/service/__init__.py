@@ -61,7 +61,6 @@ from .worker import (
     WorkerOutcome,
     run_case_isolated,
     run_task,
-    run_verification_isolated,
 )
 
 __all__ = [
@@ -71,7 +70,6 @@ __all__ = [
     "WorkerOutcome",
     "run_task",
     "run_case_isolated",
-    "run_verification_isolated",
     "Supervisor",
     "SupervisedResult",
     "RetryPolicy",

@@ -279,6 +279,7 @@ class Supervisor:
             )
             record: Dict[str, Any] = {
                 "attempt": attempt,
+                "isolation": self.isolation,
                 "outcome": outcome.outcome_class,
                 "status": outcome.status,
                 "elapsed": round(outcome.elapsed, 6),

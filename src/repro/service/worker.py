@@ -62,7 +62,6 @@ __all__ = [
     "task_for_fusion",
     "task_for_case",
     "run_case_isolated",
-    "run_verification_isolated",
 ]
 
 #: Seconds between heartbeat frames from the child.
@@ -675,21 +674,6 @@ def task_for_case(case, cfg=None, limits: Optional[Limits] = None) -> Task:
         payload={"case": asdict(case), "oracle": cfg_data},
         name=case.name,
         limits=limits or Limits(),
-    )
-
-
-def run_verification_isolated(task: Task, policy=None, supervisor=None):
-    """Run one ``check-*`` task under process isolation and supervision;
-    returns a :class:`~repro.core.api.VerificationResult`."""
-    from ..core.api import verification_from_reply
-    from .supervisor import Supervisor
-
-    t0 = time.perf_counter()
-    sup = supervisor or Supervisor(policy=policy)
-    reply = sup.run_one(task).reply()
-    return verification_from_reply(
-        reply, decode_task(task)[0], task.limits.to_dict(), "process",
-        time.perf_counter() - t0,
     )
 
 

@@ -713,6 +713,21 @@ def test_process_and_daemon_report_a_worker_crash_alike(
         assert daemon.details["worker"]["outcome_class"] == "crashed"
 
 
+def test_inline_daemon_labels_failed_attempts_inline(tmp_path):
+    """A failed attempt names the isolation it ran under, so a daemon
+    started with ``isolation="inline"`` does not report worker rungs as
+    process children."""
+    from repro.engine.plan import worker_attempt_record
+
+    with DaemonHandle(tmp_path / "run", isolation="inline") as h:
+        with h.client() as c:
+            r = c.submit_task(task_for_race("proc Main(n) {", name="bad"))
+    assert not r["ok"]
+    (attempt,) = r["attempts"]
+    assert attempt["isolation"] == "inline"
+    assert worker_attempt_record({}, attempt)["engine"] == "inline"
+
+
 def test_cli_client_and_serve_status_stop(tmp_path, capsys):
     """`repro client` and `repro serve --status/--stop` against a live
     daemon, in-process (the chaos script covers the subprocess path)."""

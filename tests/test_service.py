@@ -300,16 +300,16 @@ def test_api_isolation_process():
         check_data_race(program, isolation="osmosis")
 
 
-def test_api_isolation_surfaces_dead_worker(tmp_path):
+def test_api_isolation_surfaces_dead_worker(monkeypatch):
     # A worker that dies past its retry budget must yield unknown/False,
     # with the crash recorded in the attempts trail.
-    from repro.service.worker import run_verification_isolated
+    from repro.lang.parser import parse_program
 
-    sup = Supervisor(
-        policy=RetryPolicy(max_attempts=1), env=crash_env(tmp_path, once=False)
-    )
-    res = run_verification_isolated(
-        task_for_race(RACY, options={"max_internal": 2}), supervisor=sup
+    monkeypatch.setenv("REPRO_FAULT", "worker-abort:1")
+    monkeypatch.delenv("REPRO_FAULT_ONCE", raising=False)
+    res = check_data_race(
+        parse_program(RACY, name="racy"), max_internal=2, replay=False,
+        wall_s=60.0, isolation="process",
     )
     assert res.verdict == "unknown" and res.holds is False
     assert res.engine == "process"
@@ -507,6 +507,28 @@ def test_batch_resume_after_torn_journal(tmp_path):
     assert report.ran + report.cache_hits == 1
     assert report.journal_skipped_lines == 1
     assert (run_b / "results.json").read_bytes() == golden
+
+
+def test_batch_fuzz_case_served_from_its_task_row(tmp_path):
+    """A fuzz case whose journal line was torn after its checksummed
+    resume row was written is served from that row on resume, as a
+    cache hit, not rerun."""
+    m = write_manifest(tmp_path / "m.json", tasks=[
+        {"name": "fz", "kind": "fuzz-case",
+         "case": {"kind": "race", "source": RACY, "max_internal": 2},
+         "oracle": {"run_symbolic": False}},
+    ])
+    run = tmp_path / "run"
+    run_batch(m, run, isolation="inline")
+    golden = (run / "results.json").read_bytes()
+    (run / "journal.jsonl").write_text('{"event": "verdict", "key": "to')
+    (run / "results.json").unlink()
+
+    report = run_batch(m, run, isolation="inline", resume=True)
+    assert report.resumed == 0
+    assert report.ran == 0 and report.cache_hits == 1
+    assert report.journal_skipped_lines == 1
+    assert (run / "results.json").read_bytes() == golden
 
 
 def test_batch_corrupt_store_record_recomputed(tmp_path):
