@@ -272,9 +272,8 @@ def _check_race_case(
     try:
         sym = _symbolic_raw(query, cfg)
     except SolverInternalError as e:
-        result.mismatches.append(Mismatch(
-            "engine-error", f"symbolic engine failed: {e}"
-        ))
+        # The engine's own message already says "symbolic engine failed".
+        result.mismatches.append(Mismatch("engine-error", str(e)))
         return
     result.engines["symbolic"] = sym.detail
     result.engines["symbolic_status"] = sym.status
@@ -391,9 +390,8 @@ def _check_equiv_case(
             mso_deadline_s=cfg.sym_deadline_s, replay=False,
         )
     except SolverInternalError as e:
-        result.mismatches.append(Mismatch(
-            "engine-error", f"symbolic engine failed: {e}"
-        ))
+        # The engine's own message already says "symbolic engine failed".
+        result.mismatches.append(Mismatch("engine-error", str(e)))
         return
     finally:
         if cfg.fault is not None:

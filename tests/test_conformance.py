@@ -1,5 +1,6 @@
 """The differential conformance oracle, shrinker, and corpus."""
 
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -74,6 +75,18 @@ def racy_case(**kw):
     return Case(kind="race", source=RACY, name="racy", **kw)
 
 
+def ident_case():
+    return Case(kind="equiv", source=CLEAN, source2=CLEAN, name="ident")
+
+
+def _untimed(engines):
+    """The oracle's ``engines`` record with wall-clock seconds masked."""
+    return {
+        k: re.sub(r"\d+\.\d+s\)", "<t>s)", v) if isinstance(v, str) else v
+        for k, v in engines.items()
+    }
+
+
 # ----------------------------------------------------------------------
 # Oracle
 
@@ -95,12 +108,81 @@ def test_oracle_clean_case():
 
 
 def test_oracle_identity_equivalence():
-    res = run_case(Case(
-        kind="equiv", source=CLEAN, source2=CLEAN, name="ident",
-    ))
+    res = run_case(ident_case())
     assert res.ok, [str(m) for m in res.mismatches]
     assert res.engines["bounded"] == "equivalent"
     assert res.engines["precondition_racefree"] is True
+
+
+_RACY_INTERP = "tree [''] seed 0: race on node root.a: write by s1 || write by s1"
+_RACY_BOUNDED = {
+    "interp_race": _RACY_INTERP,
+    "bounded": "[bounded] data-race(racy-p): COUNTEREXAMPLE "
+               "(1 trees, max 3 configs, <t>s)",
+    "bounded_found": True,
+    "bounded_replay":
+        "skipped: value-cell witness is not dynamically observable",
+}
+_RACY_DECIDED = {
+    **_RACY_BOUNDED,
+    "symbolic": "[mso] data-race(racy-p): COUNTEREXAMPLE "
+                "(1 queries, max 3 automaton states, <t>s)",
+    "symbolic_status": "decided",
+    "symbolic_found": True,
+    "symbolic_replay": "dynamic race confirmed (seed 0): race on node "
+                       "root.a: write by s1 || write by s1",
+}
+
+
+@pytest.mark.parametrize("case, cfg, engines", [
+    pytest.param(racy_case(), OracleConfig(), _RACY_DECIDED, id="racy"),
+    pytest.param(
+        Case(kind="race", source=CLEAN, name="clean"), OracleConfig(),
+        {
+            "interp_race": None,
+            "bounded": "[bounded] data-race(clean-p): holds on scope "
+                       "(4 trees, max 4 configs, <t>s)",
+            "bounded_found": False,
+            "symbolic": "[mso] data-race(clean-p): holds (all trees) "
+                        "(6 queries, max 0 automaton states, <t>s)",
+            "symbolic_status": "decided",
+            "symbolic_found": False,
+        },
+        id="clean",
+    ),
+    pytest.param(
+        ident_case(), OracleConfig(),
+        {
+            "total_mapping": True,
+            "precondition_racefree": True,
+            "concrete_divergence": None,
+            "bounded": "equivalent",
+            "symbolic": "equivalent",
+            "symbolic_status": "decided",
+        },
+        id="ident",
+    ),
+    pytest.param(
+        racy_case(), OracleConfig(product_budget=5), _RACY_DECIDED,
+        id="racy-product-budget-5",
+    ),
+    pytest.param(
+        racy_case(), OracleConfig(product_budget=1),
+        {
+            **_RACY_BOUNDED,
+            "symbolic": "[mso] data-race(racy-p): BUDGET "
+                        "(0 queries, max 0 automaton states, <t>s)",
+            "symbolic_status": "budget",
+            "symbolic_found": None,  # undecided: no verdict
+        },
+        id="racy-undecided",
+    ),
+])
+def test_oracle_engines_record_pinned(case, cfg, engines):
+    """Every non-timing value the oracle records, per engine."""
+    res = run_case(case, cfg)
+    assert res.ok and not res.warnings, [str(m) for m in res.mismatches]
+    assert _untimed(res.engines) == engines
 
 
 def test_oracle_skips_symbolic_when_disabled():
@@ -149,22 +231,28 @@ def test_oracle_flags_missing_witness(monkeypatch):
 
 def test_oracle_catches_injected_corrupt_fault():
     """The acceptance gate: a corrupted BDD apply inside the symbolic
-    engine must surface as an ``engine-error`` mismatch."""
+    engine must surface as an ``engine-error`` mismatch, on race and
+    equivalence cases alike."""
     cfg = OracleConfig(fault=("bdd.apply", 1, "corrupt"))
-    res = run_case(racy_case(), cfg)
-    assert not res.ok
-    assert {m.kind for m in res.mismatches} == {"engine-error"}
+    for case in (racy_case(), ident_case()):
+        res = run_case(case, cfg)
+        assert not res.ok
+        assert {m.kind for m in res.mismatches} == {"engine-error"}
+        (detail,) = [m.detail for m in res.mismatches]
+        assert detail.count("symbolic engine failed") == 1, detail
+        assert "symbolic" not in res.engines
 
 
 def test_oracle_fault_rearmed_per_evaluation():
     """FaultSpec fires once; the oracle must re-arm it each run so
     shrinker re-evaluations keep failing deterministically."""
     cfg = OracleConfig(fault=("bdd.apply", 1, "corrupt"))
-    for _ in range(2):
-        res = run_case(racy_case(), cfg)
-        assert {m.kind for m in res.mismatches} == {"engine-error"}
-    # and a fresh config without the fault is unaffected
-    assert run_case(racy_case(), OracleConfig()).ok
+    for case in (racy_case(), ident_case()):
+        for _ in range(2):
+            res = run_case(case, cfg)
+            assert {m.kind for m in res.mismatches} == {"engine-error"}
+        # and a fresh config without the fault is unaffected
+        assert run_case(case, OracleConfig()).ok
 
 
 # ----------------------------------------------------------------------
