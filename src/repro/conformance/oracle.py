@@ -9,9 +9,12 @@ every registered engine:
   every tree shape in scope, under several seeded field valuations;
 * the **bounded engine** (``get_engine("bounded")``) — exhaustive on
   the same scope;
-* the **symbolic engine** (``get_engine("mso")``) — the guarded MSO
-  pipeline, called *raw* through :meth:`Engine.run` (never through a
-  plan/ladder) so its verdict is never masked by a fallback rung.
+* the **symbolic engine** (``get_engine("mso")``) — the strict ``mso``
+  rung (:func:`repro.engine.plan.run_symbolic`, ``lenient=False``), the
+  code ``engine="mso"`` runs: no retry or fallback rung masks its
+  verdict.  Equivalence cases reach it through
+  :func:`~repro.core.api.check_equivalence`, home of the bisimulation
+  gate.
 
 The engines are then checked against the soundness lattice the paper's
 theorems induce (dynamic ⊆ bounded ⊆ symbolic):
@@ -43,6 +46,7 @@ warnings, never as mismatches.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -55,6 +59,7 @@ from ..engine import (
     get_engine,
     program_fields,
 )
+from ..engine.plan import run_symbolic
 from ..lang import ast as A
 from ..lang.blocks import BlockTable
 from ..lang.parser import parse_program
@@ -184,27 +189,43 @@ class CaseResult:
 
 
 # ----------------------------------------------------------------------
-# Symbolic engine, called raw (no plan)
+# Engine runs
 
 
-def _symbolic_raw(query, cfg: OracleConfig):
-    """Raw symbolic verdict, with the configured fault (if any) armed."""
-    if cfg.fault is not None:
-        probe, hit, action = cfg.fault
-        fault_mod.disarm_all()
-        fault_mod.arm(probe, hit=hit, action=action)
+@contextmanager
+def _fault_armed(cfg: OracleConfig):
+    """Arm the configured fault (if any) for one symbolic run."""
+    if cfg.fault is None:
+        yield
+        return
+    probe, hit, action = cfg.fault
+    fault_mod.disarm_all()
+    fault_mod.arm(probe, hit=hit, action=action)
     try:
-        return get_engine("mso").run(
-            query,
-            limits=Limits(
-                det_budget=cfg.det_budget,
-                product_budget=cfg.product_budget,
-                mso_deadline_s=cfg.sym_deadline_s,
-            ),
-        )
+        yield
     finally:
-        if cfg.fault is not None:
-            fault_mod.disarm_all()
+        fault_mod.disarm_all()
+
+
+def _symbolic_race(query: RaceQuery, cfg: OracleConfig):
+    """The strict ``mso`` rung's verdict, with the configured fault
+    armed.  An undecided verdict keeps whatever witness it carries, so
+    the stale-witness rule can see it."""
+    limits = Limits(
+        det_budget=cfg.det_budget,
+        product_budget=cfg.product_budget,
+        mso_deadline_s=cfg.sym_deadline_s,
+    )
+    with _fault_armed(cfg):
+        sym, _rung = run_symbolic(
+            get_engine("mso").bind(query), limits, [], {}, lenient=False
+        )
+    return sym
+
+
+def _bounded(query):
+    """The bounded engine's verdict on the query's own scope."""
+    return get_engine("bounded").bind(query)(query.scope, None)
 
 
 # ----------------------------------------------------------------------
@@ -222,8 +243,8 @@ def _check_race_case(
     interp_race = interp.race_evidence(query, field_seeds=cfg.field_seeds)
     result.engines["interp_race"] = interp_race
 
-    bounded = get_engine("bounded").run(query)
-    result.engines["bounded"] = bounded.detail
+    bounded = _bounded(query)
+    result.engines["bounded"] = str(bounded)
     result.engines["bounded_found"] = bounded.found
 
     # Lattice: dynamic race ⇒ bounded race (the abstraction
@@ -251,7 +272,7 @@ def _check_race_case(
         cells = getattr(bounded.witness, "cells", ())
         if any(str(c).startswith("field:") for c in cells):
             rep = replay_race_witness(
-                program, bounded.witness_tree, fields, seeds=cfg.field_seeds
+                program, bounded.witness.tree, fields, seeds=cfg.field_seeds
             )
             result.engines["bounded_replay"] = rep.detail
             if not rep.confirmed:
@@ -270,16 +291,17 @@ def _check_race_case(
     if not cfg.run_symbolic:
         return
     try:
-        sym = _symbolic_raw(query, cfg)
+        sym = _symbolic_race(query, cfg)
     except SolverInternalError as e:
         # The engine's own message already says "symbolic engine failed".
         result.mismatches.append(Mismatch("engine-error", str(e)))
         return
-    result.engines["symbolic"] = sym.detail
+    decided = sym.status == "decided"
+    result.engines["symbolic"] = str(sym)
     result.engines["symbolic_status"] = sym.status
-    result.engines["symbolic_found"] = sym.found
+    result.engines["symbolic_found"] = sym.found if decided else None
 
-    if sym.status != "decided":
+    if not decided:
         # PR 2 invariant: an undecided run never carries a witness.
         if sym.witness is not None:
             result.mismatches.append(Mismatch(
@@ -309,7 +331,7 @@ def _check_race_case(
             ))
     elif sym.witness is not None:
         rep = replay_race_witness(
-            program, sym.witness_tree, fields, seeds=cfg.field_seeds
+            program, sym.witness.tree, fields, seeds=cfg.field_seeds
         )
         result.engines["symbolic_replay"] = rep.detail
         if not rep.confirmed:
@@ -330,7 +352,6 @@ def _check_equiv_case(
     query = EquivalenceQuery(
         program=p, program2=q, mapping=mapping, scope=case.max_internal
     )
-    bounded_eng = get_engine("bounded")
     # Thm 3 needs a *total* non-call correspondence; with a partial one
     # an "equivalent" verdict is outside the API's contract, so the
     # concrete-divergence rule is not escalated to a mismatch.
@@ -341,12 +362,10 @@ def _check_equiv_case(
 
     # Thm 3's guarantee only applies to race-free programs (footnote 7);
     # the concrete-divergence rule is gated on that precondition.
-    p_racefree = not bounded_eng.run(
-        RaceQuery(program=p, scope=case.max_internal)
-    ).found
-    q_racefree = not bounded_eng.run(
-        RaceQuery(program=q, scope=case.max_internal)
-    ).found
+    p_racefree, q_racefree = (
+        not _bounded(RaceQuery(program=x, scope=case.max_internal)).found
+        for x in (p, q)
+    )
     result.engines["precondition_racefree"] = p_racefree and q_racefree
 
     divergence = (
@@ -379,23 +398,17 @@ def _check_equiv_case(
 
     if not cfg.run_symbolic:
         return
-    if cfg.fault is not None:
-        probe, hit, action = cfg.fault
-        fault_mod.disarm_all()
-        fault_mod.arm(probe, hit=hit, action=action)
     try:
-        sym = check_equivalence(
-            p, q, mapping, engine="mso",
-            det_budget=cfg.det_budget,
-            mso_deadline_s=cfg.sym_deadline_s, replay=False,
-        )
+        with _fault_armed(cfg):
+            sym = check_equivalence(
+                p, q, mapping, engine="mso",
+                det_budget=cfg.det_budget,
+                mso_deadline_s=cfg.sym_deadline_s, replay=False,
+            )
     except SolverInternalError as e:
         # The engine's own message already says "symbolic engine failed".
         result.mismatches.append(Mismatch("engine-error", str(e)))
         return
-    finally:
-        if cfg.fault is not None:
-            fault_mod.disarm_all()
     result.engines["symbolic"] = sym.verdict
     result.engines["symbolic_status"] = sym.details.get("mso_status")
 

@@ -28,8 +28,9 @@ interpreter (:mod:`repro.core.witness`), automating the paper's manual
 true-positive check.
 
 Passing ``cache=`` a :class:`~repro.engine.cache.ResultCache` makes the
-call consult and feed the content-addressed verdict cache; reuse is
-gated on the deciding engine's declared capabilities (see
+call consult and feed the content-addressed verdict cache; a stored
+counterexample is always reusable, a clean verdict only when the
+deciding engine is complete for the query (see
 :mod:`repro.engine.cache`), and cache traffic is surfaced in
 ``details["cache"]``.
 """

@@ -12,23 +12,22 @@ dispatches the same way:
 * :mod:`repro.engine.query` — :class:`RaceQuery` /
   :class:`EquivalenceQuery` + :class:`Limits`: the question as data,
   hashed without its limits;
-* :mod:`repro.engine.engines` — the :class:`Engine` protocol with
-  declared :class:`Capabilities` and the three backends in a fixed
-  name → engine table;
+* :mod:`repro.engine.engines` — the :class:`Engine` protocol (one
+  ``bind(query)`` rung runner per engine, and what its clean verdicts
+  are ``complete_for``) and the three backends in a fixed name →
+  engine table;
 * :mod:`repro.engine.plan` — the degradation ladder as a two-field
   :class:`Plan` (does the MSO procedure run, which scope engine
   follows) run by one :func:`~repro.engine.plan.execute` producing the
   historical ``details["attempts"]`` schema;
 * :mod:`repro.engine.cache` — a content-addressed verdict cache whose
-  reuse rules read the deciding engine's capabilities.
+  reuse rules read the deciding engine's ``complete_for``.
 """
 
 from .cache import CacheStats, ResultCache
 from .engines import (
     BoundedEngine,
-    Capabilities,
     Engine,
-    EngineVerdict,
     InterpEngine,
     SymbolicEngine,
     get_engine,
@@ -53,9 +52,7 @@ __all__ = [
     "RaceQuery",
     "EquivalenceQuery",
     "program_fields",
-    "Capabilities",
     "Engine",
-    "EngineVerdict",
     "SymbolicEngine",
     "BoundedEngine",
     "InterpEngine",

@@ -11,13 +11,13 @@ The same file also holds *task-keyed* rows (``{"key", "kind",
 "result"}``, see :meth:`ResultCache.store_task`): a batch's resume
 records and the daemon's fuzz-case results.
 
-Reuse is governed by the deciding engine's declared
-:class:`~repro.engine.engines.Capabilities`, not by the verdict alone:
+Reuse is governed by the verdict and the deciding engine's
+``complete_for`` (:mod:`repro.engine.engines`):
 
 * ``"unknown"`` is never reusable (and never stored) — a bigger budget
   might decide it;
-* a **counterexample** (``race`` / ``not-equivalent``) is reusable iff
-  the deciding engine is *sound* for the query kind — the evidence
+* a **counterexample** (``race`` / ``not-equivalent``) is always
+  reusable — every engine's counterexamples are concrete evidence that
   stands regardless of scope or budget;
 * a **clean** verdict (``race-free`` / ``equivalent``) is reusable iff
   the deciding engine is *complete* for what the query asks: over all
@@ -42,7 +42,7 @@ from .engines import get_engine
 
 __all__ = ["CacheStats", "ResultCache"]
 
-#: Verdicts that carry a counterexample (sound-direction evidence).
+#: Verdicts that carry a counterexample (always-reusable evidence).
 _FOUND_VERDICTS = frozenset({"race", "not-equivalent"})
 
 
@@ -106,15 +106,12 @@ class ResultCache:
             return allow_bisim and query.kind == "equiv"
         if decided_engine not in plan.engine_names():
             return False
-        try:
-            caps = get_engine(decided_engine).capabilities
-        except ValueError:
-            return False
         if verdict in _FOUND_VERDICTS:
-            return query.kind in caps.sound_for
-        if caps.complete_for == "all-trees":
             return True
-        if caps.complete_for == "scope":
+        complete_for = get_engine(decided_engine).complete_for
+        if complete_for == "all-trees":
+            return True
+        if complete_for == "scope":
             return record.get("scope") == query.scope
         return False
 

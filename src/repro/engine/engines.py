@@ -2,39 +2,33 @@
 
 Every backend answers the same two questions — :class:`~repro.engine.
 query.RaceQuery` and :class:`~repro.engine.query.EquivalenceQuery` —
-through one interface::
+through one interface: ``get_engine(name).bind(query)`` returns the
+rung runner the plans (:mod:`repro.engine.plan`) drive.  ``mso``'s
+runner takes ``(solver, guard)`` and is only ever run through
+:func:`~repro.engine.plan.run_symbolic`; the scope engines' runners
+take ``(scope, guard)``.  The interpreter also exposes its evidence
+searches, which the conformance oracle and ``on_trees=`` call directly.
 
-    verdict = get_engine("mso").run(query)        # EngineVerdict
-
-and declares :class:`Capabilities` saying what its verdicts are worth:
-
-* ``sound_for`` — query kinds whose *counterexample* verdicts can be
-  trusted (all three engines only report concrete, checkable evidence);
-* ``complete_for`` — what a *clean* verdict quantifies over:
-  ``"all-trees"`` (the MSO pipeline decides over every tree),
-  ``"scope"`` (exhaustive up to the query's bound), or
-  ``"scope-sampled"`` (the interpreter's seeded valuations — clean
-  means "no evidence found", not a proof).
-
-The cache (:mod:`repro.engine.cache`) reads these declarations to
-decide which stored verdicts are reusable.  The set of engines is
-fixed: :func:`get_engine` / :func:`known_engines` read one name →
-engine table, and the plans (:mod:`repro.engine.plan`) name the
-engines they run.
+Every engine's counterexamples are concrete, checkable evidence.  What
+a *clean* verdict is worth is each engine's ``complete_for``:
+``"all-trees"`` (the MSO pipeline decides over every tree),
+``"scope"`` (exhaustive up to the query's bound), or
+``"scope-sampled"`` (the interpreter's seeded valuations — clean means
+"no evidence found", not a proof).  The cache (:mod:`repro.engine.
+cache`) reads it to decide which stored clean verdicts are reusable.
+The set of engines is fixed: :func:`get_engine` / :func:`known_engines`
+read one name → engine table.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..runtime import ResourceGuard
-from .query import EquivalenceQuery, Limits, RaceQuery
+from .query import EquivalenceQuery, RaceQuery
 
 __all__ = [
-    "Capabilities",
-    "EngineVerdict",
     "Engine",
     "SymbolicEngine",
     "BoundedEngine",
@@ -43,34 +37,6 @@ __all__ = [
     "get_engine",
     "known_engines",
 ]
-
-
-@dataclass(frozen=True)
-class Capabilities:
-    """What one engine's verdicts are worth (see module docstring)."""
-
-    sound_for: FrozenSet[str]  # query kinds with trustworthy counterexamples
-    complete_for: str  # "all-trees" | "scope" | "scope-sampled"
-
-
-@dataclass
-class EngineVerdict:
-    """Uniform engine answer.
-
-    ``found`` is the decided verdict — ``True`` (counterexample),
-    ``False`` (clean) or ``None`` (undecided); ``raw`` keeps the
-    engine-native verdict object (``SymbolicVerdict``,
-    ``BoundedVerdict``, :class:`InterpVerdict`) for callers that need
-    engine-specific detail (status counters, trees checked, …).
-    """
-
-    engine: str
-    status: str  # "decided" | "budget" | "deadline" | "memory"
-    found: Optional[bool]
-    witness: Optional[object] = None
-    witness_tree: Optional[object] = None
-    detail: str = ""
-    raw: Optional[object] = None
 
 
 @dataclass
@@ -89,7 +55,7 @@ class Engine(abc.ABC):
     """One verification backend, looked up by name."""
 
     name: str
-    capabilities: Capabilities
+    complete_for: str  # "all-trees" | "scope" | "scope-sampled"
 
     @abc.abstractmethod
     def bind(self, query) -> Callable:
@@ -97,30 +63,12 @@ class Engine(abc.ABC):
         ``(solver, guard) -> SymbolicVerdict``; the scope engines return
         ``(scope, guard) -> verdict`` with ``.found``/``.witness``."""
 
-    @abc.abstractmethod
-    def run(self, query, guard: Optional[ResourceGuard] = None,
-            limits: Optional[Limits] = None) -> EngineVerdict:
-        """Answer ``query`` raw — one engine, no ladder, no masking."""
-
 
 class SymbolicEngine(Engine):
     """The paper's MSO/automata pipeline — decides over *all* trees."""
 
     name = "mso"
-    capabilities = Capabilities(
-        sound_for=frozenset({"race", "equiv"}),
-        complete_for="all-trees",
-    )
-
-    @staticmethod
-    def solver(det_budget: int, product_budget: Optional[int] = None):
-        """An ``MSOSolver`` with these budgets (``product_budget=None``:
-        the solver's own default)."""
-        from ..solver.solver import MSOSolver
-
-        if product_budget is None:
-            return MSOSolver(det_budget=det_budget)
-        return MSOSolver(det_budget=det_budget, product_budget=product_budget)
+    complete_for = "all-trees"
 
     def bind(self, query) -> Callable:
         from ..core.symbolic import check_conflict_mso, check_data_race_mso
@@ -134,42 +82,12 @@ class SymbolicEngine(Engine):
             solver=solver, guard=guard,
         )
 
-    def run(self, query, guard: Optional[ResourceGuard] = None,
-            limits: Optional[Limits] = None) -> EngineVerdict:
-        limits = limits if limits is not None else query.limits
-        solver = self.solver(limits.det_budget, limits.product_budget)
-        own_guard = guard is None
-        if own_guard:
-            guard = ResourceGuard.start(
-                deadline_s=limits.mso_deadline_s,
-                node_ceiling=limits.node_ceiling,
-            )
-        try:
-            raw = self.bind(query)(solver, guard)
-        finally:
-            if own_guard:
-                guard.unbind_managers()
-        return EngineVerdict(
-            engine=self.name,
-            status=raw.status,
-            found=raw.found if raw.status == "decided" else None,
-            witness=raw.witness,
-            witness_tree=(
-                raw.witness.tree if (raw.found and raw.witness) else None
-            ),
-            detail=str(raw),
-            raw=raw,
-        )
-
 
 class BoundedEngine(Engine):
     """Exhaustive over every tree shape up to the query's scope."""
 
     name = "bounded"
-    capabilities = Capabilities(
-        sound_for=frozenset({"race", "equiv"}),
-        complete_for="scope",
-    )
+    complete_for = "scope"
 
     def bind(self, query) -> Callable:
         from ..core.bounded import check_conflict_bounded, check_data_race_bounded
@@ -183,23 +101,6 @@ class BoundedEngine(Engine):
             max_internal=scope, guard=guard,
         )
 
-    def run(self, query, guard: Optional[ResourceGuard] = None,
-            limits: Optional[Limits] = None,
-            scope: Optional[int] = None) -> EngineVerdict:
-        raw = self.bind(query)(scope if scope is not None else query.scope,
-                               guard)
-        return EngineVerdict(
-            engine=self.name,
-            status="decided",
-            found=raw.found,
-            witness=raw.witness,
-            witness_tree=(
-                raw.witness.tree if (raw.found and raw.witness) else None
-            ),
-            detail=str(raw),
-            raw=raw,
-        )
-
 
 class InterpEngine(Engine):
     """Dynamic evidence: happens-before race detection, schedule-outcome
@@ -210,10 +111,7 @@ class InterpEngine(Engine):
     """
 
     name = "interp"
-    capabilities = Capabilities(
-        sound_for=frozenset({"race", "equiv"}),
-        complete_for="scope-sampled",
-    )
+    complete_for = "scope-sampled"
 
     #: Default seeded valuations and schedule cap (the oracle overrides
     #: these per-config).
@@ -221,18 +119,16 @@ class InterpEngine(Engine):
     schedule_cap: int = 240
     value_range: Tuple[int, int] = (0, 5)
 
-    def _scope_trees(self, query, scope: Optional[int]):
-        from ..core.bounded import default_scope
-
-        return default_scope(scope if scope is not None else query.scope)
-
-    def _valuations(self, query, scope, field_seeds, trees=None):
+    def _valuations(self, query, scope, field_seeds, trees=None,
+                    guard=None):
         """(work, seed, fields) triples to check.
 
         With ``trees=`` the caller supplies concrete input trees instead
         of the scope enumeration; each is tried *as given* first (seed
         ``None`` — its fields are meaningful data, e.g. a game tree's
-        static values) and then under the seeded valuations.
+        static values) and then under the seeded valuations.  A
+        ``guard`` is checked once per scope tree, as the bounded engine
+        does.
         """
         from ..trees.generators import assign_fields
 
@@ -250,7 +146,11 @@ class InterpEngine(Engine):
                         )
                         yield work, seed, fields
             return
-        for tree in self._scope_trees(query, scope):
+        from ..core.bounded import default_scope
+
+        for tree in default_scope(scope if scope is not None else query.scope):
+            if guard is not None:
+                guard.check_now("interp")
             for seed in seeds:
                 work = tree.clone()
                 if fields:
@@ -270,18 +170,17 @@ class InterpEngine(Engine):
 
     def race_evidence(self, query: RaceQuery, scope: Optional[int] = None,
                       field_seeds: Optional[Tuple[int, ...]] = None,
-                      trees=None) -> Optional[str]:
+                      guard=None) -> Optional[str]:
         """A concrete race on some in-scope tree/valuation, or None.
 
         The fork-join happens-before relation is schedule-independent,
         so one run per (tree, valuation) decides racefreeness on that
-        input.  ``trees=`` checks user-supplied trees instead of the
-        scope enumeration (see :meth:`_valuations`).
+        input.
         """
         from ..interp import program_races_on
 
         for work, seed, _fields in self._valuations(
-            query, scope, field_seeds, trees=trees
+            query, scope, field_seeds, guard=guard
         ):
             races = program_races_on(query.program, work)
             if races:
@@ -333,13 +232,15 @@ class InterpEngine(Engine):
 
     def concrete_divergence(self, query: EquivalenceQuery,
                             scope: Optional[int] = None,
-                            field_seeds: Optional[Tuple[int, ...]] = None
-                            ) -> Optional[str]:
+                            field_seeds: Optional[Tuple[int, ...]] = None,
+                            guard=None) -> Optional[str]:
         """A scope tree/valuation where the two programs observably
         differ under the deterministic left-first schedule."""
         from ..interp import run
 
-        for base, seed, fields in self._valuations(query, scope, field_seeds):
+        for base, seed, fields in self._valuations(
+            query, scope, field_seeds, guard=guard
+        ):
             ra = run(query.program, base)
             rb = run(query.program2, base)
             if ra.returns != rb.returns:
@@ -354,30 +255,17 @@ class InterpEngine(Engine):
                 )
         return None
 
-    def _evidence(self, query, scope) -> Optional[str]:
-        if query.kind == "race":
-            return self.race_evidence(query, scope=scope)
-        return self.concrete_divergence(query, scope=scope)
-
     def bind(self, query) -> Callable:
+        evidence = (
+            self.race_evidence if query.kind == "race"
+            else self.concrete_divergence
+        )
+
         def runner(scope, guard):
-            ev = self._evidence(query, scope)
+            ev = evidence(query, scope=scope, guard=guard)
             return InterpVerdict(found=ev is not None, evidence=ev)
 
         return runner
-
-    def run(self, query, guard: Optional[ResourceGuard] = None,
-            limits: Optional[Limits] = None,
-            scope: Optional[int] = None) -> EngineVerdict:
-        raw = self.bind(query)(scope, guard)
-        return EngineVerdict(
-            engine=self.name,
-            status="decided",
-            found=raw.found,
-            witness=None,
-            detail=str(raw),
-            raw=raw,
-        )
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,7 @@ from ..runtime import (
     SolverInternalError,
     exhaustion_status,
 )
-from .engines import SymbolicEngine, get_engine
+from .engines import get_engine
 from .query import Limits
 
 __all__ = [
@@ -227,7 +227,12 @@ def run_symbolic(
     """
 
     def solver_for(det_budget, product_budget):
-        solver = SymbolicEngine.solver(det_budget, product_budget)
+        from ..solver.solver import MSOSolver
+
+        budgets = {"det_budget": det_budget}
+        if product_budget is not None:  # None: the solver's own default
+            budgets["product_budget"] = product_budget
+        solver = MSOSolver(**budgets)
         if cache is not None:
             solver.stats.note_cache(cache.stats)
         return solver

@@ -365,7 +365,7 @@ def run_batch(
     # One durable store, run_dir/cache.sqlite, holds two kinds of row:
     # task-keyed resume records (the evidence behind each journal line)
     # and query-keyed verdicts, which any later run pointed at the same
-    # directory reuses when the deciding engine's capabilities allow.
+    # directory reuses under the cache's reuse rules (engine.cache).
     cache = ResultCache(run_dir)
     try:
         journal = Journal(run_dir / "journal.jsonl")

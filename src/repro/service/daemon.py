@@ -133,9 +133,9 @@ def warm_from_corpus(
 
     Each ``race``/``equiv`` corpus entry is decided with the *bounded*
     engine at the entry's own scope — fast, and its clean verdicts are
-    exactly-scope-complete, so the cache's capability gating lets any
-    client running a bounded-capable plan at the same scope reuse them
-    (counterexamples are sound everywhere).  Entries that fail to
+    exactly-scope-complete, so the cache's reuse rules let any client
+    running a bounded-capable plan at the same scope reuse them
+    (counterexamples are reusable everywhere).  Entries that fail to
     parse, map, or decide are skipped and counted, never fatal.
     """
     from ..core.api import check_data_race, check_equivalence

@@ -32,7 +32,13 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .protocol import Task, task_key
-from .worker import WorkerOutcome, _error_dict, execute_payload, run_task
+from .worker import (
+    WorkerOutcome,
+    _error_dict,
+    _task_is_symbolic,
+    execute_payload,
+    run_task,
+)
 
 __all__ = [
     "RetryPolicy",
@@ -108,21 +114,6 @@ class CircuitBreaker:
                 "consecutive_crashes": self._consecutive,
                 "trips": self._trips,
             }
-
-
-def _task_is_symbolic(task: Task) -> bool:
-    if task.kind in ("check-race", "check-fusion"):
-        from ..engine.plan import plan_for
-
-        spec = (task.payload.get("options") or {}).get("engine", "auto")
-        try:
-            return plan_for(spec).symbolic
-        except ValueError:
-            return True  # unknown spec: assume the worst for the breaker
-    if task.kind == "fuzz-case":
-        oracle = task.payload.get("oracle") or {}
-        return bool(oracle.get("run_symbolic", True))
-    return False
 
 
 def _degrade_task(task: Task) -> Task:

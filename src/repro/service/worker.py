@@ -206,14 +206,31 @@ def _on_xcpu(signum, frame) -> None:  # pragma: no cover - child only
     )
 
 
-def _maybe_worker_abort(symbolic: bool) -> None:
+def _task_is_symbolic(task: Task) -> bool:
+    """Whether ``task`` would run the MSO procedure — what both the
+    crash hook and the supervisor's circuit breaker key on."""
+    if task.kind in ("check-race", "check-fusion"):
+        from ..engine.plan import plan_for
+
+        spec = (task.payload.get("options") or {}).get("engine", "auto")
+        try:
+            return plan_for(spec).symbolic
+        except ValueError:
+            return True  # unknown spec: assume the worst for the breaker
+    if task.kind == "fuzz-case":
+        oracle = task.payload.get("oracle") or {}
+        return bool(oracle.get("run_symbolic", True))
+    return False
+
+
+def _maybe_worker_abort(task: Task) -> None:
     """Test-only crash hook: die by SIGSEGV mid-solve.
 
-    Fires only inside a child, only when the task would run the symbolic
-    engine (the hook models a non-cooperative symbolic blow-up, and this
-    is what lets the circuit breaker's bounded-only degradation actually
-    recover), and — when ``REPRO_FAULT_ONCE`` names a sentinel path —
-    exactly once *pool-wide*: the sentinel is claimed with an atomic
+    Fires only inside a child, only when :func:`_task_is_symbolic` says
+    the task would run the symbolic engine (the hook models a
+    non-cooperative symbolic blow-up, and this is what lets the circuit
+    breaker's bounded-only degradation actually recover), and — when
+    ``REPRO_FAULT_ONCE`` names a sentinel path — exactly once *pool-wide*: the sentinel is claimed with an atomic
     ``O_CREAT | O_EXCL`` create, so concurrent children that all raced
     past the fast-path existence check still elect a single crasher
     (under the daemon's pool several workers start at once; a
@@ -221,7 +238,7 @@ def _maybe_worker_abort(symbolic: bool) -> None:
     """
     from ..runtime import faults
 
-    if not (_IN_CHILD and symbolic and faults.ARMED):
+    if not (_IN_CHILD and faults.ARMED and _task_is_symbolic(task)):
         return
     once = os.environ.get("REPRO_FAULT_ONCE")
     if once and os.path.exists(once):
@@ -276,10 +293,11 @@ def _options(payload: Dict[str, Any], allowed) -> Dict[str, Any]:
 def _run_check(kind: str, payload: Dict[str, Any], set_phase) -> Dict[str, Any]:
     from ..core import api
 
+    task = Task(kind=kind, payload=payload)
     set_phase("parse")
-    query, options = decode_task(Task(kind=kind, payload=payload))
+    query, options = decode_task(task)
     set_phase("solve")
-    _maybe_worker_abort(options.get("engine", "auto") != "bounded")
+    _maybe_worker_abort(task)
     if query.kind == "race":
         res = api.check_data_race(query.program, **options)
     else:
@@ -301,7 +319,7 @@ def _run_fuzz_case(payload: Dict[str, Any], set_phase) -> Dict[str, Any]:
         cfg_data["fault"] = tuple(cfg_data["fault"])
     cfg = OracleConfig(**cfg_data)
     set_phase("solve")
-    _maybe_worker_abort(cfg.run_symbolic)
+    _maybe_worker_abort(Task(kind="fuzz-case", payload=payload))
     result = run_case(case, cfg)
     return {
         "mismatches": [

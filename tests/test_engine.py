@@ -111,16 +111,14 @@ def test_query_for_case_round_trip():
 
 
 # ----------------------------------------------------------------------
-# Registry + capabilities
+# Registry + engines
 
 
 def test_registry_has_the_three_builtins():
     assert {"mso", "bounded", "interp"} <= set(known_engines())
-    assert get_engine("mso").capabilities.complete_for == "all-trees"
-    assert get_engine("bounded").capabilities.complete_for == "scope"
-    assert get_engine("interp").capabilities.complete_for == "scope-sampled"
-    for name in ("mso", "bounded", "interp"):
-        assert "race" in get_engine(name).capabilities.sound_for
+    assert get_engine("mso").complete_for == "all-trees"
+    assert get_engine("bounded").complete_for == "scope"
+    assert get_engine("interp").complete_for == "scope-sampled"
 
 
 def test_unknown_engine_lists_known_names():
@@ -131,21 +129,37 @@ def test_unknown_engine_lists_known_names():
 
 
 def test_bounded_engine_runs_a_query_raw():
-    verdict = get_engine("bounded").run(
+    verdict = get_engine("bounded").bind(
         RaceQuery(program=racy_program(), scope=2)
-    )
-    assert verdict.status == "decided" and verdict.found is True
-    assert verdict.witness is not None and verdict.witness_tree is not None
+    )(2, None)
+    assert verdict.found is True
+    assert verdict.witness is not None and verdict.witness.tree is not None
 
 
 def test_interp_engine_finds_dynamic_race():
     eng = get_engine("interp")
     query = RaceQuery(program=racy_program(), scope=2)
     assert eng.race_evidence(query) is not None
-    verdict = eng.run(query)
-    assert verdict.status == "decided" and verdict.found is True
+    verdict = eng.bind(query)(2, None)
+    assert verdict.found is True and verdict.evidence is not None
     clean = RaceQuery(program=clean_program(), scope=2)
     assert eng.race_evidence(clean) is None
+
+
+def test_interp_scope_rung_honours_its_deadline():
+    """Like the bounded rung, an overrun interp scope shrinks and, with
+    no scope fitting, the query stays undecided."""
+    from repro.casestudies import sizecount
+
+    for engine in ("bounded", "interp"):
+        res = check_data_race(
+            sizecount.parallel_program(), engine=engine, max_internal=3,
+            bounded_deadline_s=1e-9, replay=False,
+        )
+        assert res.verdict == "unknown", engine
+        assert [
+            (a["rung"], a["outcome"]) for a in res.details["attempts"]
+        ] == [(f"{engine}@{k}", "deadline") for k in (3, 2, 1)]
 
 
 # ----------------------------------------------------------------------

@@ -33,8 +33,12 @@ from repro.service import (
 )
 from repro.service.batch import BatchError, load_manifest
 from repro.service.protocol import FrameError, jsonable, read_frame, write_frame
-from repro.service.supervisor import _degrade_task, _task_is_symbolic
-from repro.service.worker import task_for_case, task_for_race
+from repro.service.supervisor import _degrade_task
+from repro.service.worker import (
+    _task_is_symbolic,
+    task_for_case,
+    task_for_race,
+)
 
 RACY = """
 F(n) { if (n == nil) { return 0 } else { n.v = 1; a = F(n.l); b = F(n.r); return a + b } }
@@ -315,6 +319,22 @@ def test_api_isolation_surfaces_dead_worker(monkeypatch):
     assert res.engine == "process"
     assert res.details["worker"]["outcome_class"] == "crashed"
     assert res.details["attempts"][0]["outcome"] == "crashed"
+    assert res.details["attempts"][0]["phase"] == "solve"
+
+
+def test_worker_crash_hook_spares_interp_tasks(monkeypatch):
+    """The symbolic-only crash hook must not fire on an ``engine="interp"``
+    check, which never runs the MSO procedure."""
+    from repro.lang.parser import parse_program
+
+    monkeypatch.setenv("REPRO_FAULT", "worker-abort:1")
+    monkeypatch.delenv("REPRO_FAULT_ONCE", raising=False)
+    res = check_data_race(
+        parse_program(RACY, name="racy"), engine="interp", max_internal=2,
+        replay=False, wall_s=60.0, isolation="process",
+    )
+    assert res.verdict == "race"
+    assert [a["rung"] for a in res.details["attempts"]] == ["interp@2"]
 
 
 def test_fuzz_case_isolated_engine_error(tmp_path):
