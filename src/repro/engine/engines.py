@@ -121,7 +121,8 @@ class InterpEngine(Engine):
 
     def _valuations(self, query, scope, field_seeds, trees=None,
                     guard=None):
-        """(work, seed, fields) triples to check.
+        """(work, seed, fields) triples to check; each ``work`` is a fresh
+        copy holding the valuation, the one copy a run may mutate.
 
         With ``trees=`` the caller supplies concrete input trees instead
         of the scope enumeration; each is tried *as given* first (seed
@@ -130,21 +131,12 @@ class InterpEngine(Engine):
         ``guard`` is checked once per scope tree, as the bounded engine
         does.
         """
-        from ..trees.generators import assign_fields
-
         fields = query.fields()
         seeds = field_seeds if field_seeds is not None else self.field_seeds
         if trees is not None:
             for tree in trees:
-                yield tree.clone(), None, fields
-                if fields:
-                    for seed in seeds:
-                        work = tree.clone()
-                        assign_fields(
-                            work, fields, seed=seed,
-                            value_range=self.value_range,
-                        )
-                        yield work, seed, fields
+                for seed in (None,) + (tuple(seeds) if fields else ()):
+                    yield self._valued(tree, seed, fields), seed, fields
             return
         from ..core.bounded import default_scope
 
@@ -152,12 +144,16 @@ class InterpEngine(Engine):
             if guard is not None:
                 guard.check_now("interp")
             for seed in seeds:
-                work = tree.clone()
-                if fields:
-                    assign_fields(
-                        work, fields, seed=seed, value_range=self.value_range
-                    )
-                yield work, seed, fields
+                yield self._valued(tree, seed, fields), seed, fields
+
+    def _valued(self, tree, seed, fields):
+        """A copy of ``tree`` under valuation ``seed`` (``None``: as given)."""
+        from ..trees.generators import assign_fields
+
+        work = tree.clone()
+        if seed is not None and fields:
+            assign_fields(work, fields, seed=seed, value_range=self.value_range)
+        return work
 
     @staticmethod
     def _describe_tree(work) -> str:
@@ -182,7 +178,7 @@ class InterpEngine(Engine):
         for work, seed, _fields in self._valuations(
             query, scope, field_seeds, guard=guard
         ):
-            races = program_races_on(query.program, work)
+            races = program_races_on(query.program, work, inplace=True)
             if races:
                 return (
                     f"{self._describe_tree(work)} seed {seed}: {races[0]}"
@@ -195,18 +191,19 @@ class InterpEngine(Engine):
 
         Returns ``(tree_index, seed, work, race)`` — the index into
         ``trees``, the valuation seed (``None`` = fields as given), the
-        concrete tree the race occurred on, and the
-        :class:`~repro.interp.races.RacePair` — or ``None``.
+        input under that valuation as it was before the racing run, and
+        the :class:`~repro.interp.races.RacePair` — or ``None``.
         """
         from ..interp import program_races_on
 
         for i, tree in enumerate(trees):
-            for work, seed, _fields in self._valuations(
+            for work, seed, fields in self._valuations(
                 query, None, field_seeds, trees=[tree]
             ):
-                races = program_races_on(query.program, work)
+                races = program_races_on(query.program, work, inplace=True)
                 if races:
-                    return i, seed, work, races[0]
+                    # The run mutated ``work``; the witness is a fresh copy.
+                    return i, seed, self._valued(tree, seed, fields), races[0]
         return None
 
     def schedule_divergence(self, query: RaceQuery,
@@ -242,7 +239,7 @@ class InterpEngine(Engine):
             query, scope, field_seeds, guard=guard
         ):
             ra = run(query.program, base)
-            rb = run(query.program2, base)
+            rb = run(query.program2, base, inplace=True)
             if ra.returns != rb.returns:
                 return (
                     f"tree {base.paths() or ['(root)']} seed {seed}: "

@@ -11,11 +11,12 @@ random trees, and race counterexamples are replayed here.
 
 Execution model
 ---------------
-The machine is an **explicit frame stack**, not Python recursion.  Each
-parallel leaf is a :class:`_Thread` holding a stack of small instruction
-entries (statement, sequence cursor, post-call copy); a scheduler *pick*
-advances one thread until it has executed exactly one atomic block, then
-pauses it.  Call depth lives on the heap, so a depth-100k traversal runs
+Each program is compiled once, on its first run, into flat per-function
+code (see ``_Compiler``).  The machine runs that code on an **explicit
+frame stack**, not Python recursion.  Each parallel leaf is a
+:class:`_Thread` holding a stack of ``[code, pc, frame, post]``
+activations; a scheduler *pick* advances one thread until it has executed
+exactly one atomic block, then pauses it.  Call depth lives on the heap, so a depth-100k traversal runs
 under ``sys.setrecursionlimit(256)``, and resuming a thread costs O(1)
 amortized instead of the O(depth) ``yield from`` delegation chains of the
 original generator machine (preserved in :mod:`repro.interp.reference` as a
@@ -34,12 +35,12 @@ the same, but the decision-tree shape differs from the old machine.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..lang import ast as A
 from ..lang.blocks import BlockTable
-from ..lang.exprs import eval_aexpr, eval_bexpr
 from ..trees.heap import NilAccessError, Tree, TreeNode
 from .schedules import LeftFirst, Scheduler
 from .trace import Ctx, Event, Iteration, Trace
@@ -67,17 +68,17 @@ class Result:
         return out
 
 
-@dataclass
 class _Frame:
-    """An activation record."""
+    """An activation record: the node a call runs on, its Int variables,
+    its dynamic context and the values it returned."""
 
-    func: A.Func
-    node: TreeNode
-    env: Dict[str, int]
-    context: Ctx
-    scope_id: int
-    returned: bool = False
-    ret_values: Tuple[int, ...] = ()
+    __slots__ = ("node", "env", "context", "ret_values")
+
+    def __init__(self, node: TreeNode, env: Dict[str, int], context: Ctx) -> None:
+        self.node = node
+        self.env = env
+        self.context = context
+        self.ret_values: Tuple[int, ...] = ()
 
 
 class _Join:
@@ -91,12 +92,10 @@ class _Join:
 
 
 class _Thread:
-    """A runnable parallel leaf: a stack of instruction entries.
-
-    Entries (top of stack = end of list):
-      ("stmt", stmt, frame)                 -- execute a statement
-      ("seq", stmts, i, frame)              -- sequence cursor at index i
-      ("post", callstmt, sid, caller, sub)  -- copy callee returns on unwind
+    """A runnable parallel leaf: a stack of activations (top = end of
+    list), each ``[code, pc, frame, post]``.  ``post`` is ``None`` or
+    ``(targets, sid, callee, caller frame)``: where the callee's returns
+    go when its code finishes.
 
     Threads sit on the machine's frontier, a doubly-linked list
     (``prev``/``next``) so that removing an exhausted thread, splicing
@@ -116,7 +115,210 @@ class _Thread:
         self.next: Optional["_Thread"] = None
 
 
-# _advance outcomes (forks are returned as (par_stmt, frame) tuples)
+# Compiled code.  Each function body compiles once per program to a flat
+# tuple of instructions ``(op, steps, ...)``; ``Seq``, ``Skip`` and empty
+# pars leave no instruction.  ``steps`` counts the statements the
+# reference machine enters at that point (the instruction's own statement
+# plus those compiled away in front of it), so ``max_steps`` counts
+# exactly as it does there.  Expressions, guards and assignments are
+# closures ``(machine, frame) -> value`` with their locations, trace
+# events and error messages bound at compile time.
+_ASSIGN, _IF, _JUMP, _CALL, _PAR = range(5)
+#   (_ASSIGN, steps, sid, assigns, returns)  one atomic block
+#   (_IF, steps, guard, else_pc)              go to else_pc unless guard
+#   (_JUMP, steps, target)
+#   (_CALL, steps, sid, callee, loc, args, targets)
+#   (_PAR, steps, branch codes)               fork
+
+_CODE: "weakref.WeakKeyDictionary[A.Program, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _code_of(program: A.Program) -> Dict[str, Tuple[tuple, Tuple[str, ...]]]:
+    """``{function: (code, Int params)}``, compiled on the program's first
+    run and cached by identity; a program whose functions were rewritten
+    in place since is compiled again."""
+    shape = tuple((f, f.body, f.int_params) for f in program.funcs.values())
+    hit = _CODE.get(program)
+    if hit is None or hit[0] != shape:
+        table = BlockTable(program)
+        hit = _CODE[program] = (shape, {
+            name: (_Compiler(table, name).code(f.body), f.int_params)
+            for name, f in program.funcs.items()
+        })
+    return hit[1]
+
+
+class _Compiler:
+    """Compiles the body of function ``fname`` (see the opcodes above)."""
+
+    def __init__(self, table: BlockTable, fname: str) -> None:
+        self.table = table
+        self.fname = fname
+
+    def code(self, stmt: A.Stmt) -> tuple:
+        out: list = []
+        self._flush(out, self._stmt(stmt, out, 0))
+        return tuple(out)
+
+    @staticmethod
+    def _flush(out: list, steps: int) -> None:
+        """Pending steps with no later instruction on this path to carry them."""
+        if steps:
+            out.append((_JUMP, steps, len(out) + 1))
+
+    def _stmt(self, s: A.Stmt, out: list, steps: int) -> int:
+        """Append the code of ``s``; returns the steps still pending."""
+        steps += 1
+        if isinstance(s, A.Seq):
+            for c in s.stmts:
+                steps = self._stmt(c, out, steps)
+            return steps
+        if isinstance(s, A.AssignBlock):
+            sid = self.table.of_stmt(s).sid
+            assigns, returns = [], False
+            for a in s.assigns:
+                assigns.append(self._assign(a, sid))
+                returns = isinstance(a, A.Return)
+                if returns:
+                    break
+            out.append((_ASSIGN, steps, sid, tuple(assigns), returns))
+        elif isinstance(s, A.CallStmt):
+            sid = self.table.of_stmt(s).sid
+            out.append((_CALL, steps, sid, s.func, self._loc(s.loc),
+                        tuple(self._a(e, sid) for e in s.args), s.targets))
+        elif isinstance(s, A.If):
+            at = len(out)
+            out.append(None)
+            then_steps = self._stmt(s.then, out, 0)
+            if s.els is None:
+                self._flush(out, then_steps)
+                else_pc = len(out)
+            else:
+                out.append(None)
+                else_pc = len(out)
+                self._flush(out, self._stmt(s.els, out, 0))
+                out[else_pc - 1] = (_JUMP, then_steps, len(out))
+            # Condition evaluation is attributed to the if, not a block.
+            out[at] = (_IF, steps, self._b(s.cond), else_pc)
+        elif isinstance(s, A.Par) and s.stmts:
+            out.append((_PAR, steps, tuple(self.code(b) for b in s.stmts)))
+        elif isinstance(s, (A.Skip, A.Par)):
+            return steps
+        else:
+            raise TypeError(f"unknown statement {s!r}")
+        return 0
+
+    def _assign(self, a: A.Assign, sid: str):
+        if isinstance(a, A.VarAssign):
+            name, x = a.name, self._a(a.expr, sid)
+
+            def assign(m, f):
+                f.env[name] = x(m, f)
+        elif isinstance(a, A.FieldAssign):
+            x, resolve, fname = self._a(a.expr, sid), self._loc(a.loc), a.fieldname
+            where = f"field write {a.loc}.{fname} hits nil in {self.fname}"
+
+            def assign(m, f):
+                v = x(m, f)
+                node = resolve(f)
+                if node.is_nil:
+                    raise NilAccessError(where)
+                if m.events is not None:
+                    m.events.append(Event("write", "field", node, fname,
+                                          len(m.iterations) - 1, sid, f.context))
+                node.set(fname, v)
+        else:  # Return
+            xs = tuple(self._a(e, sid) for e in a.exprs)
+
+            def assign(m, f):
+                f.ret_values = tuple([x(m, f) for x in xs])
+        return assign
+
+    def _loc(self, loc: A.LExpr):
+        """``loc`` as ``frame -> node``; only the last step may reach nil."""
+        dirs, where = loc.directions(), self.fname
+
+        def resolve(f):
+            node = f.node
+            for d in dirs:
+                if node.is_nil:
+                    raise NilAccessError(
+                        f"dereference of nil at {node.path!r} in {where}"
+                    )
+                node = node.left if d == "l" else node.right
+            return node
+        return resolve
+
+    def _a(self, e: A.AExpr, sid: Optional[str]):
+        if isinstance(e, A.Const):
+            value = e.value
+            return lambda m, f: value
+        if isinstance(e, A.Var):
+            name, where = e.name, self.fname
+
+            def var(m, f):
+                v = f.env.get(name)
+                if v is None:
+                    if m.strict_vars:
+                        raise ExecutionError(
+                            f"read of unassigned variable {name!r} in {where}"
+                        )
+                    return 0
+                return v
+            return var
+        if isinstance(e, A.FieldRead):
+            resolve, fname = self._loc(e.loc), e.fieldname
+            where = f"field read {e.loc}.{fname} hits nil in {self.fname}"
+
+            def read(m, f):
+                node = resolve(f)
+                if node.is_nil:
+                    raise NilAccessError(where)
+                if m.events is not None:
+                    m.events.append(Event("read", "field", node, fname,
+                                          len(m.iterations) - 1, sid, f.context))
+                return node.fields.get(fname, 0)
+            return read
+        if isinstance(e, A.Add):
+            l, r = self._a(e.left, sid), self._a(e.right, sid)
+            return lambda m, f: l(m, f) + r(m, f)
+        if isinstance(e, A.Sub):
+            l, r = self._a(e.left, sid), self._a(e.right, sid)
+            return lambda m, f: l(m, f) - r(m, f)
+        if isinstance(e, A.Neg):
+            x = self._a(e.expr, sid)
+            return lambda m, f: -x(m, f)
+        if isinstance(e, (A.Max, A.Min)):
+            xs, agg = tuple(self._a(a, sid) for a in e.args), (
+                max if isinstance(e, A.Max) else min)
+            return lambda m, f: agg([x(m, f) for x in xs])
+        raise TypeError(f"unknown AExpr {e!r}")
+
+    def _b(self, b: A.BExpr):
+        if isinstance(b, A.BTrue):
+            return lambda m, f: True
+        if isinstance(b, A.IsNil):
+            resolve = self._loc(b.loc)
+            return lambda m, f: resolve(f).is_nil
+        if isinstance(b, A.Gt):
+            x = self._a(b.expr, None)
+            return lambda m, f: x(m, f) > 0
+        if isinstance(b, A.Eq0):
+            x = self._a(b.expr, None)
+            return lambda m, f: x(m, f) == 0
+        if isinstance(b, A.Not):
+            x = self._b(b.expr)
+            return lambda m, f: not x(m, f)
+        if isinstance(b, A.BAnd):
+            l, r = self._b(b.left), self._b(b.right)
+            return lambda m, f: l(m, f) and r(m, f)
+        if isinstance(b, A.BOr):
+            l, r = self._b(b.left), self._b(b.right)
+            return lambda m, f: l(m, f) or r(m, f)
+        raise TypeError(f"unknown BExpr {b!r}")
+
+
+# _advance outcomes (forks are returned as (branch codes, frame) tuples)
 _BLOCK = object()
 _EXHAUSTED = object()
 
@@ -131,15 +333,14 @@ class _Machine:
         strict_vars: bool,
         max_steps: int,
     ) -> None:
-        self.program = program
-        self.table = BlockTable(program)
+        self.codes = _code_of(program)
         self.tree = tree
         self.scheduler = scheduler
-        self.record_events = record_events
         self.strict_vars = strict_vars
         self.max_steps = max_steps
         self.trace = Trace()
-        self._scope_counter = 0
+        self.iterations = self.trace.iterations
+        self.events = self.trace.events if record_events else None
         self._par_counter = 0
         self._tid_counter = 0
         self._steps = 0
@@ -179,75 +380,9 @@ class _Machine:
         else:
             nxt.prev = t
 
-    # -- heap helpers --------------------------------------------------------
-    def _resolve(self, loc: A.LExpr, frame: _Frame) -> TreeNode:
-        node = frame.node
-        for d in loc.directions():
-            if node.is_nil:
-                raise NilAccessError(
-                    f"dereference of nil at {node.path!r} in {frame.func.name}"
-                )
-            node = node.child(d)
-        return node
-
-    def _read_field(self, loc: A.LExpr, fname: str, frame: _Frame, sid: Optional[str]) -> int:
-        node = self._resolve(loc, frame)
-        if node.is_nil:
-            raise NilAccessError(
-                f"field read {loc}.{fname} hits nil in {frame.func.name}"
-            )
-        if self.record_events:
-            self.trace.events.append(
-                Event(
-                    "read", "field", node, fname,
-                    len(self.trace.iterations) - 1, sid, frame.context,
-                )
-            )
-        return node.get(fname)
-
-    def _write_field(self, loc: A.LExpr, fname: str, value: int, frame: _Frame, sid: str) -> None:
-        node = self._resolve(loc, frame)
-        if node.is_nil:
-            raise NilAccessError(
-                f"field write {loc}.{fname} hits nil in {frame.func.name}"
-            )
-        if self.record_events:
-            self.trace.events.append(
-                Event(
-                    "write", "field", node, fname,
-                    len(self.trace.iterations) - 1, sid, frame.context,
-                )
-            )
-        node.set(fname, value)
-
-    def _read_var(self, name: str, frame: _Frame) -> int:
-        if name not in frame.env:
-            if self.strict_vars:
-                raise ExecutionError(
-                    f"read of unassigned variable {name!r} in {frame.func.name}"
-                )
-            return 0
-        return frame.env[name]
-
-    # -- expression evaluation ------------------------------------------------
-    def _eval_a(self, e: A.AExpr, frame: _Frame, sid: Optional[str]) -> int:
-        return eval_aexpr(
-            e,
-            _EnvView(self, frame),
-            lambda loc, f: self._read_field(loc, f, frame, sid),
-        )
-
-    def _eval_b(self, b: A.BExpr, frame: _Frame, sid: Optional[str]) -> bool:
-        return eval_bexpr(
-            b,
-            _EnvView(self, frame),
-            lambda loc, f: self._read_field(loc, f, frame, sid),
-            lambda loc: self._resolve(loc, frame).is_nil,
-        )
-
     # -- the scheduling loop ---------------------------------------------------
-    def execute(self, body: A.Stmt, frame: _Frame) -> None:
-        main = _Thread(None, [("stmt", body, frame)], None)
+    def execute(self, code: tuple, frame: _Frame) -> None:
+        main = _Thread(None, [[code, 0, frame, None]], None)
         self._first = self._last = main
         while self._first is not None:
             if self._pending_joins and not self.scheduler.picks_first:
@@ -293,18 +428,16 @@ class _Machine:
                 self._frontier_insert(cur, prev, nxt)
                 continue
             # Fork: park cur, splice its branch threads in at its position.
-            stmt, frame = res
+            branches, frame = res
             self._par_counter += 1
             pid = self._par_counter
-            join = _Join(cur, len(stmt.stmts))
+            join = _Join(cur, len(branches))
             self._pending_joins += 1
             prev, nxt = self._frontier_remove(cur)
-            for i, s in enumerate(stmt.stmts):
-                bframe = _Frame(
-                    frame.func, frame.node, frame.env,
-                    frame.context.child(("par", pid, i)), frame.scope_id,
-                )
-                branch = _Thread(self._tid_counter, [("stmt", s, bframe)], join)
+            for i, code in enumerate(branches):
+                bframe = _Frame(frame.node, frame.env,
+                                frame.context.child(("par", pid, i)))
+                branch = _Thread(self._tid_counter, [[code, 0, bframe, None]], join)
                 self._tid_counter += 1
                 self._frontier_insert(branch, prev, nxt)
                 prev = branch
@@ -312,120 +445,58 @@ class _Machine:
 
     def _advance(self, thread: _Thread):
         """Run ``thread`` until one block executes (-> _BLOCK), it hits a
-        par (-> (stmt, frame)), or its stack drains (-> _EXHAUSTED)."""
+        par (-> (branch codes, frame)), or its stack drains (-> _EXHAUSTED)."""
         stack = thread.stack
         while stack:
-            entry = stack[-1]
-            kind = entry[0]
-            if kind == "stmt":
-                stmt, frame = entry[1], entry[2]
-                if frame.returned:
-                    stack.pop()
-                    continue
-                self._steps += 1
-                if self._steps > self.max_steps:
-                    raise ExecutionError(f"exceeded max_steps={self.max_steps}")
-                if isinstance(stmt, A.AssignBlock):
-                    stack.pop()
-                    block = self.table.of_stmt(stmt)
-                    self.trace.iterations.append(
-                        Iteration(block.sid, frame.node, frame.context)
-                    )
-                    for a in stmt.assigns:
-                        if isinstance(a, A.VarAssign):
-                            frame.env[a.name] = self._eval_a(a.expr, frame, block.sid)
-                        elif isinstance(a, A.FieldAssign):
-                            v = self._eval_a(a.expr, frame, block.sid)
-                            self._write_field(a.loc, a.fieldname, v, frame, block.sid)
-                        else:  # Return
-                            frame.ret_values = tuple(
-                                self._eval_a(e, frame, block.sid) for e in a.exprs
-                            )
-                            frame.returned = True
-                            break
-                    return _BLOCK
-                if isinstance(stmt, A.Seq):
-                    stack.pop()
-                    stack.append(("seq", stmt.stmts, 0, frame))
-                    continue
-                if isinstance(stmt, A.If):
-                    stack.pop()
-                    # Condition evaluation is attributed to the if, not a block.
-                    if self._eval_b(stmt.cond, frame, None):
-                        stack.append(("stmt", stmt.then, frame))
-                    elif stmt.els is not None:
-                        stack.append(("stmt", stmt.els, frame))
-                    continue
-                if isinstance(stmt, A.CallStmt):
-                    stack.pop()
-                    block = self.table.of_stmt(stmt)
-                    callee = self.program.funcs[stmt.func]
-                    target_node = self._resolve(stmt.loc, frame)
-                    call_args = tuple(
-                        self._eval_a(a, frame, block.sid) for a in stmt.args
-                    )
-                    if len(call_args) != len(callee.int_params):
+            act = stack[-1]
+            code, pc, f = act[0], act[1], act[2]
+            if pc == len(code):  # body finished or returned: unwind
+                stack.pop()
+                post = act[3]
+                if post is not None:  # copy the callee's returns
+                    targets, sid, callee, caller = post
+                    if len(f.ret_values) != len(targets):
                         raise ExecutionError(
-                            f"{block.sid}: call to {callee.name} with "
-                            f"{len(call_args)} Int args, expected "
-                            f"{len(callee.int_params)}"
+                            f"{sid}: {callee} returned {len(f.ret_values)} "
+                            f"values, expected {len(targets)}"
                         )
-                    self._scope_counter += 1
-                    sub = _Frame(
-                        callee,
-                        target_node,
-                        dict(zip(callee.int_params, call_args)),
-                        frame.context.child(("call", block.sid, target_node)),
-                        self._scope_counter,
-                    )
-                    stack.append(("post", stmt, block.sid, frame, sub))
-                    stack.append(("stmt", callee.body, sub))
-                    continue
-                if isinstance(stmt, A.Skip):
-                    stack.pop()
-                    continue
-                if isinstance(stmt, A.Par):
-                    stack.pop()
-                    if not stmt.stmts:
-                        continue
-                    return (stmt, frame)
-                raise TypeError(f"unknown statement {stmt!r}")
-            if kind == "seq":
-                stmts, i, frame = entry[1], entry[2], entry[3]
-                if frame.returned or i >= len(stmts):
-                    stack.pop()
-                    continue
-                stack[-1] = ("seq", stmts, i + 1, frame)
-                stack.append(("stmt", stmts[i], frame))
+                    caller.env.update(zip(targets, f.ret_values))
                 continue
-            # kind == "post": unwind a finished call
-            callstmt, sid, caller, sub = entry[1], entry[2], entry[3], entry[4]
-            stack.pop()
-            if callstmt.targets:
-                if len(sub.ret_values) != len(callstmt.targets):
+            op = code[pc]
+            act[1] = pc + 1
+            self._steps += op[1]
+            if self._steps > self.max_steps:
+                raise ExecutionError(f"exceeded max_steps={self.max_steps}")
+            kind = op[0]
+            if kind == _ASSIGN:
+                self.iterations.append(Iteration(op[2], f.node, f.context))
+                for assign in op[3]:
+                    assign(self, f)
+                if op[4]:
+                    act[1] = len(code)
+                return _BLOCK
+            if kind == _IF:
+                if not op[2](self, f):
+                    act[1] = op[3]
+            elif kind == _JUMP:
+                act[1] = op[2]
+            elif kind == _CALL:
+                _, _, sid, callee, resolve, args, targets = op
+                body, params = self.codes[callee]
+                node = resolve(f)
+                values = [a(self, f) for a in args]
+                if len(values) != len(params):
                     raise ExecutionError(
-                        f"{sid}: {sub.func.name} returned "
-                        f"{len(sub.ret_values)} values, expected "
-                        f"{len(callstmt.targets)}"
+                        f"{sid}: call to {callee} with {len(values)} Int "
+                        f"args, expected {len(params)}"
                     )
-                for t, v in zip(callstmt.targets, sub.ret_values):
-                    caller.env[t] = v
+                sub = _Frame(node, dict(zip(params, values)),
+                             f.context.child(("call", sid, node)))
+                stack.append([body, 0, sub,
+                              (targets, sid, callee, f) if targets else None])
+            else:  # _PAR
+                return op[2], f
         return _EXHAUSTED
-
-
-class _EnvView(dict):
-    """Mapping view over a frame's environment with default-0 semantics."""
-
-    def __init__(self, machine: _Machine, frame: _Frame) -> None:
-        super().__init__()
-        self._m = machine
-        self._f = frame
-
-    def __getitem__(self, name: str) -> int:
-        return self._m._read_var(name, self._f)
-
-    def __contains__(self, name: str) -> bool:  # pragma: no cover
-        return True
 
 
 def run(
@@ -459,11 +530,8 @@ def run(
             f"entry {entry.name} takes {len(entry.int_params)} Int args, "
             f"got {len(args)}"
         )
-    m._scope_counter += 1
-    frame = _Frame(
-        entry, work.root, dict(zip(entry.int_params, args)),
-        Ctx(None, ("call", "main", "")), m._scope_counter,
-    )
-    m.execute(entry.body, frame)
+    frame = _Frame(work.root, dict(zip(entry.int_params, args)),
+                   Ctx(None, ("call", "main", "")))
+    m.execute(m.codes[program.entry][0], frame)
     m.trace.returns = frame.ret_values
     return Result(frame.ret_values, m.trace, work)

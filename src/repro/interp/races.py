@@ -76,7 +76,9 @@ def program_races_on(
     program: A.Program,
     tree: Tree,
     args: Sequence[int] = (),
+    inplace: bool = False,
 ) -> List[RacePair]:
-    """Run the program once and report the races on that tree."""
-    result = run(program, tree, args=args, record_events=True)
+    """Run the program once and report the races on that tree (run on the
+    tree itself when ``inplace``, else on a copy)."""
+    result = run(program, tree, args=args, record_events=True, inplace=inplace)
     return find_races(result.trace)

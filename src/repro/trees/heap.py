@@ -125,6 +125,18 @@ class TreeNode:
         return f"<node {self.path!r} {self.fields}>"
 
 
+def _copy_node(src: TreeNode, parent: Optional[TreeNode]) -> TreeNode:
+    """A copy of ``src``'s fields and nil-ness under ``parent``; the
+    caller links its children."""
+    n = TreeNode.__new__(TreeNode)
+    n._nil = src._nil
+    n.parent = parent
+    n._path = None
+    n.left = n.right = None
+    n.fields = dict(src.fields)
+    return n
+
+
 class NilAccessError(RuntimeError):
     """Raised when a program dereferences a nil node.
 
@@ -244,26 +256,23 @@ class Tree:
 
     # -- copying / comparing ---------------------------------------------------
     def clone(self) -> "Tree":
-        """Deep copy (the interpreter mutates fields in place)."""
-        src = self.root
-        if src.is_nil:
-            return Tree(nil())
-        dst = TreeNode(fields=dict(src.fields))
-        stack: List[Tuple[TreeNode, TreeNode]] = [(src, dst)]
+        """Deep copy (the interpreter mutates fields in place), made in one
+        pass: parent links and real nil leaves are built as nodes are
+        copied, so no ``reindex`` walk follows."""
+        root = _copy_node(self.root, None)
+        root._path = ""
+        stack: List[Tuple[TreeNode, TreeNode]] = [(self.root, root)]
         while stack:
             o, c = stack.pop()
-            ol, orr = o.left, o.right
-            if not ol.is_nil:  # type: ignore[union-attr]
-                cl = TreeNode(fields=dict(ol.fields))  # type: ignore[union-attr]
-                c.left = cl
-                cl.parent = c
-                stack.append((ol, cl))  # type: ignore[arg-type]
-            if not orr.is_nil:  # type: ignore[union-attr]
-                cr = TreeNode(fields=dict(orr.fields))  # type: ignore[union-attr]
-                c.right = cr
-                cr.parent = c
-                stack.append((orr, cr))  # type: ignore[arg-type]
-        return Tree(dst)
+            if o._nil:
+                continue
+            c.left = _copy_node(o.left, c)  # type: ignore[arg-type]
+            c.right = _copy_node(o.right, c)  # type: ignore[arg-type]
+            stack.append((o.right, c.right))  # type: ignore[arg-type]
+            stack.append((o.left, c.left))  # type: ignore[arg-type]
+        out = Tree.__new__(Tree)
+        out.root, out._by_path = root, None
+        return out
 
     def same_shape(self, other: "Tree") -> bool:
         stack = [(self.root, other.root)]

@@ -126,6 +126,68 @@ class TestCloneCompare:
         c.root.set("v", 99)
         assert t.root.get("v") == 1
 
+    @staticmethod
+    def _assert_like_reindexed(src):
+        """Clone ``src``; the clone matches ``src`` in shape and fields and
+        a ``reindex()``ed copy in parent pointers and cached paths."""
+        got = src.clone()
+        want = src.clone()
+        want.reindex()
+        twin = {}
+        count = 0
+        for x, y, o in zip(got.nodes(include_nil=True),
+                           want.nodes(include_nil=True),
+                           src.nodes(include_nil=True)):
+            count += 1
+            assert x.is_nil == o.is_nil
+            assert x.fields == o.fields
+            assert x.is_nil or x.fields is not o.fields
+            twin[id(x)] = y
+            if x.parent is None:
+                assert y.parent is None
+            else:
+                assert twin[id(x.parent)] is y.parent
+            assert x._path == y._path
+        assert count == sum(1 for _ in src.nodes(include_nil=True))
+        return got
+
+    def test_clone_links_deep_chain_in_one_pass(self):
+        import sys
+
+        from repro.trees.generators import left_chain
+
+        src = left_chain(100_000, v=1)
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(256)
+        try:
+            got = self._assert_like_reindexed(src)
+            assert got.root.path == ""
+            assert got.root.left.left.path == "ll"
+            assert got.root.right.path == "r"
+            deep = got.root
+            for _ in range(99_999):
+                deep = deep.left
+            deep.set("v", 42)
+            deep.left.parent.set("w", 1)
+        finally:
+            sys.setrecursionlimit(old)
+        assert deep.get("w") == 1
+        tail = src.root
+        for _ in range(99_999):
+            tail = tail.left
+        assert tail.fields == {"v": 1}
+
+    def test_clone_paths_and_index(self):
+        from repro.trees.generators import assign_fields, random_tree
+
+        src = assign_fields(random_tree(40, seed=3), ["v", "w"], seed=1)
+        got = self._assert_like_reindexed(src)
+        for p in src.paths(include_nil=True):
+            assert got.node_at(p).path == p
+            assert got.node_at(p).fields == src.node_at(p).fields
+        got.node_at("").set("v", 99)
+        assert src.node_at("").get("v") != 99
+
     def test_same_shape(self):
         a = Tree(node(node(), nil()))
         b = Tree(node(node(v=7), nil()))

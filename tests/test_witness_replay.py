@@ -84,3 +84,30 @@ def test_attempts_record_raw_found_when_later_rung_decides(cycletree_par):
     assert bounded and bounded[0]["found"] is True
     assert res.verdict == "race"
     assert res.details["decided_by"].startswith("bounded")
+
+
+@pytest.mark.parametrize("val,seeded", [(0, True), (3, False)])
+def test_on_trees_witness_holds_the_racing_valuation(val, seeded):
+    """The ``on_trees=`` witness tree is the input under the racing
+    valuation as it was *before* the run (the run writes ``cut``), so
+    replaying it verbatim re-finds the race.  With every ``val`` 0 the
+    tree races only under a seeded valuation; with ``val`` 3 it races as
+    given."""
+    from repro.casestudies import minimax
+    from repro.engine import get_engine
+    from repro.engine.query import RaceQuery
+    from repro.trees.generators import assign_fields, full_tree
+
+    program = minimax.pruned_program()
+    tree = full_tree(3, val=val, best=0, depth=0, cut=0)
+    res = check_data_race(program, on_trees=[tree])
+    assert res.verdict == "race"
+    seed = res.details["witness_input"]["seed"]
+    assert (seed is not None) == seeded
+    want = tree.clone()
+    if seeded:
+        assign_fields(want, RaceQuery(program=program, scope=0).fields(),
+                      seed=seed, value_range=get_engine("interp").value_range)
+    assert res.witness_tree.fields_equal(want)
+    assert res.replay is not None and res.replay.confirmed
+    assert tree.fields_equal(full_tree(3, val=val, best=0, depth=0, cut=0))
