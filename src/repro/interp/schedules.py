@@ -19,7 +19,12 @@ __all__ = [
     "all_schedules",
     "distinct_outcomes",
     "program_schedule_outcomes",
+    "ScheduleLimitExceeded",
 ]
+
+
+class ScheduleLimitExceeded(RuntimeError):
+    """More interleavings than an enumeration's ``max_schedules``."""
 
 
 class Scheduler:
@@ -126,7 +131,7 @@ def all_schedules(
         outcome = run_with(sched)
         count += 1
         if count > max_schedules:
-            raise RuntimeError(f"more than {max_schedules} schedules")
+            raise ScheduleLimitExceeded(f"more than {max_schedules} schedules")
         yield outcome
         # Fork on the first decision point at or after the prefix where
         # alternatives remain unexplored.
@@ -181,10 +186,12 @@ def program_schedule_outcomes(
         )
         return (r.returns, canon)
 
+    # Only the cap falls back to sampling: any other error from a run
+    # (a resource limit, a nil dereference) is the caller's to see.
     try:
         keys = set(all_schedules(outcome, max_schedules=max_schedules))
         return sorted(keys), True
-    except RuntimeError:
+    except ScheduleLimitExceeded:
         keys = {outcome(LeftFirst()), outcome(RoundRobin())}
         keys.update(outcome(RandomScheduler(seed=s)) for s in sample_seeds)
         return sorted(keys), False

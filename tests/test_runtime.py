@@ -118,3 +118,24 @@ class TestDistinguishableOutcomes:
         )
         assert v.status == "budget"
         assert not v.holds
+
+
+def test_schedule_enumeration_propagates_a_resource_error(monkeypatch):
+    """A deadline raised once inside the schedule enumeration (as the
+    worker's CPU-rlimit handler does) must reach the caller, not be taken
+    for the schedule cap and answered by sampling."""
+    from repro.casestudies import sizecount
+    from repro.interp import interpreter, program_schedule_outcomes
+    from repro.trees.generators import full_tree
+
+    real, calls = interpreter.run, []
+
+    def run_once_interrupted(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise DeadlineExceeded("CPU rlimit exhausted")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(interpreter, "run", run_once_interrupted)
+    with pytest.raises(DeadlineExceeded):
+        program_schedule_outcomes(sizecount.parallel_program(), full_tree(2))
