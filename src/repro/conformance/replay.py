@@ -55,7 +55,7 @@ def replay_race_witness(
     for label, work in _valuations(tree, fields, seeds):
         tried += 1
         try:
-            races = program_races_on(program, work, inplace=True)
+            races = program_races_on(program, work)
         except Exception as e:  # pragma: no cover - defensive
             return ReplayOutcome(False, f"replay failed ({label}): {e}")
         if races:

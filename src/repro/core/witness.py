@@ -97,7 +97,7 @@ def replay_race(
     if field_names:
         assign_fields(work, field_names, seed=seed, value_range=(0, 5))
     try:
-        races = program_races_on(program, work, inplace=True)
+        races = program_races_on(program, work)
     except Exception as e:  # pragma: no cover - defensive
         return ReplayOutcome(False, f"replay failed: {e}")
     if races:

@@ -178,7 +178,7 @@ class InterpEngine(Engine):
         for work, seed, _fields in self._valuations(
             query, scope, field_seeds, guard=guard
         ):
-            races = program_races_on(query.program, work, inplace=True)
+            races = program_races_on(query.program, work)
             if races:
                 return (
                     f"{self._describe_tree(work)} seed {seed}: {races[0]}"
@@ -200,7 +200,7 @@ class InterpEngine(Engine):
             for work, seed, fields in self._valuations(
                 query, None, field_seeds, trees=[tree]
             ):
-                races = program_races_on(query.program, work, inplace=True)
+                races = program_races_on(query.program, work)
                 if races:
                     # The run mutated ``work``; the witness is a fresh copy.
                     return i, seed, self._valued(tree, seed, fields), races[0]

@@ -76,9 +76,9 @@ def program_races_on(
     program: A.Program,
     tree: Tree,
     args: Sequence[int] = (),
-    inplace: bool = False,
 ) -> List[RacePair]:
-    """Run the program once and report the races on that tree (run on the
-    tree itself when ``inplace``, else on a copy)."""
-    result = run(program, tree, args=args, record_events=True, inplace=inplace)
+    """Run the program once on ``tree`` itself and report its races.
+
+    The run writes the tree's fields: pass a copy to keep them."""
+    result = run(program, tree, args=args, record_events=True, inplace=True)
     return find_races(result.trace)
