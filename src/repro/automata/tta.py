@@ -260,11 +260,18 @@ class TreeAutomaton:
             complete=True,
         )
 
-    def complemented(self, guard: Optional[ResourceGuard] = None) -> "TreeAutomaton":
-        """Complement; determinizes and completes first when needed."""
+    def complemented(
+        self,
+        guard: Optional[ResourceGuard] = None,
+        max_states: int = 200_000,
+    ) -> "TreeAutomaton":
+        """Complement; determinizes (within ``max_states``) and completes
+        first when needed."""
         from .determinize import determinize
 
-        det = self if self.deterministic else determinize(self, guard=guard)
+        det = self if self.deterministic else determinize(
+            self, max_states=max_states, guard=guard
+        )
         det = det.completed()
         return TreeAutomaton(
             registry=det.registry,

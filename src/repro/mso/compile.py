@@ -237,7 +237,7 @@ class Compiler:
         if isinstance(f, S.Not):
             inner = self._compile(f.body)
             self.stats.complements += 1
-            out = inner.complemented(guard=self.guard)
+            out = inner.complemented(guard=self.guard, max_states=self.det_budget)
             return self._maybe_min(out)
         if isinstance(f, S.And):
             return self._combine(f.parts, union=False)

@@ -159,6 +159,15 @@ class TestDeterminize:
         with pytest.raises(StateBudgetExceeded):
             determinize(a, max_states=1)
 
+    def test_compiler_det_budget_bounds_complement(self):
+        # Negating a projection determinizes it; the compiler's
+        # ``det_budget`` is that construction's state budget.
+        f = S.Not(S.Exists1(("x",), S.In(S.NodeTerm("x"), "X")))
+        with pytest.raises(StateBudgetExceeded) as ei:
+            Compiler(det_budget=1).compile(f)
+        assert ei.value.phase == "determinize"
+        assert Compiler().compile(f).deterministic
+
 
 class TestMinimize:
     def test_preserves_language(self, a_subset, trees):
