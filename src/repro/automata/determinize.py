@@ -49,6 +49,11 @@ def determinize(
         (g, state(s)) for g, s in split_guards(mgr, a.leaf)
     ]
     delta: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    # split_guards is a function of the concatenated pair list, and equal
+    # lists recur across keys: split each distinct list once and share
+    # each distinct row.
+    splits: Dict[Tuple, List[Tuple[int, FrozenSet[int]]]] = {}
+    rows: Dict[Tuple, List[Tuple[int, int]]] = {}
     done = set()
     changed = True
     while changed:
@@ -68,13 +73,17 @@ def determinize(
                 for ql in sl:
                     for qr in sr:
                         pairs.extend(a.delta.get((ql, qr), ()))
+                pk = tuple(pairs)
+                split = splits.get(pk)
+                if split is None:
+                    split = splits[pk] = split_guards(mgr, pairs)
                 entries = []
-                for g, s in split_guards(mgr, pairs):
+                for g, s in split:
                     known = s in index
                     entries.append((g, state(s)))
                     if not known:
                         changed = True
-                delta[key] = entries
+                delta[key] = rows.setdefault(tuple(entries), entries)
         if len(order) > len(current):
             changed = True
     accepting = frozenset(

@@ -7,6 +7,12 @@ the class-level symbolic transition functions from ``(p, r)``/``(r, p)`` and
 ``(q, r)``/``(r, q)`` coincide.  BDD guards are hash-consed, so "coincide"
 is an exact, canonical comparison of (class → guard) maps.
 
+Delta rows are immutable and shared, so refinement rounds (one loop,
+:func:`_refine`, for both ``minimize`` and ``reduce_nfta``), the quotient
+and the pruning remaps work once per distinct row, in first-occurrence
+order: the skipped BDD operations are exactly the op-cache hits, so the
+automata and the BDD node numbering are those of a per-key pass.
+
 Dead states (that cannot reach an accepting run context) are *not* removed
 here — completeness is preserved so complements stay cheap; unreachable
 states are pruned.
@@ -14,10 +20,10 @@ states are pruned.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..runtime import ResourceGuard
-from .tta import TreeAutomaton
+from .tta import TreeAutomaton, index_rows, row_memo
 
 __all__ = ["minimize", "prune_dead", "prune_unreachable", "reduce_nfta"]
 
@@ -25,17 +31,33 @@ Trans_t = List[Tuple[int, int]]
 
 
 def _reachable(a: TreeAutomaton) -> set:
-    """States some labelled tree reaches (bottom-up fixpoint)."""
+    """States some labelled tree reaches (bottom-up worklist).
+
+    One pass over the delta keys: a key whose child is not reached yet
+    waits on that child and is retried when the child arrives, so each
+    key is looked at most three times.
+    """
+    delta = a.delta
     reach = set(q for _, q in a.leaf)
-    changed = True
-    while changed:
-        changed = False
-        for (ql, qr), entries in a.delta.items():
-            if ql in reach and qr in reach:
-                for _, q in entries:
-                    if q not in reach:
-                        reach.add(q)
-                        changed = True
+    waiting: Dict[int, List[Tuple[int, int]]] = {}
+    arrived: List[int] = []
+    for first in delta:
+        keys: Iterable[Tuple[int, int]] = (first,)
+        while True:
+            for key in keys:
+                ql, qr = key
+                if ql not in reach:
+                    waiting.setdefault(ql, []).append(key)
+                elif qr not in reach:
+                    waiting.setdefault(qr, []).append(key)
+                else:
+                    for _, q in delta[key]:
+                        if q not in reach:
+                            reach.add(q)
+                            arrived.append(q)
+            if not arrived:
+                break
+            keys = waiting.pop(arrived.pop(), ())
     return reach
 
 
@@ -45,15 +67,14 @@ def prune_unreachable(a: TreeAutomaton) -> TreeAutomaton:
     if len(reach) == a.n_states:
         return a
     remap = {q: i for i, q in enumerate(sorted(reach))}
+    kept = row_memo(lambda v: [(g, remap[q]) for g, q in v if q in remap])
     return TreeAutomaton(
         registry=a.registry,
         tracks=a.tracks,
         n_states=len(remap),
         leaf=[(g, remap[q]) for g, q in a.leaf if q in remap],
         delta={
-            (remap[ql], remap[qr]): [
-                (g, remap[q]) for g, q in entries if q in remap
-            ]
+            (remap[ql], remap[qr]): kept(entries)
             for (ql, qr), entries in a.delta.items()
             if ql in remap and qr in remap
         },
@@ -92,6 +113,7 @@ def prune_dead(a: TreeAutomaton) -> TreeAutomaton:
     if len(useful) == a.n_states:
         return a
     remap = {q: i for i, q in enumerate(sorted(useful))}
+    kept = row_memo(lambda v: [(g, remap[q]) for g, q in v if q in remap])
     return TreeAutomaton(
         registry=a.registry,
         tracks=a.tracks,
@@ -101,15 +123,64 @@ def prune_dead(a: TreeAutomaton) -> TreeAutomaton:
             (remap[ql], remap[qr]): pruned
             for (ql, qr), entries in a.delta.items()
             if ql in remap and qr in remap
-            for pruned in [
-                [(g, remap[q]) for g, q in entries if q in remap]
-            ]
+            for pruned in [kept(entries)]
             if pruned
         },
         accepting=frozenset(remap[q] for q in a.accepting if q in remap),
         deterministic=a.deterministic,
         complete=False,
     )
+
+
+def _refine(
+    a: TreeAutomaton,
+    guard: Optional[ResourceGuard],
+    phase: str,
+    leaf_guards: Optional[Dict[int, List[int]]] = None,
+    max_rounds: Optional[int] = None,
+) -> List[int]:
+    """Moore-style partition refinement; returns the class of each state.
+
+    Each round maps every distinct row to its class-level map; a state's
+    signature holds the maps of its rows (as left and right child, per
+    peer class), and, with ``leaf_guards`` (state -> guards), its leaf
+    guard.
+    """
+    mgr = a.manager
+    n = a.n_states
+    numbers, rows = index_rows(a.delta)
+    adj: List[List[Tuple[int, bool, int]]] = [[] for _ in range(n)]
+    for (ql, qr), i in numbers.items():
+        adj[ql].append((qr, False, i))
+        adj[qr].append((ql, True, i))
+    cls = [1 if q in a.accepting else 0 for q in range(n)]
+    leaf_sig: List[Optional[int]] = [None] * n
+    rounds = 0
+    while max_rounds is None or rounds < max_rounds:
+        rounds += 1
+        if guard is not None:
+            guard.check_now(phase)
+        maps: Dict[Tuple, int] = {}
+        canon = []
+        for entries in rows:
+            merged: Dict[int, int] = {}
+            for g, q in entries:
+                c = cls[q]
+                prev = merged.get(c)
+                merged[c] = g if prev is None else mgr.apply_or(prev, g)
+            canon.append(maps.setdefault(tuple(sorted(merged.items())), len(maps)))
+        # After the first row maps: BDD node numbers follow op order.
+        if leaf_guards is not None and rounds == 1:
+            leaf_sig = [mgr.disj(leaf_guards.get(p, [])) for p in range(n)]
+        table: Dict[Tuple, int] = {}
+        new_cls = []
+        for p in range(n):
+            sig = frozenset((cls[r], right, canon[i]) for r, right, i in adj[p])
+            new_cls.append(table.setdefault((cls[p], leaf_sig[p], sig), len(table)))
+        if new_cls == cls:
+            break
+        cls = new_cls
+    return cls
 
 
 def reduce_nfta(
@@ -128,46 +199,10 @@ def reduce_nfta(
     n = a.n_states
     if n <= 1:
         return a
-    cls = [1 if q in a.accepting else 0 for q in range(n)]
-    by_left: Dict[int, List[int]] = {p: [] for p in range(n)}
-    by_right: Dict[int, List[int]] = {p: [] for p in range(n)}
-    for (ql, qr) in a.delta:
-        by_left[ql].append(qr)
-        by_right[qr].append(ql)
     leaf_by_state: Dict[int, List[int]] = {}
     for g, q in a.leaf:
         leaf_by_state.setdefault(q, []).append(g)
-
-    for _ in range(max_rounds):
-        if guard is not None:
-            guard.check_now("reduce")
-        canon: Dict[Tuple[int, int], Tuple] = {}
-        for key, entries in a.delta.items():
-            merged: Dict[int, int] = {}
-            for g, q in entries:
-                c = cls[q]
-                prev = merged.get(c)
-                merged[c] = g if prev is None else mgr.apply_or(prev, g)
-            canon[key] = tuple(sorted(merged.items()))
-        sigs: Dict[int, Tuple] = {}
-        for p in range(n):
-            sig = set()
-            for r in by_left[p]:
-                sig.add((cls[r], "L", canon[(p, r)]))
-            for r in by_right[p]:
-                sig.add((cls[r], "R", canon[(r, p)]))
-            leaf_guard = mgr.disj(leaf_by_state.get(p, []))
-            sigs[p] = (cls[p], leaf_guard, tuple(sorted(sig)))
-        table: Dict[Tuple, int] = {}
-        new_cls = []
-        for p in range(n):
-            sp = sigs[p]
-            if sp not in table:
-                table[sp] = len(table)
-            new_cls.append(table[sp])
-        if new_cls == cls:
-            break
-        cls = new_cls
+    cls = _refine(a, guard, "reduce", leaf_by_state, max_rounds)
     k = max(cls) + 1
     if k == n:
         return a
@@ -176,6 +211,7 @@ def reduce_nfta(
         c = cls[q]
         leaf_merged[c] = mgr.apply_or(leaf_merged.get(c, mgr.false), g)
     delta: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    rows: Dict[Tuple, List[Tuple[int, int]]] = {}
     for (ql, qr), entries in a.delta.items():
         key = (cls[ql], cls[qr])
         acc: Dict[int, int] = {}
@@ -184,7 +220,8 @@ def reduce_nfta(
         for g, q in entries:
             c = cls[q]
             acc[c] = mgr.apply_or(acc.get(c, mgr.false), g)
-        delta[key] = [(g, c) for c, g in acc.items() if g != mgr.false]
+        row = [(g, c) for c, g in acc.items() if g != mgr.false]
+        delta[key] = rows.setdefault(tuple(row), row)
     return TreeAutomaton(
         registry=a.registry,
         tracks=a.tracks,
@@ -206,69 +243,29 @@ def minimize(a: TreeAutomaton, guard: Optional[ResourceGuard] = None) -> TreeAut
     n = a.n_states
     if n <= 1:
         return a
-    # class id per state.
-    cls = [1 if q in a.accepting else 0 for q in range(n)]
-
-    # Adjacency index: for each state p, its delta entries by peer.
-    by_left: Dict[int, List[Tuple[int, Trans_t]]] = {p: [] for p in range(n)}
-    by_right: Dict[int, List[Tuple[int, Trans_t]]] = {p: [] for p in range(n)}
-    for (ql, qr), entries in a.delta.items():
-        by_left[ql].append((qr, entries))
-        by_right[qr].append((ql, entries))
-
-    while True:
-        if guard is not None:
-            guard.check_now("minimize")
-        # Canonical class-level transition map per delta entry, computed
-        # once per refinement round.
-        canon: Dict[Tuple[int, int], Tuple] = {}
-        for key, entries in a.delta.items():
-            merged: Dict[int, int] = {}
-            for g, q in entries:
-                c = cls[q]
-                prev = merged.get(c)
-                merged[c] = g if prev is None else mgr.apply_or(prev, g)
-            canon[key] = tuple(sorted(merged.items()))
-
-        signatures: Dict[int, Tuple] = {}
-        for p in range(n):
-            sig = set()
-            for r, _e in by_left[p]:
-                sig.add((cls[r], "L", canon[(p, r)]))
-            for r, _e in by_right[p]:
-                sig.add((cls[r], "R", canon[(r, p)]))
-            signatures[p] = (cls[p], tuple(sorted(sig)))
-        # Re-class by signature.
-        table: Dict[Tuple, int] = {}
-        new_cls = []
-        for p in range(n):
-            s = signatures[p]
-            if s not in table:
-                table[s] = len(table)
-            new_cls.append(table[s])
-        if new_cls == cls:
-            break
-        cls = new_cls
+    cls = _refine(a, guard, "minimize")
     k = max(cls) + 1
     if k == n:
         return a
-    # Build the quotient.
+    # Build the quotient: one row per class pair, from its first key.
     leaf_merged: Dict[Tuple[int, int], int] = {}
     for g, q in a.leaf:
         key = (0, cls[q])
         leaf_merged[key] = mgr.apply_or(leaf_merged.get(key, mgr.false), g)
-    delta: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    seen_pairs = set()
-    for (ql, qr), entries in a.delta.items():
-        key = (cls[ql], cls[qr])
-        if key in seen_pairs:
-            continue
-        seen_pairs.add(key)
+
+    def merge(entries: Trans_t) -> Trans_t:
         merged: Dict[int, int] = {}
         for g, q in entries:
             c = cls[q]
             merged[c] = mgr.apply_or(merged.get(c, mgr.false), g)
-        delta[key] = [(g, c) for c, g in merged.items() if g != mgr.false]
+        return [(g, c) for c, g in merged.items() if g != mgr.false]
+
+    quotient = row_memo(merge)
+    delta: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    for (ql, qr), entries in a.delta.items():
+        key = (cls[ql], cls[qr])
+        if key not in delta:
+            delta[key] = quotient(entries)
     return TreeAutomaton(
         registry=a.registry,
         tracks=a.tracks,

@@ -20,10 +20,57 @@ from ..bdd.bdd import BDDManager
 from ..runtime import ResourceGuard, StateBudgetExceeded
 from ..trees.heap import Tree, TreeNode
 
-__all__ = ["TreeAutomaton", "TrackRegistry", "split_guards"]
+__all__ = ["TreeAutomaton", "TrackRegistry", "index_rows", "row_memo", "split_guards"]
 
 Guard = int  # a BDD node index
 Trans = List[Tuple[Guard, int]]
+
+
+def row_memo(fn: Callable[[Trans], Trans]) -> Callable[[Trans], Trans]:
+    """``fn`` over delta rows, computed once per distinct row content.
+
+    Rows are immutable once built, so results are shared: equal results
+    come back as one list object.  Rows are looked up by ``id`` first, so
+    every row passed in must stay alive while the memo is in use.
+    """
+    by_id: Dict[int, Trans] = {}
+    by_content: Dict[Tuple, Trans] = {}
+    results: Dict[Tuple, Trans] = {}
+
+    def get(row: Trans) -> Trans:
+        out = by_id.get(id(row))
+        if out is None:
+            key = tuple(row)
+            out = by_content.get(key)
+            if out is None:
+                out = fn(row)
+                out = by_content[key] = results.setdefault(tuple(out), out)
+            by_id[id(row)] = out
+        return out
+
+    return get
+
+
+def index_rows(
+    delta: Mapping[Tuple[int, int], Trans]
+) -> Tuple[Dict[Tuple[int, int], int], List[Trans]]:
+    """Number the distinct rows of ``delta`` in first-occurrence order.
+
+    Returns ``key -> row number`` and the rows by number.  Rows equal by
+    content get one number, whether or not they are one object.
+    """
+    by_id: Dict[int, int] = {}
+    by_content: Dict[Tuple, int] = {}
+    rows: List[Trans] = []
+    numbers: Dict[Tuple[int, int], int] = {}
+    for key, row in delta.items():
+        i = by_id.get(id(row))
+        if i is None:
+            i = by_id[id(row)] = by_content.setdefault(tuple(row), len(rows))
+            if i == len(rows):
+                rows.append(row)
+        numbers[key] = i
+    return numbers, rows
 
 
 class TrackRegistry:
@@ -54,7 +101,12 @@ class TrackRegistry:
 
 @dataclass
 class TreeAutomaton:
-    """A (possibly nondeterministic) bottom-up tree automaton."""
+    """A (possibly nondeterministic) bottom-up tree automaton.
+
+    ``delta`` maps a child-state pair to its row of ``(guard, target)``
+    transitions.  Rows are never mutated once built; constructions share
+    one list object among all keys (and automata) with an equal row.
+    """
 
     registry: TrackRegistry
     tracks: FrozenSet[str]
@@ -124,8 +176,10 @@ class TreeAutomaton:
 
         Sound for conjunction on arbitrary automata; for disjunction both
         sides must be complete (use :meth:`completed`).  Only reachable
-        product states are built.  A guard cancels the construction with
-        ``DeadlineExceeded`` on expiry.
+        product states are built, and each distinct pair of operand rows
+        is multiplied once: every key carrying that pair shares the row.
+        A guard cancels the construction with ``DeadlineExceeded`` on
+        expiry.
         """
         assert self.registry is other.registry
         mgr = self.manager
@@ -159,16 +213,28 @@ class TreeAutomaton:
                 if g != mgr.false:
                     leaf.append((g, discover((q1, q2))))
 
+        left_of, left_rows = index_rows(self.delta)
+        right_of, right_rows = index_rows(other.delta)
+        products: Dict[Tuple[int, int], Trans] = {}
+        rows: Dict[Tuple, Trans] = {}
+
         def expand(pl: Tuple[int, int], pr: Tuple[int, int]) -> None:
-            key = (index[pl], index[pr])
-            entries: Trans = []
-            for g1, q1 in self.delta.get((pl[0], pr[0]), ()):
-                for g2, q2 in other.delta.get((pl[1], pr[1]), ()):
-                    g = mgr.apply_and(g1, g2)
-                    if g != mgr.false:
-                        entries.append((g, discover((q1, q2))))
+            i1 = left_of.get((pl[0], pr[0]))
+            i2 = right_of.get((pl[1], pr[1]))
+            if i1 is None or i2 is None:
+                return
+            entries = products.get((i1, i2))
+            if entries is None:
+                entries = []
+                for g1, q1 in left_rows[i1]:
+                    for g2, q2 in right_rows[i2]:
+                        g = mgr.apply_and(g1, g2)
+                        if g != mgr.false:
+                            entries.append((g, discover((q1, q2))))
+                entries = rows.setdefault(tuple(entries), entries)
+                products[(i1, i2)] = entries
             if entries:
-                delta[key] = entries
+                delta[(index[pl], index[pr])] = entries
 
         processed: List[Tuple[int, int]] = []
         while frontier:
@@ -209,9 +275,10 @@ class TreeAutomaton:
         assert self.registry is other.registry
         off = self.n_states
         leaf = list(self.leaf) + [(g, q + off) for g, q in other.leaf]
-        delta = {k: list(v) for k, v in self.delta.items()}
+        delta = dict(self.delta)
+        shift = row_memo(lambda v: [(g, q + off) for g, q in v])
         for (ql, qr), entries in other.delta.items():
-            delta[(ql + off, qr + off)] = [(g, q + off) for g, q in entries]
+            delta[(ql + off, qr + off)] = shift(entries)
         return TreeAutomaton(
             registry=self.registry,
             tracks=self.tracks | other.tracks,
@@ -237,16 +304,20 @@ class TreeAutomaton:
         needs_sink = rest != mgr.false
         if rest != mgr.false:
             leaf.append((rest, sink))
-        delta = {k: list(v) for k, v in self.delta.items()}
+
+        def fill(entries: Trans) -> Trans:
+            rest = mgr.apply_not(mgr.disj([g for g, _ in entries]))
+            return entries if rest == mgr.false else entries + [(rest, sink)]
+
+        filled = row_memo(fill)
+        delta = dict(self.delta)
+        no_row: Trans = []
         states = range(self.n_states + 1)
         for ql in states:
             for qr in states:
-                entries = delta.get((ql, qr), [])
-                covered = mgr.disj([g for g, _ in entries])
-                rest = mgr.apply_not(covered)
-                if rest != mgr.false:
-                    entries = entries + [(rest, sink)]
-                    delta[(ql, qr)] = entries
+                entries = delta.get((ql, qr), no_row)
+                delta[(ql, qr)] = full = filled(entries)
+                if len(full) > len(entries):
                     needs_sink = True
         n = self.n_states + (1 if needs_sink else 0)
         return TreeAutomaton(
@@ -288,15 +359,13 @@ class TreeAutomaton:
         """Existentially quantify the given tracks out of every guard."""
         levels = frozenset(self.registry.level(t) for t in tracks)
         mgr = self.manager
+        quantified = row_memo(lambda v: [(mgr.exists(g, levels), q) for g, q in v])
         return TreeAutomaton(
             registry=self.registry,
             tracks=self.tracks - frozenset(tracks),
             n_states=self.n_states,
             leaf=[(mgr.exists(g, levels), q) for g, q in self.leaf],
-            delta={
-                k: [(mgr.exists(g, levels), q) for g, q in v]
-                for k, v in self.delta.items()
-            },
+            delta={k: quantified(v) for k, v in self.delta.items()},
             accepting=self.accepting,
             deterministic=False,
             complete=self.complete,

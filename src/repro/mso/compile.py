@@ -309,12 +309,12 @@ class Compiler:
             if small:
                 self.stats.products += 1
                 acc = acc.completed().product(
-                    nxt.completed(), lambda x, y: x or y
+                    nxt.completed(), lambda x, y: x or y, guard=self.guard
                 )
                 acc = prune_unreachable(acc)
                 if acc.n_states > 8 and self.minimize_always:
                     self.stats.minimizations += 1
-                    acc = minimize(acc.completed())
+                    acc = minimize(acc.completed(), guard=self.guard)
             else:
                 acc = acc.union_sum(nxt)
         return prune_unreachable(acc)
