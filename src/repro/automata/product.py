@@ -545,8 +545,6 @@ class ProductAutomaton:
             table[t] = (mgr.pick_cube(guard), lt, rt)  # combos: guard != false
             if use_antichain:
                 antichain_insert(t)
-            if rg is not None:
-                rg.charge_states(1, "product.explore")
             counter += 1
             heapq.heappush(frontier, (distance(t), counter, t))
             if target is None and self.accepting_tuple(t):

@@ -51,11 +51,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Dict, Set
 
 from .core.api import check_data_race, check_equivalence
 from .core.transform import correspondence_by_key
+from .engine import Limits
 from .interp import run as interp_run
 from .lang import BlockTable, parse_program, validate
 from .runtime import ReproError
@@ -172,24 +174,20 @@ def main(argv=None) -> int:
         return EXIT_ERROR
 
 
+#: The solver limits with a CLI flag (DESIGN.md §7).
+_LIMIT_FLAGS = [f for f in fields(Limits) if f.metadata["flag"] is not None]
+
+
 def _dispatch(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="repro", description=__doc__)
     ap.add_argument("--entry", default="Main", help="entry function name")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def add_resource_flags(parser):
-        parser.add_argument(
-            "--deadline",
-            type=float,
-            metavar="SECONDS",
-            help="wall-clock deadline for the symbolic engine",
-        )
-        parser.add_argument(
-            "--det-budget",
-            type=int,
-            metavar="STATES",
-            help="determinization state budget for the symbolic engine",
-        )
+        for f in _LIMIT_FLAGS:
+            flag, metavar, text = f.metadata["flag"]
+            parser.add_argument(flag, type=f.metadata["kind"], dest=f.name,
+                                metavar=metavar, help=text)
         parser.add_argument(
             "--max-internal",
             type=int,
@@ -402,13 +400,13 @@ def _dispatch(argv=None) -> int:
     args = ap.parse_args(argv)
 
     def resource_kwargs():
-        # Only forward flags the user actually set: the two commands have
-        # different deadline defaults (600s race / 60s fusion).
-        kw = {}
-        if args.deadline is not None:
-            kw["mso_deadline_s"] = args.deadline
-        if args.det_budget is not None:
-            kw["det_budget"] = args.det_budget
+        # Only forward flags the user actually set; the rest keep the
+        # defaults of repro.engine.Limits.
+        kw = {
+            f.name: getattr(args, f.name)
+            for f in _LIMIT_FLAGS
+            if getattr(args, f.name) is not None
+        }
         if args.max_internal is not None:
             kw["max_internal"] = args.max_internal
         if args.isolation != "inline":
@@ -501,9 +499,9 @@ def _dispatch(argv=None) -> int:
         )
         worker_limits = None
         if args.isolation == "process":
-            from .service import Limits
+            from .service import WorkerLimits
 
-            worker_limits = Limits(
+            worker_limits = WorkerLimits(
                 wall_s=args.wall_s if args.wall_s is not None else 120.0,
                 cpu_s=args.cpu_s,
                 mem_bytes=(

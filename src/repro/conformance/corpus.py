@@ -180,12 +180,12 @@ def run_entry(
     retry of a deterministic rlimit crash would only re-crash.
     """
     if entry.isolation == "process":
-        from ..service import Limits, RetryPolicy, run_case_isolated
+        from ..service import RetryPolicy, WorkerLimits, run_case_isolated
 
         return run_case_isolated(
             entry.case,
             entry.config(base),
-            limits=Limits.from_dict(entry.limits),
+            limits=WorkerLimits.from_dict(entry.limits),
             policy=RetryPolicy(max_attempts=1),
         )
     return run_case(entry.case, entry.config(base))

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.api import check_equivalence
@@ -163,6 +163,15 @@ class OracleConfig:
     # the shrinker's re-runs reproduce the fault deterministically.
     fault: Optional[Tuple[str, int, str]] = None
 
+    @property
+    def limits(self) -> Limits:
+        """The solver limits of both symbolic paths."""
+        return Limits(
+            det_budget=self.det_budget,
+            product_budget=self.product_budget,
+            mso_deadline_s=self.sym_deadline_s,
+        )
+
 
 @dataclass(frozen=True)
 class Mismatch:
@@ -211,14 +220,9 @@ def _symbolic_race(query: RaceQuery, cfg: OracleConfig):
     """The strict ``mso`` rung's verdict, with the configured fault
     armed.  An undecided verdict keeps whatever witness it carries, so
     the stale-witness rule can see it."""
-    limits = Limits(
-        det_budget=cfg.det_budget,
-        product_budget=cfg.product_budget,
-        mso_deadline_s=cfg.sym_deadline_s,
-    )
     with _fault_armed(cfg):
         sym, _rung = run_symbolic(
-            get_engine("mso").bind(query), limits, [], {}, lenient=False
+            get_engine("mso").bind(query), cfg.limits, [], {}, lenient=False
         )
     return sym
 
@@ -401,9 +405,8 @@ def _check_equiv_case(
     try:
         with _fault_armed(cfg):
             sym = check_equivalence(
-                p, q, mapping, engine="mso",
-                det_budget=cfg.det_budget,
-                mso_deadline_s=cfg.sym_deadline_s, replay=False,
+                p, q, mapping, engine="mso", replay=False,
+                **asdict(cfg.limits),
             )
     except SolverInternalError as e:
         # The engine's own message already says "symbolic engine failed".

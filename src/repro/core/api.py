@@ -38,12 +38,12 @@ deciding engine is complete for the query (see
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Set
 
 from ..engine import (
     EquivalenceQuery,
-    Limits as QueryLimits,
+    Limits,
     RaceQuery,
     execute,
     plan_for,
@@ -175,15 +175,6 @@ _VERDICTS = {
 }
 
 
-def _query_limits(options: Dict[str, object]) -> QueryLimits:
-    return QueryLimits(
-        det_budget=options["det_budget"],
-        mso_deadline_s=options["mso_deadline_s"],
-        node_ceiling=options["node_ceiling"],
-        bounded_deadline_s=options["bounded_deadline_s"],
-    )
-
-
 def verification_from_reply(
     reply: Dict[str, object],
     query,
@@ -255,23 +246,23 @@ def _isolated(
 
     The worker task carries the program(s) pretty-printed
     (:func:`repro.lang.printer.program_source` round-trips through the
-    parser): plain data a child process — or a daemon on the far side of
-    a socket — can solve without sharing any state with this caller.
+    parser) and every field of ``query.limits``: plain data a child
+    process — or a daemon on the far side of a socket — can solve
+    without sharing any state with this caller.
     """
     from ..lang.printer import program_source
-    from ..service import DaemonClient, Limits, Supervisor
+    from ..service import DaemonClient, Supervisor, WorkerLimits
     from ..service.scheduler import DEFAULT_PRIORITY
     from ..service.worker import task_for_fusion, task_for_race
 
     t0 = time.perf_counter()
     options = dict(options)
-    limits = Limits(
+    limits = WorkerLimits(
         wall_s=options.pop("wall_s", None),
         cpu_s=options.pop("cpu_s", None),
         mem_bytes=options.pop("mem_bytes", None),
     )
-    options = {k: v for k, v in options.items() if v is not None or k in (
-        "mso_deadline_s", "bounded_deadline_s", "node_ceiling")}
+    options.update(asdict(query.limits))
     p = query.program
     if query.kind == "race":
         task = task_for_race(
@@ -320,8 +311,9 @@ def _solve(
 ) -> VerificationResult:
     """Answer ``query`` — the path both public entry points share.
 
-    ``options`` are the entry's solve keywords (the worker task's
-    options plus the ``wall_s``/``cpu_s``/``mem_bytes`` sandbox limits);
+    ``options`` are the entry's solve keywords bar ``query.limits`` (the
+    worker task's options plus the ``wall_s``/``cpu_s``/``mem_bytes``
+    sandbox limits);
     ``replay_witness(tree)`` replays a counterexample concretely.  The
     cache is consulted first; ``isolation`` then picks the transport:
     ``"inline"`` runs the plan here (behind the bisimulation gate when
@@ -472,10 +464,6 @@ def check_data_race(
     program: A.Program,
     engine: str = "auto",
     max_internal: int = 4,
-    det_budget: int = 50_000,
-    mso_deadline_s: Optional[float] = 600.0,
-    node_ceiling: Optional[int] = None,
-    bounded_deadline_s: Optional[float] = None,
     replay: bool = True,
     isolation: str = "inline",
     wall_s: Optional[float] = None,
@@ -484,8 +472,12 @@ def check_data_race(
     cache=None,
     daemon_socket=None,
     on_trees: Optional[Sequence[object]] = None,
+    **limits,
 ) -> VerificationResult:
     """Is the program data-race-free (paper Thm 2)?
+
+    The keyword-only ``**limits`` are fields of :class:`repro.engine.
+    Limits`: an unknown name raises ``TypeError``, a bad value ``ValueError``.
 
     ``isolation="process"`` runs the whole query in a sandboxed,
     supervised child process (``wall_s``/``cpu_s``/``mem_bytes`` become
@@ -508,6 +500,9 @@ def check_data_race(
     node both as the LCRS path and, in ``details["witness_nary"]``, as
     n-ary child coordinates.
     """
+    query = RaceQuery(
+        program=program, scope=max_internal, limits=Limits(**limits)
+    )
     validate(program)
     t0 = time.perf_counter()
     if on_trees is not None:
@@ -517,18 +512,11 @@ def check_data_race(
     options = {
         "engine": engine,
         "max_internal": max_internal,
-        "det_budget": det_budget,
-        "mso_deadline_s": mso_deadline_s,
-        "node_ceiling": node_ceiling,
-        "bounded_deadline_s": bounded_deadline_s,
         "replay": replay,
         "wall_s": wall_s,
         "cpu_s": cpu_s,
         "mem_bytes": mem_bytes,
     }
-    query = RaceQuery(
-        program=program, scope=max_internal, limits=_query_limits(options)
-    )
     return _solve(
         query,
         options,
@@ -546,10 +534,6 @@ def check_equivalence(
     mapping: Mapping[str, Set[str]],
     engine: str = "auto",
     max_internal: int = 4,
-    det_budget: int = 50_000,
-    mso_deadline_s: Optional[float] = 600.0,
-    node_ceiling: Optional[int] = None,
-    bounded_deadline_s: Optional[float] = None,
     replay: bool = True,
     check_bisim: bool = True,
     isolation: str = "inline",
@@ -558,6 +542,7 @@ def check_equivalence(
     mem_bytes: Optional[int] = None,
     cache=None,
     daemon_socket=None,
+    **limits,
 ) -> VerificationResult:
     """Are the two programs equivalent under the block correspondence
     (paper Thm 3: bisimilar and conflict-free)?
@@ -566,32 +551,29 @@ def check_equivalence(
     7); check separately with :func:`check_data_race`.
     ``isolation="process"`` sandboxes the query and
     ``isolation="daemon"`` (+ ``daemon_socket=``) submits it to a
-    running solve daemon, as in :func:`check_data_race`; ``cache=`` an
-    optional :class:`~repro.engine.cache.ResultCache`.
+    running solve daemon, and ``**limits`` are the solver limits, as in
+    :func:`check_data_race`; ``cache=`` an optional
+    :class:`~repro.engine.cache.ResultCache`.
     """
+    query = EquivalenceQuery(
+        program=p,
+        program2=p_prime,
+        mapping=mapping,
+        scope=max_internal,
+        limits=Limits(**limits),
+    )
     validate(p)
     validate(p_prime)
     t0 = time.perf_counter()
     options = {
         "engine": engine,
         "max_internal": max_internal,
-        "det_budget": det_budget,
-        "mso_deadline_s": mso_deadline_s,
-        "node_ceiling": node_ceiling,
-        "bounded_deadline_s": bounded_deadline_s,
         "replay": replay,
         "check_bisim": check_bisim,
         "wall_s": wall_s,
         "cpu_s": cpu_s,
         "mem_bytes": mem_bytes,
     }
-    query = EquivalenceQuery(
-        program=p,
-        program2=p_prime,
-        mapping=mapping,
-        scope=max_internal,
-        limits=_query_limits(options),
-    )
     return _solve(
         query,
         options,

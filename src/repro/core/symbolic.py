@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..automata.emptiness import Witness
+from ..engine.query import Limits
 from ..lang import ast as A
 from ..mso import syntax as S
 from ..runtime import (
@@ -115,7 +116,7 @@ def _wrap_internal(e: Exception, guard: Optional[ResourceGuard]) -> SolverIntern
 def check_data_race_mso(
     program: A.Program,
     solver: Optional[MSOSolver] = None,
-    det_budget: int = 50_000,
+    det_budget: int = Limits.det_budget,
     guard: Optional[ResourceGuard] = None,
 ) -> SymbolicVerdict:
     """``DataRace[[P]]`` (Thm 2) by MSO satisfiability, over all trees."""
@@ -176,7 +177,7 @@ def check_conflict_mso(
     p_prime: A.Program,
     mapping: Mapping[str, Set[str]],
     solver: Optional[MSOSolver] = None,
-    det_budget: int = 50_000,
+    det_budget: int = Limits.det_budget,
     guard: Optional[ResourceGuard] = None,
 ) -> SymbolicVerdict:
     """``Conflict[[P, P']]`` (Thm 3) by MSO satisfiability.

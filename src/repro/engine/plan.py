@@ -26,7 +26,7 @@ to the scope engine; a plan without one does neither.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..runtime import (
@@ -172,20 +172,30 @@ def normalized_attempts(
 def _symbolic_attempt(
     rung: str,
     run_sym: Callable,
-    solver,
+    limits: Limits,
     guard: ResourceGuard,
-    limits: Dict[str, object],
     attempts: List[Dict[str, object]],
     details: Dict[str, object],
     strict: bool,
+    cache=None,
 ):
-    """One guarded symbolic run, recorded; ``None`` after an internal
-    error that ``strict`` does not propagate."""
+    """One guarded symbolic run under ``limits``' budgets, recorded;
+    ``None`` after an internal error that ``strict`` does not propagate.
+    An attached ``cache`` only feeds observability: its counters are
+    mirrored into the solver's stats."""
+    from ..solver.solver import MSOSolver
+
+    solver = MSOSolver(
+        det_budget=limits.det_budget, product_budget=limits.product_budget
+    )
+    if cache is not None:
+        solver.stats.note_cache(cache.stats)
+    record = limits.attempt_limits()
     t0 = time.perf_counter()
     try:
         sym = run_sym(solver, guard)
     except SolverInternalError as e:
-        record_attempt(attempts, rung, "mso", limits, "error", t0, note=str(e))
+        record_attempt(attempts, rung, "mso", record, "error", t0, note=str(e))
         details["mso_error"] = str(e)
         if strict:
             raise
@@ -196,7 +206,7 @@ def _symbolic_attempt(
         attempts,
         rung,
         "mso",
-        limits,
+        record,
         sym.status,
         t0,
         note="counterexample" if sym.found else None,
@@ -222,34 +232,14 @@ def run_symbolic(
     so together they never exceed ``limits.mso_deadline_s``.  A
     ``SolverInternalError`` propagates unless ``lenient``.  Returns the
     verdict to report and its rung name, or ``(None, None)`` when the
-    first run errored.  An attached ``cache`` only feeds observability:
-    its counters are mirrored into each solver's stats.
+    first run errored.
     """
-
-    def solver_for(det_budget, product_budget):
-        from ..solver.solver import MSOSolver
-
-        budgets = {"det_budget": det_budget}
-        if product_budget is not None:  # None: the solver's own default
-            budgets["product_budget"] = product_budget
-        solver = MSOSolver(**budgets)
-        if cache is not None:
-            solver.stats.note_cache(cache.stats)
-        return solver
-
     guard = ResourceGuard.start(
         deadline_s=limits.mso_deadline_s, node_ceiling=limits.node_ceiling
     )
-    solver = solver_for(limits.det_budget, limits.product_budget)
     sym = _symbolic_attempt(
-        "mso", run_sym, solver, guard,
-        {
-            "det_budget": limits.det_budget,
-            "product_budget": solver.product_budget,
-            "deadline_s": limits.mso_deadline_s,
-            "node_ceiling": limits.node_ceiling,
-        },
-        attempts, details, strict=not lenient,
+        "mso", run_sym, limits, guard, attempts, details,
+        strict=not lenient, cache=cache,
     )
     if sym is None:
         return None, None
@@ -257,20 +247,16 @@ def run_symbolic(
     if (not lenient or sym.status != "budget"
             or (remaining is not None and remaining < _MIN_RETRY_S)):
         return sym, "mso"
-    solver2 = solver_for(
-        limits.det_budget * LADDER_ESCALATION,
-        solver.product_budget * LADDER_ESCALATION,
+    escalated = replace(
+        limits,
+        det_budget=limits.det_budget * LADDER_ESCALATION,
+        product_budget=limits.product_budget * LADDER_ESCALATION,
+        mso_deadline_s=round(remaining, 3) if remaining is not None else None,
     )
     sym2 = _symbolic_attempt(
-        "mso-retry", run_sym, solver2,
+        "mso-retry", run_sym, escalated,
         ResourceGuard(deadline=guard.deadline, node_ceiling=limits.node_ceiling),
-        {
-            "det_budget": solver2.compiler.det_budget,
-            "product_budget": solver2.product_budget,
-            "deadline_s": round(remaining, 3) if remaining is not None else None,
-            "node_ceiling": limits.node_ceiling,
-        },
-        attempts, details, strict=False,
+        attempts, details, strict=False, cache=cache,
     )
     if sym2 is not None and sym2.status == "decided":
         return sym2, "mso-retry"

@@ -14,11 +14,16 @@ Programs are canonicalized through :func:`repro.lang.printer.
 program_source` (which round-trips through the parser), so two ASTs
 that print identically — regardless of how they were constructed — are
 the same query.
+
+:class:`Limits` is the one declaration of every solver limit — default,
+validation, attempts key and CLI flag per field (DESIGN.md §7).  It is
+not :class:`repro.service.protocol.WorkerLimits`, the OS limits of one
+sandboxed worker child.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Mapping, Optional, Set
 
 from ..lang import ast as A
@@ -26,6 +31,8 @@ from .keys import content_key
 
 __all__ = [
     "Limits",
+    "limit_field",
+    "check_limits",
     "RaceQuery",
     "EquivalenceQuery",
     "program_fields",
@@ -51,19 +58,65 @@ def program_fields(program: A.Program) -> List[str]:
     return sorted(fields)
 
 
+def limit_field(default, kind, optional=False, attempts=None, flag=None):
+    """A field that :func:`check_limits` validates: ``kind`` is ``int``
+    or ``float``; ``None`` (unlimited) is valid only when ``optional``.
+    ``attempts`` is the key an ``mso`` rung records it under, ``flag``
+    an optional ``(option, metavar, help)`` CLI flag."""
+    return field(default=default, metadata={
+        "kind": kind, "optional": optional, "attempts": attempts, "flag": flag,
+    })
+
+
+def check_limits(limits) -> None:
+    """Raise ``ValueError`` unless every field of ``limits`` is a positive
+    number of its kind (not a bool), or ``None`` where optional."""
+    for f in fields(limits):
+        value, kind = getattr(limits, f.name), f.metadata["kind"]
+        if value is None and f.metadata["optional"]:
+            continue
+        number = int if kind is int else (int, float)
+        if (isinstance(value, bool) or not isinstance(value, number)
+                or not value > 0):
+            raise ValueError(
+                f"limit {f.name!r} must be a positive "
+                f"{'integer' if kind is int else 'number'}"
+                f"{' or None' if f.metadata['optional'] else ''}, "
+                f"not {value!r}"
+            )
+
+
 @dataclass(frozen=True)
 class Limits:
-    """How hard to work on a query — never part of its identity.
+    """How hard to work on a query — never part of its identity."""
 
-    ``product_budget=None`` means the solver's own default; the other
-    fields mirror the historical ``check_*`` keyword arguments.
-    """
+    det_budget: int = limit_field(
+        50_000, int, attempts="det_budget",
+        flag=("--det-budget", "STATES",
+              "determinization state budget for the symbolic engine"),
+    )
+    product_budget: int = limit_field(50_000, int, attempts="product_budget")
+    mso_deadline_s: Optional[float] = limit_field(
+        600.0, float, optional=True, attempts="deadline_s",
+        flag=("--deadline", "SECONDS",
+              "wall-clock deadline for the symbolic engine"),
+    )
+    node_ceiling: Optional[int] = limit_field(
+        None, int, optional=True, attempts="node_ceiling"
+    )
+    bounded_deadline_s: Optional[float] = limit_field(
+        None, float, optional=True
+    )
 
-    det_budget: int = 50_000
-    product_budget: Optional[int] = None
-    mso_deadline_s: Optional[float] = 600.0
-    node_ceiling: Optional[int] = None
-    bounded_deadline_s: Optional[float] = None
+    __post_init__ = check_limits
+
+    def attempt_limits(self) -> Dict[str, object]:
+        """The ``limits`` of an ``mso`` rung's attempts record."""
+        return {
+            f.metadata["attempts"]: getattr(self, f.name)
+            for f in fields(self)
+            if f.metadata["attempts"] is not None
+        }
 
 
 def _canonical_source(program: A.Program) -> str:

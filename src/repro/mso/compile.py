@@ -282,7 +282,6 @@ class Compiler:
         for nxt in autos[1:]:
             self.stats.products += 1
             acc = acc.product(nxt, lambda x, y: x and y, guard=guard)
-            acc = prune_unreachable(acc)
             if (
                 acc.deterministic
                 and acc.n_states > 8
@@ -311,7 +310,6 @@ class Compiler:
                 acc = acc.completed().product(
                     nxt.completed(), lambda x, y: x or y, guard=self.guard
                 )
-                acc = prune_unreachable(acc)
                 if acc.n_states > 8 and self.minimize_always:
                     self.stats.minimizations += 1
                     acc = minimize(acc.completed(), guard=self.guard)

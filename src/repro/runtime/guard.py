@@ -1,9 +1,10 @@
 """Cooperative resource governance for the decision procedure.
 
-A single :class:`ResourceGuard` carries every limit a solver run is
-subject to — wall-clock deadline, reached-state budget, BDD-node
-(memory) ceiling — and is passed down through BDD operations, automaton
-constructions, product exploration, compilation, and the solver.  Hot
+A single :class:`ResourceGuard` carries the limits a solver run checks
+cooperatively — wall-clock deadline and BDD-node (memory) ceiling — and
+is passed down through BDD operations, automaton constructions, product
+exploration, compilation, and the solver.  (State budgets are the
+``max_states`` arguments of the constructions themselves.)  Hot
 loops call the cheap :meth:`ResourceGuard.tick` probe (an integer
 increment; the expensive clock/size reads only run every
 ``check_every`` ticks), while natural phase boundaries call
@@ -19,7 +20,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional
 
-from .errors import DeadlineExceeded, MemoryCeilingExceeded, StateBudgetExceeded
+from .errors import DeadlineExceeded, MemoryCeilingExceeded
 
 __all__ = ["ResourceGuard"]
 
@@ -32,9 +33,6 @@ class ResourceGuard:
     deadline:
         Absolute ``time.perf_counter()`` value after which work must
         stop, or ``None`` for no wall-clock limit.
-    state_budget:
-        Maximum number of states the run may *charge* (via
-        :meth:`charge_states`), or ``None`` for unlimited.
     node_ceiling:
         Maximum number of live BDD nodes in a bound manager, or
         ``None`` for unlimited.
@@ -44,12 +42,10 @@ class ResourceGuard:
 
     __slots__ = (
         "deadline",
-        "state_budget",
         "node_ceiling",
         "check_every",
         "_ticks",
         "_next_check",
-        "_states",
         "_managers",
         "last_phase",
     )
@@ -57,17 +53,14 @@ class ResourceGuard:
     def __init__(
         self,
         deadline: Optional[float] = None,
-        state_budget: Optional[int] = None,
         node_ceiling: Optional[int] = None,
         check_every: int = 1024,
     ) -> None:
         self.deadline = deadline
-        self.state_budget = state_budget
         self.node_ceiling = node_ceiling
         self.check_every = max(1, int(check_every))
         self._ticks = 0
         self._next_check = self.check_every
-        self._states = 0
         self._managers: list = []
         self.last_phase: Optional[str] = None
 
@@ -78,7 +71,6 @@ class ResourceGuard:
     def start(
         cls,
         deadline_s: Optional[float] = None,
-        state_budget: Optional[int] = None,
         node_ceiling: Optional[int] = None,
         check_every: int = 1024,
     ) -> "ResourceGuard":
@@ -88,7 +80,6 @@ class ResourceGuard:
             deadline = time.perf_counter() + deadline_s
         return cls(
             deadline=deadline,
-            state_budget=state_budget,
             node_ceiling=node_ceiling,
             check_every=check_every,
         )
@@ -135,16 +126,6 @@ class ResourceGuard:
             for manager in self._managers:
                 self._check_ceiling(manager.size(), phase)
 
-    def charge_states(self, n: int = 1, phase: Optional[str] = None) -> None:
-        """Account *n* newly reached states against the state budget."""
-        self._states += n
-        if self.state_budget is not None and self._states > self.state_budget:
-            raise StateBudgetExceeded(
-                f"reached-state budget of {self.state_budget} exceeded",
-                phase=phase or self.last_phase,
-                counters=self.counters(),
-            )
-
     def note_nodes(self, count: int, phase: str = "bdd") -> None:
         """Called by a bound BDD manager after allocating nodes."""
         self._check_ceiling(count, phase)
@@ -177,10 +158,7 @@ class ResourceGuard:
         return self.deadline - time.perf_counter()
 
     def counters(self) -> Dict[str, object]:
-        counters: Dict[str, object] = {
-            "ticks": self._ticks,
-            "states_charged": self._states,
-        }
+        counters: Dict[str, object] = {"ticks": self._ticks}
         if self._managers:
             counters["bdd_nodes"] = sum(m.size() for m in self._managers)
         if self.deadline is not None:
@@ -190,6 +168,5 @@ class ResourceGuard:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ResourceGuard(deadline={self.deadline!r}, "
-            f"state_budget={self.state_budget!r}, "
             f"node_ceiling={self.node_ceiling!r})"
         )

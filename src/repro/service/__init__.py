@@ -12,7 +12,7 @@ ladder and takes the interpreter down with it.
 Seven layers:
 
 * :mod:`repro.service.protocol` — length-prefixed JSON framing, the
-  serializable :class:`Task`/:class:`Limits` model, and content-hash
+  serializable :class:`Task`/:class:`WorkerLimits` model, and content-hash
   task keys;
 * :mod:`repro.service.worker` — one solve per sandboxed child process
   (``resource.setrlimit`` on CPU/address space, wall-clock kill from the
@@ -47,7 +47,7 @@ Seven layers:
 from .batch import BatchError, BatchReport, load_manifest, run_batch
 from .client import DaemonClient
 from .daemon import DaemonConfig, DaemonError, SolveDaemon, serve
-from .protocol import Limits, Task, task_key
+from .protocol import Task, WorkerLimits, task_key
 from .scheduler import FairScheduler, ServiceOverloaded, TokenBucket
 from .sharedcache import SharedCache
 from .store import Journal
@@ -65,7 +65,7 @@ from .worker import (
 
 __all__ = [
     "Task",
-    "Limits",
+    "WorkerLimits",
     "task_key",
     "WorkerOutcome",
     "run_task",

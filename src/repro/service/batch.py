@@ -51,7 +51,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-from .protocol import Limits, Task, canonical_json, task_key
+from .protocol import WorkerLimits, Task, canonical_json, task_key
 from .store import Journal, payload_digest
 from .supervisor import RetryPolicy, SupervisedResult, Supervisor
 from .worker import (
@@ -150,7 +150,7 @@ def load_manifest(path: Path) -> List[Task]:
         kind = entry.get("kind")
         options = _merged(defaults, entry, "options", name)
         try:
-            limits = Limits.from_dict(
+            limits = WorkerLimits.from_dict(
                 _merged(defaults, entry, "limits", name)
             )
         except ValueError as e:

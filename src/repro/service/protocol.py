@@ -27,6 +27,10 @@ the canonical JSON of ``(kind, payload)``, in the spirit of the
 compiler's ``structural_key`` formula cache.  Execution limits are
 deliberately excluded — re-running a batch with a bigger sandbox must
 still reuse every verdict that already succeeded.
+
+A task's ``limits`` are :class:`WorkerLimits`, the OS limits of its
+worker child; the solver limits (:class:`repro.engine.Limits`) ride in
+the payload's ``options``.
 """
 
 from __future__ import annotations
@@ -37,10 +41,11 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional
 
 from ..engine.keys import canonical_json, content_key
+from ..engine.query import check_limits, limit_field
 
 __all__ = [
     "FrameError",
-    "Limits",
+    "WorkerLimits",
     "Task",
     "task_key",
     "canonical_json",
@@ -64,48 +69,38 @@ class FrameError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Limits:
+class WorkerLimits:
     """Hard OS limits applied to one worker child.
 
     ``wall_s`` is enforced by the *parent* (SIGKILL past the deadline);
     ``cpu_s`` and ``mem_bytes`` become ``RLIMIT_CPU`` / ``RLIMIT_AS``
     inside the child, so even a solver stuck in C code cannot outrun
-    them.
+    them.  Each is a positive number (an integer for ``mem_bytes``) or
+    ``None``, checked as :class:`repro.engine.Limits` checks its own.
     """
 
-    wall_s: Optional[float] = 120.0
-    cpu_s: Optional[float] = None
-    mem_bytes: Optional[int] = None
+    wall_s: Optional[float] = limit_field(120.0, float, optional=True)
+    cpu_s: Optional[float] = limit_field(None, float, optional=True)
+    mem_bytes: Optional[int] = limit_field(None, int, optional=True)
+
+    __post_init__ = check_limits
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: Optional[Dict[str, Any]]) -> "Limits":
-        """Raises ``ValueError`` unless every limit is null or a positive
-        number (an integer for ``mem_bytes``)."""
+    def from_dict(cls, data: Optional[Dict[str, Any]]) -> "WorkerLimits":
+        """Raises ``ValueError`` on an invalid limit."""
         data = data or {}
         if not isinstance(data, dict):
             raise ValueError(
                 f"limits must be an object, not {type(data).__name__}"
             )
-        limits = cls(
+        return cls(
             wall_s=data.get("wall_s", 120.0),
             cpu_s=data.get("cpu_s"),
             mem_bytes=data.get("mem_bytes"),
         )
-        for name, value in asdict(limits).items():
-            kind = int if name == "mem_bytes" else (int, float)
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, kind)
-                or not value > 0
-            ):
-                raise ValueError(
-                    f"limit {name!r} must be a positive "
-                    f"{'integer' if kind is int else 'number'} or null, "
-                    f"not {value!r}"
-                )
-        return limits
 
 
 @dataclass(frozen=True)
@@ -121,7 +116,7 @@ class Task:
     kind: str
     payload: Dict[str, Any]
     name: str = "task"
-    limits: Limits = field(default_factory=Limits)
+    limits: WorkerLimits = field(default_factory=WorkerLimits)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -137,7 +132,7 @@ class Task:
             kind=data["kind"],
             payload=dict(data["payload"]),
             name=data.get("name", "task"),
-            limits=Limits.from_dict(data.get("limits")),
+            limits=WorkerLimits.from_dict(data.get("limits")),
         )
 
 

@@ -36,15 +36,15 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .protocol import (
     FrameError,
-    Limits,
     Task,
+    WorkerLimits,
     jsonable,
     read_frame,
     write_frame,
@@ -142,7 +142,7 @@ class WorkerOutcome:
 # measured in the parent, so they are excluded from the ratchet.
 
 
-def _apply_rlimits(limits: Limits) -> None:  # pragma: no cover - child only
+def _apply_rlimits(limits: WorkerLimits) -> None:  # pragma: no cover - child only
     import resource as res
 
     res.setrlimit(res.RLIMIT_CORE, (0, 0))
@@ -270,24 +270,26 @@ def _error_dict(e: BaseException) -> Dict[str, Any]:
 # Task runners (shared by the child and the supervisor's inline mode)
 
 
-_RACE_OPTIONS = (
-    "engine",
-    "max_internal",
-    "det_budget",
-    "mso_deadline_s",
-    "node_ceiling",
-    "bounded_deadline_s",
-    "replay",
-)
+#: Task options besides the solver limits, every field of
+#: :class:`repro.engine.Limits`, which a task may also carry.
+_RACE_OPTIONS = ("engine", "max_internal", "replay")
 _FUSION_OPTIONS = _RACE_OPTIONS + ("check_bisim",)
 
 
-def _options(payload: Dict[str, Any], allowed) -> Dict[str, Any]:
+def _options(payload: Dict[str, Any], allowed) -> Tuple[Dict[str, Any], Any]:
+    """The task's options (``allowed`` plus the limit names) and the
+    :class:`~repro.engine.Limits` they set; raises ``ValueError`` on an
+    unknown option or an invalid limit."""
+    from ..engine import Limits
+
+    names = tuple(f.name for f in fields(Limits))
+    allowed = allowed + names
     opts = payload.get("options") or {}
     unknown = sorted(set(opts) - set(allowed))
     if unknown:
         raise ValueError(f"unknown task options {unknown}")
-    return {k: opts[k] for k in allowed if k in opts}
+    options = {k: opts[k] for k in allowed if k in opts}
+    return options, Limits(**{k: options[k] for k in names if k in options})
 
 
 def _run_check(kind: str, payload: Dict[str, Any], set_phase) -> Dict[str, Any]:
@@ -536,10 +538,11 @@ def decode_task(task: Task) -> Tuple[Any, Dict[str, Any]]:
     """The :class:`~repro.engine.query.RaceQuery` /
     :class:`~repro.engine.query.EquivalenceQuery` behind a ``check-*``
     task, plus its solve options (the keyword arguments of
-    ``check_data_race`` / ``check_equivalence``).
+    ``check_data_race`` / ``check_equivalence``, the limits included).
 
-    Parses the program(s) and resolves ``mapping``/``map_overrides``;
-    raises on a malformed task (unknown options included).
+    Parses the program(s), resolves ``mapping``/``map_overrides`` and
+    builds the query with the task's limits; raises on a malformed task
+    (unknown options and invalid limits included).
     """
     from ..engine import EquivalenceQuery, RaceQuery
     from ..lang.parser import parse_program
@@ -551,9 +554,10 @@ def decode_task(task: Task) -> Tuple[Any, Dict[str, Any]]:
             payload["source"], name=payload.get("name", "program"),
             entry=entry,
         )
-        options = _options(payload, _RACE_OPTIONS)
+        options, limits = _options(payload, _RACE_OPTIONS)
         return RaceQuery(
-            program=program, scope=options.get("max_internal", 4)
+            program=program, scope=options.get("max_internal", 4),
+            limits=limits,
         ), options
     if task.kind != "check-fusion":
         raise ValueError(f"task kind {task.kind!r} has no query")
@@ -572,10 +576,10 @@ def decode_task(task: Task) -> Tuple[Any, Dict[str, Any]]:
             k: set(v) for k, v in (payload.get("map_overrides") or {}).items()
         }
         mapping = correspondence_by_key(p, q, overrides=overrides, strict=True)
-    options = _options(payload, _FUSION_OPTIONS)
+    options, limits = _options(payload, _FUSION_OPTIONS)
     return EquivalenceQuery(
         program=p, program2=q, mapping=mapping,
-        scope=options.get("max_internal", 4),
+        scope=options.get("max_internal", 4), limits=limits,
     ), options
 
 
@@ -628,7 +632,7 @@ def task_for_race(
     source: str,
     entry: str = "Main",
     options: Optional[Dict[str, Any]] = None,
-    limits: Optional[Limits] = None,
+    limits: Optional[WorkerLimits] = None,
     name: str = "program",
 ) -> Task:
     return Task(
@@ -640,7 +644,7 @@ def task_for_race(
             "options": dict(options or {}),
         },
         name=name,
-        limits=limits or Limits(),
+        limits=limits or WorkerLimits(),
     )
 
 
@@ -651,7 +655,7 @@ def task_for_fusion(
     options: Optional[Dict[str, Any]] = None,
     mapping: Optional[Dict[str, List[str]]] = None,
     map_overrides: Optional[Dict[str, List[str]]] = None,
-    limits: Optional[Limits] = None,
+    limits: Optional[WorkerLimits] = None,
     name: str = "original",
     name2: str = "fused",
 ) -> Task:
@@ -673,11 +677,13 @@ def task_for_fusion(
         kind="check-fusion",
         payload=payload,
         name=f"{name}-vs-{name2}",
-        limits=limits or Limits(),
+        limits=limits or WorkerLimits(),
     )
 
 
-def task_for_case(case, cfg=None, limits: Optional[Limits] = None) -> Task:
+def task_for_case(
+    case, cfg=None, limits: Optional[WorkerLimits] = None
+) -> Task:
     from dataclasses import asdict
 
     from ..conformance.oracle import OracleConfig
@@ -691,14 +697,14 @@ def task_for_case(case, cfg=None, limits: Optional[Limits] = None) -> Task:
         kind="fuzz-case",
         payload={"case": asdict(case), "oracle": cfg_data},
         name=case.name,
-        limits=limits or Limits(),
+        limits=limits or WorkerLimits(),
     )
 
 
 def run_case_isolated(
     case,
     cfg=None,
-    limits: Optional[Limits] = None,
+    limits: Optional[WorkerLimits] = None,
     policy=None,
     supervisor=None,
 ):

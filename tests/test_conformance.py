@@ -185,6 +185,19 @@ def test_oracle_engines_record_pinned(case, cfg, engines):
     assert _untimed(res.engines) == engines
 
 
+def test_oracle_equivalence_run_honours_product_budget():
+    """The symbolic equivalence run gets the config's product budget:
+    at 1 reached state it cannot decide (the engine default would)."""
+    from pathlib import Path
+
+    (entry,) = [
+        e for e in load_corpus(Path(__file__).parent / "corpus")
+        if e.name == "minimax-fusion"
+    ]
+    res = run_case(entry.case, OracleConfig(product_budget=1))
+    assert res.engines["symbolic_status"] == "budget"
+
+
 def test_oracle_skips_symbolic_when_disabled():
     res = run_case(racy_case(), OracleConfig(run_symbolic=False))
     assert res.ok

@@ -28,10 +28,10 @@ from repro.service import (
     DaemonClient,
     DaemonConfig,
     FairScheduler,
-    Limits,
     ServiceOverloaded,
     SharedCache,
     SolveDaemon,
+    WorkerLimits,
     task_key,
 )
 from repro.service.client import DaemonError
@@ -726,6 +726,20 @@ def test_inline_daemon_labels_failed_attempts_inline(tmp_path):
     (attempt,) = r["attempts"]
     assert attempt["isolation"] == "inline"
     assert worker_attempt_record({}, attempt)["engine"] == "inline"
+
+
+def test_daemon_reports_an_invalid_limit_as_a_decode_error(tmp_path):
+    """A task with a malformed solver limit fails where it is decoded;
+    no engine runs, so no verdict comes back."""
+    task = task_for_race(
+        RACY, options={"engine": "bounded", "det_budget": "x"}, name="bad"
+    )
+    with DaemonHandle(tmp_path / "run") as h:
+        with h.client() as c:
+            r = c.submit_task(task)
+    assert not r["ok"] and r["outcome_class"] == "error"
+    assert "value" not in r
+    assert "limit 'det_budget' must be a positive integer" in r["detail"]
 
 
 def test_cli_client_and_serve_status_stop(tmp_path, capsys):

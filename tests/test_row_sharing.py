@@ -547,6 +547,27 @@ def test_shared_rows_match_reference(query):
     )
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("query", sorted(QUERIES))
+def test_products_are_fully_reachable(query, monkeypatch):
+    """``product`` discovers only reachable pairs, so the compiler has
+    nothing to prune after one: every state of every product is
+    reachable."""
+    real = TreeAutomaton.product
+    sizes, partial = [], []
+
+    def checked(self, *args, **kwargs):
+        out = real(self, *args, **kwargs)
+        sizes.append(out.n_states)
+        if len(minimize_mod._reachable(out)) != out.n_states:
+            partial.append(out.n_states)
+        return out
+
+    monkeypatch.setattr(TreeAutomaton, "product", checked)
+    QUERIES[query]()
+    assert sizes and partial == []
+
+
 def test_products_share_rows_per_operand_row_pair():
     """A product stores one list per distinct row, however many keys."""
     c = Compiler()

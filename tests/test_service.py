@@ -22,10 +22,10 @@ from repro.conformance.oracle import Case, OracleConfig
 from repro.service import (
     CircuitBreaker,
     Journal,
-    Limits,
     RetryPolicy,
     Supervisor,
     Task,
+    WorkerLimits,
     run_batch,
     run_case_isolated,
     run_task,
@@ -93,7 +93,7 @@ def test_torn_frames_raise():
 def test_task_key_is_content_only():
     t1 = task_for_race(RACY, options=BOUNDED, name="a")
     t2 = task_for_race(RACY, options=BOUNDED, name="a",
-                       limits=Limits(wall_s=5.0, cpu_s=1.0))
+                       limits=WorkerLimits(wall_s=5.0, cpu_s=1.0))
     t3 = task_for_race(RACEFREE, options=BOUNDED, name="a")
     assert task_key(t1) == task_key(t2)  # limits excluded by design
     assert task_key(t1) != task_key(t3)
@@ -140,7 +140,9 @@ def test_worker_abort_skips_bounded_tasks(tmp_path):
 
 
 def test_worker_wall_clock_kill():
-    task = task_for_race(RACY, options=BOUNDED, limits=Limits(wall_s=0.05))
+    task = task_for_race(
+        RACY, options=BOUNDED, limits=WorkerLimits(wall_s=0.05)
+    )
     out = run_task(task)
     assert out.status == "timeout"
     assert out.outcome_class == "resource"
@@ -160,7 +162,7 @@ def test_worker_cpu_rlimit_never_crashes_parent():
     )
     task = task_for_case(
         case, OracleConfig(run_symbolic=False),
-        limits=Limits(wall_s=60.0, cpu_s=1.0),
+        limits=WorkerLimits(wall_s=60.0, cpu_s=1.0),
     )
     out = run_task(task)
     assert out.status in ("failed", "crashed")
@@ -359,7 +361,7 @@ def test_fuzz_loop_survives_crashing_engine(tmp_path):
     try:
         report = run_fuzz(
             seed=3, budget_s=60.0, max_cases=2, shrink=False,
-            isolation="process", worker_limits=Limits(wall_s=60.0),
+            isolation="process", worker_limits=WorkerLimits(wall_s=60.0),
         )
     finally:
         for k, v in old.items():
