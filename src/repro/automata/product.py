@@ -38,7 +38,7 @@ def _pruned_dead(f: TreeAutomaton) -> TreeAutomaton:
     """Memoized :func:`~repro.automata.minimize.prune_dead`.
 
     Automata are immutable once built and heavily shared across queries
-    (compiler structural-key memo, conjunction cache), but every query
+    (compiler shape-keyed memo, conjunction cache), but every query
     used to re-run the useful-state restriction on the same objects —
     for the big case studies that was a dominant, unaccounted cost.  The
     result rides on the instance, and is marked as its own fixpoint so

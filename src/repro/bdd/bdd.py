@@ -21,7 +21,8 @@ which survives as :class:`repro.bdd.reference.ReferenceBDDManager` and is
 held equivalent by ``tests/test_bdd_differential.py``:
 
 * terminals are ``0`` and ``1``; a node is an ``int`` index;
-* ``apply`` / ``ite`` / ``exists`` are memoized per manager;
+* ``apply`` / ``ite`` / ``exists`` are memoized per manager, ``rename``
+  per level map;
 * variables are integer *levels*; the caller (the automata layer) maps
   track names to levels;
 * ``cache_stats()`` exposes the same counter keys.
@@ -29,7 +30,7 @@ held equivalent by ``tests/test_bdd_differential.py``:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..runtime import faults as _faults
 from ..runtime.errors import MemoryCeilingExceeded
@@ -56,6 +57,20 @@ _CAPACITY = 1 << _SHIFT
 #: Bits per variable level in packed keys.
 _LEVEL_BITS = 20
 _MAX_LEVEL = 1 << _LEVEL_BITS
+
+
+def _order_preserving(mapping: Mapping[int, int]) -> Dict[int, int]:
+    """A copy of a level map, after checking that it is strictly
+    increasing and stays in the packed level range."""
+    pairs = sorted(mapping.items())
+    for (a, x), (b, y) in zip(pairs, pairs[1:]):
+        if x >= y:
+            raise ValueError(
+                f"level map does not preserve order: {a}->{x}, {b}->{y}"
+            )
+    if pairs and not (0 <= pairs[0][1] and pairs[-1][1] < _MAX_LEVEL):
+        raise ValueError(f"level map leaves the packed range [0, {_MAX_LEVEL})")
+    return dict(pairs)
 
 
 class BDDManager:
@@ -339,6 +354,34 @@ class BDDManager:
         self._op_cache[key] = r
         self._op_entries[_EXISTS] += 1
         return r
+
+    # -- level renaming ----------------------------------------------------------------
+    def rename(self, u: int, mapping: Mapping[int, int]) -> int:
+        """``u`` with every variable level ``l`` replaced by ``mapping[l]``."""
+        return self.renamer(mapping)(u)
+
+    def renamer(self, mapping: Mapping[int, int]) -> Callable[[int], int]:
+        """A memoized :meth:`rename` under one level map, for many nodes.
+
+        The map must be strictly increasing (``ValueError`` otherwise), so
+        the renamed graph is still ordered and is rebuilt node for node
+        through ``_mk``, lo before hi.  Every level of a renamed node must
+        be a key of the map.
+        """
+        levels = _order_preserving(mapping)
+        memo = {FALSE: FALSE, TRUE: TRUE}
+        var, lo_, hi_, mk = self._var, self._lo, self._hi, self._mk
+
+        def ren(u: int) -> int:
+            r = memo.get(u)
+            if r is None:
+                lvl = levels.get(var[u])
+                if lvl is None:
+                    raise ValueError(f"level {var[u]} is not in the rename map")
+                r = memo[u] = mk(lvl, ren(lo_[u]), ren(hi_[u]))
+            return r
+
+        return ren
 
     # -- evaluation / models -----------------------------------------------------------
     def evaluate(self, u: int, assignment: Callable[[int], bool]) -> bool:

@@ -1,17 +1,18 @@
 """Reference ROBDD implementation (tuple nodes, tuple-keyed caches).
 
 This is the pre-int-table :class:`BDDManager`, kept verbatim (modulo the
-class name) as the differential-testing oracle for the flat int-table
-implementation in :mod:`repro.bdd.bdd`.  The two managers must agree on
-every observable: node semantics (truth tables), ``cache_stats()`` key
-shape, and the node-index sequences that feed ``structural_key``.  It is
-not exported from the package ``__init__`` and nothing in the solver
-imports it; only ``tests/test_bdd_differential.py`` does.
+class name and the later ``rename``) as the differential-testing oracle
+for the flat int-table implementation in :mod:`repro.bdd.bdd`.  The two
+managers must agree on every observable: node semantics (truth tables),
+``cache_stats()`` key shape, and the node-index sequences that every
+compiled automaton's guards, and so the compiler's memo, are built
+from.  It is not exported from the package ``__init__`` and nothing in
+the solver imports it; only ``tests/test_bdd_differential.py`` does.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..runtime import faults as _faults
 
@@ -265,6 +266,29 @@ class ReferenceBDDManager:
             r = self._mk(lvl, elo, ehi)
         self._op_cache[key] = r
         return r
+
+    # -- level renaming ----------------------------------------------------------------
+    def rename(self, u: int, mapping: Mapping[int, int]) -> int:
+        """``u`` with every variable level ``l`` replaced by ``mapping[l]``."""
+        return self.renamer(mapping)(u)
+
+    def renamer(self, mapping: Mapping[int, int]) -> Callable[[int], int]:
+        """A memoized :meth:`rename` under one strictly increasing map."""
+        levels = dict(mapping)
+        keys = sorted(levels)
+        if any(levels[a] >= levels[b] for a, b in zip(keys, keys[1:])):
+            raise ValueError("level map does not preserve order")
+        memo = {FALSE: FALSE, TRUE: TRUE}
+
+        def ren(u: int) -> int:
+            if u not in memo:
+                lvl, lo, hi = self._nodes[u]
+                if lvl not in levels:
+                    raise ValueError(f"level {lvl} is not in the rename map")
+                memo[u] = self._mk(levels[lvl], ren(lo), ren(hi))
+            return memo[u]
+
+        return ren
 
     # -- evaluation / models -----------------------------------------------------------
     def evaluate(self, u: int, assignment: Callable[[int], bool]) -> bool:

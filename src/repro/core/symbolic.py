@@ -168,7 +168,9 @@ def check_data_race_mso(
     except Exception as e:
         raise _wrap_internal(e, guard) from e
     verdict.elapsed = time.perf_counter() - t0
-    verdict.stats = solver.stats.as_dict(solver.registry.manager)
+    verdict.stats = solver.stats.as_dict(
+        solver.registry.manager, solver.compiler.stats
+    )
     return verdict
 
 
@@ -349,5 +351,7 @@ def check_conflict_mso(
     except Exception as e:
         raise _wrap_internal(e, guard) from e
     verdict.elapsed = time.perf_counter() - t0
-    verdict.stats = solver.stats.as_dict(solver.registry.manager)
+    verdict.stats = solver.stats.as_dict(
+        solver.registry.manager, solver.compiler.stats
+    )
     return verdict

@@ -7,7 +7,7 @@ One formula — the SHA-256 of the canonical JSON of ``{"kind": ...,
 record in the batch store, a fuzz case being deduplicated.  It
 generalizes what ``service.protocol.task_key`` introduced (and that
 function now delegates here), in the spirit of the compiler's
-``structural_key`` formula cache: identity is *what* is asked, never
+shape-keyed formula memo: identity is *what* is asked, never
 how hard the asker is willing to work — execution limits are excluded
 by construction.
 

@@ -7,7 +7,7 @@ automata; conjunction/disjunction become products; negation complements
 First-order variables are singleton tracks — ``Sing`` is conjoined at their
 quantifier.
 
-Two engineering choices keep the pipeline tractable in pure Python:
+Three engineering choices keep the pipeline tractable in pure Python:
 
 * **child-term atoms** (``x.l ∈ X``, ``isNil(x.r)``, ``y == x.l``) and
   the encoder atoms (``ParentRelIn``/``ParentRelNil``, ``AgreeUpTo``) have
@@ -20,7 +20,14 @@ Two engineering choices keep the pipeline tractable in pure Python:
   determinization carries a state budget that converts blow-ups into a
   clean :class:`~repro.automata.determinize.StateBudgetExceeded` for the
   caller's fallback logic.  The only other bound is the
-  :class:`~repro.runtime.ResourceGuard` installed on ``Compiler.guard``.
+  :class:`~repro.runtime.ResourceGuard` installed on ``Compiler.guard``;
+* each subformula is compiled once up to an order-preserving renaming of
+  its free variables (MONA's automaton sharing).  The memo key is a
+  bottom-up *shape*: the formula with bound variables anonymous and free
+  variables numbered by first occurrence.  A formula whose free variables
+  sit on levels in the same relative order as a compiled one of its shape
+  gets that automaton with its guards' levels renamed
+  (:meth:`~repro.bdd.bdd.BDDManager.rename`) instead of a rebuild.
 """
 
 from __future__ import annotations
@@ -29,11 +36,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..automata.minimize import minimize, prune_unreachable
-from ..automata.tta import TrackRegistry, TreeAutomaton
+from ..automata.tta import TrackRegistry, TreeAutomaton, row_memo
 from ..runtime import ResourceGuard
 from . import syntax as S
 
-__all__ = ["Compiler", "freshen", "structural_key"]
+__all__ = ["Compiler", "freshen"]
 
 
 # ---------------------------------------------------------------------------
@@ -60,28 +67,6 @@ def freshen(f: S.Formula, counter: Optional[List[int]] = None, env=None) -> S.Fo
             fresh_names.append(fn)
         return type(f)(tuple(fresh_names), freshen(f.body, counter, env2))
     return S.rename_formula(f, env)  # an atom: rename its free variables
-
-
-def structural_key(f: S.Formula) -> str:
-    """Cache key invariant under the *global* freshening offsets.
-
-    ``freshen`` numbers bound variables with one counter per top-level
-    formula, so the same shared predicate (``Configuration``,
-    ``Consistent``, …) embedded in two different queries gets two
-    different bound-name suffixes — and a ``str``-keyed memo table
-    recompiles it from scratch for every query.  Re-freshening the
-    subformula with a *local* counter renames its bound variables by
-    traversal position, which depends only on the subformula's own
-    structure: alpha-variants that differ only in freshening offsets map
-    to one key, while free variables (including an enclosing
-    quantifier's freshened binders) stay verbatim.
-
-    Sharing across alpha-variants is sound because a compiled
-    automaton's tracks are exactly the formula's *free* variables —
-    quantifier compilation projects the bound tracks away — and the key
-    keeps free variables distinct.
-    """
-    return str(freshen(f))
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +112,9 @@ def _parent_stat(d: str):
 # The compiler
 # ---------------------------------------------------------------------------
 
+_QUANTIFIERS = (S.Exists1, S.Forall1, S.Exists2, S.Forall2)
+
+
 @dataclass
 class CompileStats:
     products: int = 0
@@ -134,6 +122,10 @@ class CompileStats:
     projections: int = 0
     minimizations: int = 0
     max_states: int = 0
+    # Memo misses: automata built from the formula.
+    builds: int = 0
+    # Automata copied from one of the same shape by renaming levels.
+    renames: int = 0
 
     def note(self, a: TreeAutomaton) -> TreeAutomaton:
         self.max_states = max(self.max_states, a.n_states)
@@ -155,7 +147,18 @@ class Compiler:
         # Checked inside long-running constructions (the solver installs it).
         self.guard: Optional[ResourceGuard] = None
         self.stats = CompileStats()
-        self._cache: Dict[str, TreeAutomaton] = {}
+        # id(formula) -> (shape, free variables in first-occurrence order,
+        # the formula itself, which keeps its id from being reused).
+        self._shape_of: Dict[int, Tuple[int, Tuple[str, ...], S.Formula]] = {}
+        self._shape_ids: Dict[object, int] = {}
+        # Exact memo: (shape, levels of the free variables) -> automaton.
+        self._cache: Dict[Tuple[int, Tuple[int, ...]], TreeAutomaton] = {}
+        # Rename memo: (shape, level order of the free variables) ->
+        # (automaton, its free variables, their levels).
+        self._by_order: Dict[
+            Tuple[int, Tuple[int, ...]],
+            Tuple[TreeAutomaton, Tuple[str, ...], Tuple[int, ...]],
+        ] = {}
 
     # -- public API ---------------------------------------------------------
     def compile(self, formula: S.Formula, already_fresh: bool = False) -> TreeAutomaton:
@@ -186,16 +189,102 @@ class Compiler:
     def _mgr(self):
         return self.registry.manager
 
+    # -- shape keys -----------------------------------------------------------------
+    def _shape(self, f: S.Formula) -> Tuple[int, Tuple[str, ...]]:
+        """``f``'s interned shape and its free variables in first-occurrence
+        order.
+
+        Two formulas have one shape iff they are equal up to renaming
+        bound variables and renaming free variables position for
+        position.  Atoms key on the atom with each variable replaced by
+        its position (the type stays in the key); connectives on the
+        children's shapes and where each child's variables sit in the
+        parent's list; quantifiers on the body's shape and, per body
+        variable, which binder it is (-1 for a free one).  Each node is
+        keyed once, from its children's keys.
+        """
+        entry = self._shape_of.get(id(f))
+        if entry is not None:
+            return entry[0], entry[1]
+        key: object
+        if isinstance(f, S.Not):
+            shape, names = self._shape(f.body)
+            key = ("not", shape)
+        elif isinstance(f, (S.And, S.Or)):
+            kids = [self._shape(p) for p in f.parts]
+            pos: Dict[str, int] = {}
+            for _, vs in kids:
+                for v in vs:
+                    pos.setdefault(v, len(pos))
+            names = tuple(pos)
+            key = (
+                type(f).__name__,
+                tuple((k, tuple(pos[v] for v in vs)) for k, vs in kids),
+            )
+        elif isinstance(f, _QUANTIFIERS):
+            shape, body = self._shape(f.body)
+            bound: Dict[str, int] = {}
+            for k, n in enumerate(f.names):
+                bound.setdefault(n, k)
+            names = tuple(v for v in body if v not in bound)
+            marks = tuple(bound.get(v, -1) for v in body)
+            key = (type(f).__name__, len(f.names), shape, marks)
+        else:
+            pos = {}
+            for v in S.atom_vars(f):
+                pos.setdefault(v, len(pos))
+            names = tuple(pos)
+            key = S.rename_formula(f, {v: str(i) for v, i in pos.items()})
+        shape = self._shape_ids.setdefault(key, len(self._shape_ids))
+        self._shape_of[id(f)] = (shape, names, f)
+        return shape, names
+
     # -- main dispatch ------------------------------------------------------------
     def _compile(self, f: S.Formula) -> TreeAutomaton:
-        key = structural_key(f)
+        shape, names = self._shape(f)
+        levels = tuple(self.registry.level(n) for n in names)
+        key = (shape, levels)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        a = self._build(f)
-        a = self.stats.note(a)
+        order = (shape, tuple(sorted(range(len(levels)), key=levels.__getitem__)))
+        seen = self._by_order.get(order)
+        if seen is not None:
+            self.stats.renames += 1
+            a = self._renamed(*seen, names, levels)
+        else:
+            self.stats.builds += 1
+            a = self.stats.note(self._build(f))
+            self._by_order[order] = (a, names, levels)
+        # Renamed results are kept too, so a repeated compile returns the
+        # same object (identity-keyed caches downstream rely on it).
         self._cache[key] = a
         return a
+
+    def _renamed(
+        self,
+        a: TreeAutomaton,
+        old_names: Tuple[str, ...],
+        old_levels: Tuple[int, ...],
+        names: Tuple[str, ...],
+        levels: Tuple[int, ...],
+    ) -> TreeAutomaton:
+        """``a`` with its free variables moved from ``old_levels`` to
+        ``levels`` (same relative order): guards renamed level for level,
+        each distinct row once."""
+        ren = self._mgr.renamer(dict(zip(old_levels, levels)))
+        rows = row_memo(lambda row: [(ren(g), q) for g, q in row])
+        track = dict(zip(old_names, names))
+        return TreeAutomaton(
+            registry=self.registry,
+            tracks=frozenset(track[t] for t in a.tracks),
+            n_states=a.n_states,
+            leaf=[(ren(g), q) for g, q in a.leaf],
+            delta={k: rows(row) for k, row in a.delta.items()},
+            accepting=a.accepting,
+            deterministic=a.deterministic,
+            complete=a.complete,
+        )
 
     def _build(self, f: S.Formula) -> TreeAutomaton:
         if isinstance(f, S.TrueF):

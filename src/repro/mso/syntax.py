@@ -26,7 +26,7 @@ __all__ = [
     "ChildIs", "ParentRelIn", "ParentRelNil", "AgreeUpTo",
     "Not", "And", "Or", "Implies", "Iff",
     "Exists1", "Forall1", "Exists2", "Forall2",
-    "free_vars", "rename_formula",
+    "atom_vars", "free_vars", "rename_formula",
 ]
 
 
@@ -314,34 +314,37 @@ class Forall2(Formula):
 
 # -- variable bookkeeping ------------------------------------------------------------
 
+def atom_vars(f: Formula) -> Tuple[str, ...]:
+    """The variable names of an atom, in field order (repeats kept)."""
+    if isinstance(f, (TrueF, FalseF)):
+        return ()
+    if isinstance(f, In):
+        return (f.term.var, f.setvar)
+    if isinstance(f, (IsNilT, RootT)):
+        return (f.term.var,)
+    if isinstance(f, EqT):
+        return (f.a.var, f.b.var)
+    if isinstance(f, (Reach, Subset)):
+        return (f.a, f.b)
+    if isinstance(f, (LeftOf, RightOf)):
+        return (f.parent, f.child)
+    if isinstance(f, (Sing, Empty)):
+        return (f.setvar,)
+    if isinstance(f, ChildIs):
+        return (f.xvar, f.zvar)
+    if isinstance(f, ParentRelIn):
+        return (f.uvar, f.setvar)
+    if isinstance(f, ParentRelNil):
+        return (f.uvar,)
+    if isinstance(f, AgreeUpTo):
+        return (f.zvar,) + tuple(
+            t for p in f.pairs + f.strict_pairs for t in p
+        )
+    raise TypeError(f"unknown atom formula {f!r}")
+
+
 def free_vars(f: Formula) -> FrozenSet[str]:
     """Free variable names (first- and second-order share a namespace)."""
-    if isinstance(f, (TrueF, FalseF)):
-        return frozenset()
-    if isinstance(f, In):
-        return frozenset({f.term.var, f.setvar})
-    if isinstance(f, (IsNilT, RootT)):
-        return frozenset({f.term.var})
-    if isinstance(f, EqT):
-        return frozenset({f.a.var, f.b.var})
-    if isinstance(f, (Reach, Subset)):
-        return frozenset({f.a, f.b})
-    if isinstance(f, (LeftOf, RightOf)):
-        return frozenset({f.parent, f.child})
-    if isinstance(f, (Sing, Empty)):
-        return frozenset({f.setvar})
-    if isinstance(f, ChildIs):
-        return frozenset({f.xvar, f.zvar})
-    if isinstance(f, ParentRelIn):
-        return frozenset({f.uvar, f.setvar})
-    if isinstance(f, ParentRelNil):
-        return frozenset({f.uvar})
-    if isinstance(f, AgreeUpTo):
-        return (
-            frozenset({f.zvar})
-            | frozenset(t for p in f.pairs for t in p)
-            | frozenset(t for p in f.strict_pairs for t in p)
-        )
     if isinstance(f, Not):
         return free_vars(f.body)
     if isinstance(f, (And, Or)):
@@ -351,7 +354,7 @@ def free_vars(f: Formula) -> FrozenSet[str]:
         return out
     if isinstance(f, (Exists1, Forall1, Exists2, Forall2)):
         return free_vars(f.body) - frozenset(f.names)
-    raise TypeError(f"unknown formula {f!r}")
+    return frozenset(atom_vars(f))
 
 
 def rename_formula(f: Formula, sub: dict) -> Formula:

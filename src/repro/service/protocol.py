@@ -24,7 +24,7 @@ The single parent-to-child frame is the :class:`Task` itself.
 
 Task identity is a *content hash* (:func:`task_key`): the SHA-256 of
 the canonical JSON of ``(kind, payload)``, in the spirit of the
-compiler's ``structural_key`` formula cache.  Execution limits are
+compiler's shape-keyed formula memo.  Execution limits are
 deliberately excluded — re-running a batch with a bigger sandbox must
 still reuse every verdict that already succeeded.
 

@@ -3,9 +3,10 @@
 :class:`SolverStats` accumulates, per :class:`~repro.solver.solver.MSOSolver`
 instance, where a query's time actually goes — formula→automaton
 compilation, lazy product exploration, witness decoding — plus the
-reached-states-vs-budget picture of the lazy emptiness engine and the
-BDD manager's node/cache counters.  ``as_dict()`` renders a flat,
-JSON-friendly snapshot for result objects and the benchmark harness.
+reached-states-vs-budget picture of the lazy emptiness engine, the
+compiler's memo counters and the BDD manager's node/cache counters.
+``as_dict()`` renders a flat, JSON-friendly snapshot for result objects
+and the benchmark harness.
 """
 
 from __future__ import annotations
@@ -75,8 +76,9 @@ class SolverStats:
         self.pruned_tuples += pruned
         self.superseded_tuples += superseded
 
-    def as_dict(self, manager=None) -> Dict[str, object]:
-        """Flat snapshot; pass the BDD manager to include its counters."""
+    def as_dict(self, manager=None, compile_stats=None) -> Dict[str, object]:
+        """Flat snapshot; pass the BDD manager and the compiler's
+        ``CompileStats`` to include their counters."""
         out: Dict[str, object] = {
             "compile_s": round(self.compile_s, 6),
             "explore_s": round(self.explore_s, 6),
@@ -97,6 +99,10 @@ class SolverStats:
                 "stored": self.cache_stored,
             },
         }
+        if compile_stats is not None:
+            # Memo misses vs automata copied by renaming BDD levels.
+            out["compile_builds"] = compile_stats.builds
+            out["compile_renames"] = compile_stats.renames
         if manager is not None:
             for k, v in manager.cache_stats().items():
                 out[f"bdd_{k}"] = v

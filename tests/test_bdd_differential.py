@@ -6,8 +6,10 @@ preserved verbatim in :mod:`repro.bdd.reference`: identical node handles
 in identical order (hash-consing allocates by first construction, and the
 apply algorithms recurse the same way), identical truth tables, and an
 identical ``cache_stats()`` key shape.  Guard handles feed automata
-structure and ultimately the compiler's ``structural_key`` memo, so
-handle-level agreement is the strongest observable.
+structure and ultimately the compiler's memo, which is keyed on the
+levels of a formula's free variables and copies automata by renaming
+levels (``rename``), so handle-level agreement is the strongest
+observable.
 
 Two layers:
 
@@ -127,6 +129,46 @@ def test_node_accessors_agree():
         assert a.node(ua) == b.node(ub)
 
 
+def _order_preserving_map(rng):
+    """Levels 0..N_VARS-1 onto random increasing levels below 3*N_VARS."""
+    return dict(zip(range(N_VARS), sorted(rng.sample(range(3 * N_VARS), N_VARS))))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rename_agrees(seed):
+    """Renaming levels rebuilds the same node table in both managers, and
+    the result under the moved assignment evaluates like the original."""
+    rng = random.Random(seed)
+    a, b, pool_a, pool_b = _drive(rng, n_ops=40)
+    mapping = _order_preserving_map(rng)
+    moved = {new: old for old, new in mapping.items()}
+    ren_a, ren_b = a.renamer(mapping), b.renamer(mapping)
+    for ua, ub in zip(pool_a, pool_b):
+        va = ren_a(ua)
+        assert va == ren_b(ub) == a.rename(ua, mapping)
+        for bits in itertools.product((False, True), repeat=N_VARS):
+            assert a.evaluate(va, lambda lvl: bits[moved[lvl]]) == a.evaluate(
+                ua, lambda lvl: bits[lvl]
+            )
+    assert a.size() == b.size()
+    assert [a.node(u) for u in range(2, a.size())] == [
+        b.node(u) for u in range(2, b.size())
+    ]
+
+
+@pytest.mark.parametrize("manager_cls", [BDDManager, ReferenceBDDManager])
+def test_rename_rejects_maps_that_break_the_order(manager_cls):
+    mgr = manager_cls()
+    u = mgr.apply_and(mgr.var(0), mgr.nvar(1))
+    assert mgr.rename(u, {0: 4, 1: 7}) == mgr.apply_and(mgr.var(4), mgr.nvar(7))
+    with pytest.raises(ValueError):
+        mgr.rename(u, {0: 7, 1: 4})
+    with pytest.raises(ValueError):
+        mgr.renamer({0: 3, 1: 3, 2: 5})
+    with pytest.raises(ValueError):
+        mgr.rename(u, {0: 4})  # level 1 unmapped
+
+
 # ---------------------------------------------------------------------------
 # Macro level: full compile pipelines over generated programs.
 # ---------------------------------------------------------------------------
@@ -167,5 +209,5 @@ def test_generated_program_pipelines_agree(seed):
     assert auto_a.delta == auto_b.delta  # guard handles are ints in both
     assert mgr_a.size() == mgr_b.size()
     assert set(comp_a._cache) == set(comp_b._cache), (
-        "structural_key memo population diverged"
+        "compile memo population diverged"
     )
