@@ -5,20 +5,26 @@ the node-label alphabet {0,1}^k are BDDs, so automata scale with the number
 of *states*, not with 2^k alphabet entries — the same architectural choice
 MONA makes.
 
-Implementation notes (pure Python, tuned per the HPC guides' "algorithmic
-optimization first" rule).  Nodes live in a flat *int table*: three
-parallel arrays ``_var``/``_lo``/``_hi`` indexed by the node handle, so a
-node is just an ``int`` and dereferencing it is two list reads instead of
-a tuple allocation + unpack.  Hash-consing and the operation memo are
-plain dicts keyed by *packed integers* (level/lo/hi and operand pairs
-bit-packed into one int), which CPython stores open-addressed with the
-identity hash — no tuple hashing on the hot path.  Handle/level packing
-widths are fixed (``_SHIFT`` bits per handle, ``_LEVEL_BITS`` per level)
-and enforced at allocation, so keys can never collide across fields.
+Nodes live in a flat *int table*: three parallel arrays of var level /
+low child / high child indexed by the node handle, so a node is just an
+``int``.  Hash-consing and the operation memo are keyed on those ints.
+The table and its recursive operations come in two implementations with
+identical observable behaviour (handles, ``size()``, ``cache_stats()``):
 
-The public surface is identical to the original tuple-node manager,
-which survives as :class:`repro.bdd.reference.ReferenceBDDManager` and is
-held equivalent by ``tests/test_bdd_differential.py``:
+* the native kernel, ``_kernel.c``, a CPython extension type compiled with
+  the system C compiler the first time a :class:`BDDManager` is
+  constructed and cached next to this module under a name that holds a
+  hash of the C source (DESIGN.md §12.7);
+* :class:`PyBDDManager`, the same algorithms in pure Python (``list``
+  columns, dicts keyed by bit-packed ints), used wherever the kernel
+  cannot be built or loaded.
+
+``BDDManager()`` returns a kernel-backed manager when the kernel loads and
+a :class:`PyBDDManager` otherwise; nothing else chooses between them.
+The original tuple-node manager survives as
+:class:`repro.bdd.reference.ReferenceBDDManager`, and
+``tests/test_bdd_differential.py`` holds all three equivalent.  Their
+shared surface:
 
 * terminals are ``0`` and ``1``; a node is an ``int`` index;
 * ``apply`` / ``ite`` / ``exists`` are memoized per manager, ``rename``
@@ -30,12 +36,14 @@ held equivalent by ``tests/test_bdd_differential.py``:
 
 from __future__ import annotations
 
+import threading
+from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..runtime import faults as _faults
 from ..runtime.errors import MemoryCeilingExceeded
 
-__all__ = ["BDDManager"]
+__all__ = ["BDDManager", "PyBDDManager"]
 
 FALSE = 0
 TRUE = 1
@@ -74,7 +82,127 @@ def _order_preserving(mapping: Mapping[int, int]) -> Dict[int, int]:
 
 
 class BDDManager:
-    """A shared store of hash-consed BDD nodes in a flat int table."""
+    """A shared store of hash-consed BDD nodes in a flat int table.
+
+    ``BDDManager()`` builds (once per process) and returns the native
+    kernel's manager, or a :class:`PyBDDManager` where the kernel cannot
+    be built or loaded.  This class holds what both share: the terminals
+    and the operations derived from the table's primitives (``_mk``,
+    ``node``, the applies), so their results agree by construction.
+    ``pick_cube`` is a primitive too: exploration calls it once per
+    reached product tuple.
+    """
+
+    __slots__ = ()
+
+    true = TRUE
+    false = FALSE
+
+    def __new__(cls):
+        if cls is BDDManager:
+            cls = _native_manager() or PyBDDManager
+            return cls.__new__(cls)
+        return object.__new__(cls)
+
+    # -- derived boolean operations --------------------------------------------------
+    def ite(self, c: int, t: int, e: int) -> int:
+        return self.apply_or(self.apply_and(c, t), self.apply_and(self.apply_not(c), e))
+
+    def conj(self, items: Sequence[int]) -> int:
+        r = TRUE
+        for u in items:
+            r = self.apply_and(r, u)
+            if r == FALSE:
+                return FALSE
+        return r
+
+    def disj(self, items: Sequence[int]) -> int:
+        r = FALSE
+        for u in items:
+            r = self.apply_or(r, u)
+            if r == TRUE:
+                return TRUE
+        return r
+
+    # -- level renaming ----------------------------------------------------------------
+    def rename(self, u: int, mapping: Mapping[int, int]) -> int:
+        """``u`` with every variable level ``l`` replaced by ``mapping[l]``."""
+        return self.renamer(mapping)(u)
+
+    def renamer(self, mapping: Mapping[int, int]) -> Callable[[int], int]:
+        """A memoized :meth:`rename` under one level map, for many nodes.
+
+        The map must be strictly increasing (``ValueError`` otherwise), so
+        the renamed graph is still ordered and is rebuilt node for node
+        through ``_mk``, lo before hi.  Every level of a renamed node must
+        be a key of the map.
+        """
+        levels = _order_preserving(mapping)
+        memo = {FALSE: FALSE, TRUE: TRUE}
+        node, mk = self.node, self._mk
+
+        def ren(u: int) -> int:
+            r = memo.get(u)
+            if r is None:
+                var, lo, hi = node(u)
+                lvl = levels.get(var)
+                if lvl is None:
+                    raise ValueError(f"level {var} is not in the rename map")
+                r = memo[u] = mk(lvl, ren(lo), ren(hi))
+            return r
+
+        return ren
+
+    # -- evaluation / models -----------------------------------------------------------
+    def evaluate(self, u: int, assignment: Callable[[int], bool]) -> bool:
+        node = self.node
+        while u > TRUE:
+            var, lo, hi = node(u)
+            u = hi if assignment(var) else lo
+        return u == TRUE
+
+    def support(self, u: int) -> frozenset:
+        out = set()
+        seen = set()
+        stack = [u]
+        node = self.node
+        while stack:
+            n = stack.pop()
+            if n <= TRUE or n in seen:
+                continue
+            seen.add(n)
+            var, lo, hi = node(n)
+            out.add(var)
+            stack.append(lo)
+            stack.append(hi)
+        return frozenset(out)
+
+    def iter_cubes(self, u: int) -> Iterator[Dict[int, bool]]:
+        """All satisfying partial assignments (disjoint cubes)."""
+        if u == FALSE:
+            return
+        if u == TRUE:
+            yield {}
+            return
+        lvl, lo, hi = self.node(u)
+        for sub in self.iter_cubes(lo):
+            yield {lvl: False, **sub}
+        for sub in self.iter_cubes(hi):
+            yield {lvl: True, **sub}
+
+
+class PyBDDManager(BDDManager):
+    """The int-table manager in pure Python: the fallback where the
+    native kernel cannot be built or loaded.
+
+    Nodes are three ``list`` columns; hash-consing and the operation memo
+    are plain dicts keyed by *packed integers* (level/lo/hi and operand
+    pairs bit-packed into one int), which CPython stores open-addressed
+    with the identity hash — no tuple hashing on the hot path.  Packing
+    widths are fixed (``_SHIFT`` bits per handle, ``_LEVEL_BITS`` per
+    level) and enforced at allocation, so keys never collide across
+    fields.
+    """
 
     def __init__(self) -> None:
         # Parallel arrays: node idx -> var level / low child / high child.
@@ -131,14 +259,6 @@ class BDDManager:
 
     def node(self, u: int) -> Tuple[int, int, int]:
         return (self._var[u], self._lo[u], self._hi[u])
-
-    @property
-    def true(self) -> int:
-        return TRUE
-
-    @property
-    def false(self) -> int:
-        return FALSE
 
     def var(self, level: int) -> int:
         """The BDD of "bit at ``level`` is 1"."""
@@ -275,27 +395,32 @@ class BDDManager:
         """u AND NOT v."""
         return self.apply_and(u, self.apply_not(v))
 
-    def ite(self, c: int, t: int, e: int) -> int:
-        return self.apply_or(self.apply_and(c, t), self.apply_and(self.apply_not(c), e))
-
-    def conj(self, items: Sequence[int]) -> int:
-        r = TRUE
-        for u in items:
-            r = self.apply_and(r, u)
-            if r == FALSE:
-                return FALSE
-        return r
-
-    def disj(self, items: Sequence[int]) -> int:
-        r = FALSE
-        for u in items:
-            r = self.apply_or(r, u)
-            if r == TRUE:
-                return TRUE
-        return r
+    def pick_cube(self, u: int) -> Optional[Dict[int, bool]]:
+        """One satisfying partial assignment (level -> bool), or None."""
+        if u == FALSE:
+            return None
+        cube: Dict[int, bool] = {}
+        var = self._var
+        lo_ = self._lo
+        hi_ = self._hi
+        while u > TRUE:
+            lvl = var[u]
+            hi = hi_[u]
+            if hi != FALSE:
+                cube[lvl] = True
+                u = hi
+            else:
+                cube[lvl] = False
+                u = lo_[u]
+        return cube
 
     # -- cofactors / quantification -------------------------------------------------
     def restrict(self, u: int, level: int, value: bool) -> int:
+        if not (0 <= level < _MAX_LEVEL):
+            raise ValueError(f"BDD level {level} outside packed range [0, {_MAX_LEVEL})")
+        return self._restrict(u, level, value)
+
+    def _restrict(self, u: int, level: int, value: bool) -> int:
         if u <= TRUE:
             return u
         key = (((((u << _LEVEL_BITS) | level) << 1) | (1 if value else 0)) << 3) | _RESTRICT
@@ -312,8 +437,8 @@ class BDDManager:
         else:
             r = self._mk(
                 lvl,
-                self.restrict(self._lo[u], level, value),
-                self.restrict(self._hi[u], level, value),
+                self._restrict(self._lo[u], level, value),
+                self._restrict(self._hi[u], level, value),
             )
         self._op_cache[key] = r
         self._op_entries[_RESTRICT] += 1
@@ -355,88 +480,88 @@ class BDDManager:
         self._op_entries[_EXISTS] += 1
         return r
 
-    # -- level renaming ----------------------------------------------------------------
-    def rename(self, u: int, mapping: Mapping[int, int]) -> int:
-        """``u`` with every variable level ``l`` replaced by ``mapping[l]``."""
-        return self.renamer(mapping)(u)
 
-    def renamer(self, mapping: Mapping[int, int]) -> Callable[[int], int]:
-        """A memoized :meth:`rename` under one level map, for many nodes.
+# -- native kernel -----------------------------------------------------------------------
 
-        The map must be strictly increasing (``ValueError`` otherwise), so
-        the renamed graph is still ordered and is rebuilt node for node
-        through ``_mk``, lo before hi.  Every level of a renamed node must
-        be a key of the map.
-        """
-        levels = _order_preserving(mapping)
-        memo = {FALSE: FALSE, TRUE: TRUE}
-        var, lo_, hi_, mk = self._var, self._lo, self._hi, self._mk
+_KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
+_native_lock = threading.Lock()
+#: The kernel-backed manager class once resolved, False if the kernel
+#: cannot be built or loaded, None before the first construction.
+_native = None
 
-        def ren(u: int) -> int:
-            r = memo.get(u)
-            if r is None:
-                lvl = levels.get(var[u])
-                if lvl is None:
-                    raise ValueError(f"level {var[u]} is not in the rename map")
-                r = memo[u] = mk(lvl, ren(lo_[u]), ren(hi_[u]))
-            return r
 
-        return ren
+def _native_manager():
+    """The kernel-backed manager class, or None where the kernel cannot
+    be built or loaded.  Resolved once per process, on first use; the
+    loader imports what it needs only then, so a process that never
+    constructs a manager pays nothing for the kernel."""
+    global _native
+    if _native is None:
+        import subprocess
 
-    # -- evaluation / models -----------------------------------------------------------
-    def evaluate(self, u: int, assignment: Callable[[int], bool]) -> bool:
-        var = self._var
-        lo_ = self._lo
-        hi_ = self._hi
-        while u > TRUE:
-            u = hi_[u] if assignment(var[u]) else lo_[u]
-        return u == TRUE
+        with _native_lock:
+            if _native is None:
+                try:
+                    kernel = _load_kernel()
+                except (OSError, ImportError, subprocess.SubprocessError):
+                    _native = False
+                else:
 
-    def support(self, u: int) -> frozenset:
-        out = set()
-        seen = set()
-        stack = [u]
-        var = self._var
-        lo_ = self._lo
-        hi_ = self._hi
-        while stack:
-            n = stack.pop()
-            if n <= TRUE or n in seen:
-                continue
-            seen.add(n)
-            out.add(var[n])
-            stack.append(lo_[n])
-            stack.append(hi_[n])
-        return frozenset(out)
+                    class NativeBDDManager(kernel.Kernel, BDDManager):
+                        """The int-table manager with its tables and
+                        recursive operations in ``_kernel.c``."""
 
-    def pick_cube(self, u: int) -> Optional[Dict[int, bool]]:
-        """One satisfying partial assignment (level -> bool), or None."""
-        if u == FALSE:
-            return None
-        cube: Dict[int, bool] = {}
-        var = self._var
-        lo_ = self._lo
-        hi_ = self._hi
-        while u > TRUE:
-            lvl = var[u]
-            hi = hi_[u]
-            if hi != FALSE:
-                cube[lvl] = True
-                u = hi
-            else:
-                cube[lvl] = False
-                u = lo_[u]
-        return cube
+                        __slots__ = ()
+                        __qualname__ = "NativeBDDManager"
 
-    def iter_cubes(self, u: int) -> Iterator[Dict[int, bool]]:
-        """All satisfying partial assignments (disjoint cubes)."""
-        if u == FALSE:
-            return
-        if u == TRUE:
-            yield {}
-            return
-        lvl = self._var[u]
-        for sub in self.iter_cubes(self._lo[u]):
-            yield {lvl: False, **sub}
-        for sub in self.iter_cubes(self._hi[u]):
-            yield {lvl: True, **sub}
+                    _native = NativeBDDManager
+    return _native or None
+
+
+def _artifact_path() -> Path:
+    """Where the build of the current ``_kernel.c`` is cached: next to
+    the source, under a name holding a hash of it."""
+    import hashlib
+    import sysconfig
+
+    digest = hashlib.sha256(_KERNEL_SOURCE.read_bytes()).hexdigest()[:16]
+    return _KERNEL_SOURCE.with_name(
+        f"_kernel_{digest}{sysconfig.get_config_var('EXT_SUFFIX')}"
+    )
+
+
+def _load_kernel():
+    """Import the native kernel, compiling ``_kernel.c`` first when no
+    build of this exact source sits next to it."""
+    import importlib.util
+
+    path = _artifact_path()
+    if not path.exists():
+        _build_kernel(path)
+    spec = importlib.util.spec_from_file_location(f"{__package__}._kernel", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.configure(_faults, MemoryCeilingExceeded)
+    return module
+
+
+def _build_kernel(path: Path) -> None:
+    """Compile ``_kernel.c`` to ``path`` with the interpreter's own
+    shared-library link command.  Concurrent builds are safe: each writes
+    its own temporary file and renames it into place."""
+    import os
+    import shlex
+    import subprocess
+    import sysconfig
+
+    link = shlex.split(sysconfig.get_config_var("LDSHARED") or "cc -shared")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        subprocess.run(
+            [*link, "-fPIC", "-O2", f"-I{sysconfig.get_paths()['include']}",
+             str(_KERNEL_SOURCE), "-o", str(tmp)],
+            check=True, capture_output=True, timeout=300,
+        )
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

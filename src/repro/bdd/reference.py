@@ -1,12 +1,13 @@
 """Reference ROBDD implementation (tuple nodes, tuple-keyed caches).
 
 This is the pre-int-table :class:`BDDManager`, kept verbatim (modulo the
-class name and the later ``rename``) as the differential-testing oracle
-for the flat int-table implementation in :mod:`repro.bdd.bdd`.  The two
-managers must agree on every observable: node semantics (truth tables),
-``cache_stats()`` key shape, and the node-index sequences that every
-compiled automaton's guards, and so the compiler's memo, are built
-from.  It is not exported from the package ``__init__`` and nothing in
+class name, the later ``rename`` and ``true``/``false`` as class
+attributes) as the differential-testing oracle for the int-table
+managers in :mod:`repro.bdd.bdd`, the native kernel and its pure-Python
+fallback.  The managers must agree on every observable: node semantics
+(truth tables), ``cache_stats()`` key shape, and the node-index
+sequences that every compiled automaton's guards, and so the compiler's
+memo, are built from.  It is not exported from the package ``__init__`` and nothing in
 the solver imports it; only ``tests/test_bdd_differential.py`` does.
 """
 
@@ -34,6 +35,9 @@ _OP_NAMES = {_AND: "and", _OR: "or", _NOT: "not",
 
 class ReferenceBDDManager:
     """A shared store of hash-consed BDD nodes (tuple-per-node layout)."""
+
+    true = TRUE
+    false = FALSE
 
     def __init__(self) -> None:
         # node idx -> (level, lo, hi); indices 0/1 are terminals.
@@ -71,14 +75,6 @@ class ReferenceBDDManager:
 
     def node(self, u: int) -> Tuple[int, int, int]:
         return self._nodes[u]
-
-    @property
-    def true(self) -> int:
-        return TRUE
-
-    @property
-    def false(self) -> int:
-        return FALSE
 
     def var(self, level: int) -> int:
         """The BDD of "bit at ``level`` is 1"."""

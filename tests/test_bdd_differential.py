@@ -1,36 +1,68 @@
-"""Differential tests: int-table BDD core vs the tuple-node reference.
+"""Differential tests: native kernel vs Python int table vs tuple reference.
 
-The flat int-table manager in :mod:`repro.bdd.bdd` must be
-observation-equivalent to the pre-refactor tuple-per-node implementation
-preserved verbatim in :mod:`repro.bdd.reference`: identical node handles
-in identical order (hash-consing allocates by first construction, and the
-apply algorithms recurse the same way), identical truth tables, and an
-identical ``cache_stats()`` key shape.  Guard handles feed automata
-structure and ultimately the compiler's memo, which is keyed on the
-levels of a formula's free variables and copies automata by renaming
-levels (``rename``), so handle-level agreement is the strongest
-observable.
+Three managers must be observation-equivalent:
+
+* the kernel-backed manager that ``BDDManager()`` returns when
+  ``_kernel.c`` builds and loads;
+* :class:`repro.bdd.bdd.PyBDDManager`, the same algorithms in pure
+  Python (the fallback), constructed directly;
+* the pre-int-table tuple-node implementation preserved verbatim in
+  :mod:`repro.bdd.reference`.
+
+All three give identical node handles in identical order (hash-consing
+allocates by first construction, and the apply algorithms recurse the
+same way), identical truth tables and an identical ``cache_stats()`` key
+shape.  The kernel and the Python int table run one algorithm, so their
+full ``cache_stats()`` dicts agree too, through node ceilings and
+injected faults.  Guard handles feed automata structure and ultimately
+the compiler's memo, which is keyed on the levels of a formula's free
+variables and copies automata by renaming levels (``rename``), so
+handle-level agreement is the strongest observable.
 
 Two layers:
 
 * a seeded op-stream driver plays 200+ random operation sequences against
-  both managers in lockstep (the micro level);
-* generated Retreet programs' encoder formulas compile through two full
+  the three managers in lockstep (the micro level);
+* generated Retreet programs' encoder formulas compile through three full
   pipelines, one per manager, and the resulting automata must agree state
   for state and guard for guard (the macro level, via :mod:`repro.gen`).
+
+Where the kernel cannot be built the kernel-backed cases skip; CI asserts
+separately that a fresh ``BDDManager()`` is kernel-backed.
 """
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.bdd import BDDManager
+from repro.bdd.bdd import PyBDDManager
 from repro.bdd.reference import ReferenceBDDManager
+from repro.runtime import faults
+from repro.runtime.errors import MemoryCeilingExceeded
+from repro.runtime.guard import ResourceGuard
 
 N_VARS = 6
 SEEDS = 208
 CHUNK = 26
+
+
+def _kernel_manager():
+    mgr = BDDManager()
+    if isinstance(mgr, PyBDDManager):
+        pytest.skip("the native BDD kernel could not be built here")
+    return mgr
+
+
+def _managers():
+    """(kernel, Python int table, reference), fresh."""
+    return [_kernel_manager(), PyBDDManager(), ReferenceBDDManager()]
 
 
 def _truth_table(mgr, u):
@@ -40,93 +72,280 @@ def _truth_table(mgr, u):
     return tuple(rows)
 
 
-def _drive(rng, n_ops=60):
-    """One op stream applied to both managers in lockstep.
-
-    Returns the two managers for post-run shape checks."""
-    a = BDDManager()
-    b = ReferenceBDDManager()
-    pool_a = [a.true, a.false]
-    pool_b = [b.true, b.false]
+def _literals(mgr):
+    pool = [mgr.true, mgr.false]
     for lvl in range(N_VARS):
-        pool_a += [a.var(lvl), a.nvar(lvl)]
-        pool_b += [b.var(lvl), b.nvar(lvl)]
-    assert pool_a == pool_b
+        pool += [mgr.var(lvl), mgr.nvar(lvl)]
+    return pool
 
+
+def _random_op(rng, n, ops=range(9)):
+    """One op over a pool of ``n`` handles: (op, i, j, k, extra)."""
+    op = rng.choice(ops)
+    i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+    extra = None
+    if op == 5:
+        extra = frozenset(rng.sample(range(N_VARS), rng.randint(1, N_VARS)))
+    elif op == 6:
+        extra = (rng.randrange(N_VARS), bool(rng.randrange(2)))
+    elif op in (7, 8):
+        extra = [rng.randrange(n) for _ in range(rng.randint(0, 4))]
+    return op, i, j, k, extra
+
+
+def _play(mgr, pool, desc):
+    op, i, j, k, extra = desc
+    u, v, w = pool[i], pool[j], pool[k]
+    if op == 0:
+        return mgr.apply_and(u, v)
+    if op == 1:
+        return mgr.apply_or(u, v)
+    if op == 2:
+        return mgr.apply_not(u)
+    if op == 3:
+        return mgr.apply_diff(u, v)
+    if op == 4:
+        return mgr.ite(u, v, w)
+    if op == 5:
+        return mgr.exists(u, extra)
+    if op == 6:
+        return mgr.restrict(u, *extra)
+    if op == 7:
+        return mgr.conj([pool[x] for x in extra])
+    return mgr.disj([pool[x] for x in extra])
+
+
+def _drive(rng, n_ops=60):
+    """One op stream applied to the three managers in lockstep.
+
+    Returns the managers and their pools for post-run shape checks."""
+    mgrs = _managers()
+    pools = [_literals(m) for m in mgrs]
+    assert pools[0] == pools[1] == pools[2]
     for step in range(n_ops):
-        op = rng.randrange(9)
-        i = rng.randrange(len(pool_a))
-        j = rng.randrange(len(pool_a))
-        k = rng.randrange(len(pool_a))
-        if op == 0:
-            ua, ub = a.apply_and(pool_a[i], pool_a[j]), b.apply_and(pool_b[i], pool_b[j])
-        elif op == 1:
-            ua, ub = a.apply_or(pool_a[i], pool_a[j]), b.apply_or(pool_b[i], pool_b[j])
-        elif op == 2:
-            ua, ub = a.apply_not(pool_a[i]), b.apply_not(pool_b[i])
-        elif op == 3:
-            ua, ub = a.apply_diff(pool_a[i], pool_a[j]), b.apply_diff(pool_b[i], pool_b[j])
-        elif op == 4:
-            ua = a.ite(pool_a[i], pool_a[j], pool_a[k])
-            ub = b.ite(pool_b[i], pool_b[j], pool_b[k])
-        elif op == 5:
-            levels = frozenset(
-                rng.sample(range(N_VARS), rng.randint(1, N_VARS))
-            )
-            ua, ub = a.exists(pool_a[i], levels), b.exists(pool_b[i], levels)
-        elif op == 6:
-            lvl, val = rng.randrange(N_VARS), bool(rng.randrange(2))
-            ua = a.restrict(pool_a[i], lvl, val)
-            ub = b.restrict(pool_b[i], lvl, val)
-        elif op == 7:
-            idxs = [rng.randrange(len(pool_a)) for _ in range(rng.randint(0, 4))]
-            ua = a.conj([pool_a[x] for x in idxs])
-            ub = b.conj([pool_b[x] for x in idxs])
-        else:
-            idxs = [rng.randrange(len(pool_a)) for _ in range(rng.randint(0, 4))]
-            ua = a.disj([pool_a[x] for x in idxs])
-            ub = b.disj([pool_b[x] for x in idxs])
-        assert ua == ub, f"handle divergence at step {step} (op {op})"
-        pool_a.append(ua)
-        pool_b.append(ub)
+        desc = _random_op(rng, len(pools[0]))
+        out = [_play(m, p, desc) for m, p in zip(mgrs, pools)]
+        assert out[0] == out[1] == out[2], (
+            f"handle divergence at step {step} (op {desc[0]})"
+        )
+        for p, u in zip(pools, out):
+            p.append(u)
         if step % 7 == 0:
-            assert _truth_table(a, ua) == _truth_table(b, ub)
-            assert a.support(ua) == b.support(ub)
-    return a, b, pool_a, pool_b
+            tables = {_truth_table(m, u) for m, u in zip(mgrs, out)}
+            assert len(tables) == 1
+            assert len({m.support(u) for m, u in zip(mgrs, out)}) == 1
+    return mgrs, pools
+
+
+def _assert_same_stats(native, py, ref=None):
+    assert native.size() == py.size()
+    assert native.cache_stats() == py.cache_stats()
+    if ref is not None:
+        assert set(ref.cache_stats()) == set(py.cache_stats()), (
+            "cache_stats key shape diverged"
+        )
+        assert ref.size() == py.size()
 
 
 @pytest.mark.parametrize("base", range(0, SEEDS, CHUNK))
 def test_op_streams_agree(base):
-    """208 seeded builds: handles, semantics, and cache shape all match."""
+    """208 seeded builds: handles, semantics, and cache counters match."""
     for seed in range(base, base + CHUNK):
         rng = random.Random(seed)
-        a, b, pool_a, pool_b = _drive(rng)
-        assert a.size() == b.size()
-        sa, sb = a.cache_stats(), b.cache_stats()
-        assert set(sa) == set(sb), "cache_stats key shape diverged"
-        assert sa["nodes"] == sb["nodes"]
+        (k, p, r), (pool_k, _, pool_r) = _drive(rng)
+        _assert_same_stats(k, p, r)
         # Spot-check final pool semantics end to end.
-        for ua, ub in zip(pool_a[-5:], pool_b[-5:]):
-            assert _truth_table(a, ua) == _truth_table(b, ub)
+        for uk, ur in zip(pool_k[-5:], pool_r[-5:]):
+            assert _truth_table(k, uk) == _truth_table(r, ur)
 
 
 def test_cube_enumeration_agrees():
     """pick_cube/iter_cubes walk the same shared structure."""
     rng = random.Random(1234)
-    a, b, pool_a, pool_b = _drive(rng, n_ops=40)
-    for ua, ub in zip(pool_a, pool_b):
-        assert a.pick_cube(ua) == b.pick_cube(ub)
-        assert list(a.iter_cubes(ua)) == list(b.iter_cubes(ub))
+    mgrs, pools = _drive(rng, n_ops=40)
+    for handles in zip(*pools):
+        cubes = [m.pick_cube(u) for m, u in zip(mgrs, handles)]
+        assert cubes[0] == cubes[1] == cubes[2]
+        lists = [list(m.iter_cubes(u)) for m, u in zip(mgrs, handles)]
+        assert lists[0] == lists[1] == lists[2]
 
 
 def test_node_accessors_agree():
     rng = random.Random(99)
-    a, b, pool_a, pool_b = _drive(rng, n_ops=30)
-    for ua, ub in zip(pool_a, pool_b):
-        if ua in (a.true, a.false):
-            continue
-        assert a.level(ua) == b.level(ub)
-        assert a.node(ua) == b.node(ub)
+    mgrs, pools = _drive(rng, n_ops=30)
+    for handles in zip(*pools):
+        assert len({m.level(u) for m, u in zip(mgrs, handles)}) == 1
+        assert len({m.node(u) for m, u in zip(mgrs, handles)}) == 1
+
+
+def test_restrict_agrees_and_fixes_the_level():
+    """Every cofactor of every pool node: same handle in all three, and
+    it evaluates like the node with that level fixed."""
+    rng = random.Random(7)
+    mgrs, pools = _drive(rng, n_ops=30)
+    k = mgrs[0]
+    for handles in zip(*pools):
+        for lvl, val in itertools.product(range(N_VARS), (False, True)):
+            out = [m.restrict(u, lvl, val) for m, u in zip(mgrs, handles)]
+            assert out[0] == out[1] == out[2]
+            for bits in itertools.product((False, True), repeat=N_VARS):
+                fixed = bits[:lvl] + (val,) + bits[lvl + 1:]
+                assert k.evaluate(out[0], lambda l: bits[l]) == k.evaluate(
+                    handles[0], lambda l: fixed[l]
+                )
+    _assert_same_stats(mgrs[0], mgrs[1], mgrs[2])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exists_over_more_than_64_levels(seed):
+    """Level sets wider than one machine word: quantify 100 of 200 levels
+    out of random cube disjunctions, in lockstep."""
+    rng = random.Random(seed)
+    mgrs = _managers()
+    levels = range(200)
+    cubes = [
+        [(lvl, rng.random() < 0.5) for lvl in sorted(rng.sample(levels, 12))]
+        for _ in range(8)
+    ]
+    hidden = frozenset(rng.sample(levels, 100)) | {65, 130, 199}
+    results = []
+    for m in mgrs:
+        f = m.disj([
+            m.conj([m.var(l) if pos else m.nvar(l) for l, pos in cube])
+            for cube in cubes
+        ])
+        results.append((f, m.exists(f, hidden), m.exists(f, frozenset(levels))))
+    assert results[0] == results[1] == results[2]
+    _assert_same_stats(mgrs[0], mgrs[1], mgrs[2])
+    f, g, everything = results[0]
+    k = mgrs[0]
+    assert everything == k.true
+    assert k.support(g) == k.support(f) - hidden
+    # Each cube survives quantification as its unquantified part.
+    for cube in cubes:
+        kept = k.conj([k.var(l) if pos else k.nvar(l)
+                       for l, pos in cube if l not in hidden])
+        assert k.apply_diff(kept, g) == k.false
+
+
+@pytest.mark.parametrize("bad", ["size", 1 << 62, 1 << 70])
+def test_out_of_range_handles_raise_index_error(bad):
+    """Every handle entering the kernel is bounds-checked, and a rejected
+    call leaves its tables as they were (the Python table counts a miss
+    before it dereferences, but adds no node either)."""
+    k, p = _kernel_manager(), PyBDDManager()
+    for m in (k, p):
+        u = m.apply_and(m.var(0), m.nvar(1))
+        h = m.size() if bad == "size" else bad
+        before = m.cache_stats() if m is k else m.size()
+        calls = [
+            lambda: m.apply_and(h, u), lambda: m.apply_or(u, h),
+            lambda: m.apply_diff(u, h), lambda: m.apply_not(h),
+            lambda: m.exists(h, frozenset({0})), lambda: m.restrict(h, 0, True),
+            lambda: m.level(h), lambda: m.node(h),
+        ]
+        if m is k:
+            calls.append(lambda: k._mk(3, h, u))
+        for call in calls:
+            with pytest.raises(IndexError):
+                call()
+        assert (m.cache_stats() if m is k else m.size()) == before
+
+
+@pytest.mark.parametrize("ceiling", [100, 200, 300])
+def test_node_ceiling_trips_at_the_same_allocation(ceiling):
+    """A bound guard's node ceiling stops both int tables on the same op
+    of a stream, with the same nodes and cache counters behind it."""
+    rng = random.Random(ceiling)
+    k, p = _kernel_manager(), PyBDDManager()
+    pools = [_literals(k), _literals(p)]
+    guards = [ResourceGuard.start(node_ceiling=ceiling) for _ in range(2)]
+    for g, m in zip(guards, (k, p)):
+        g.bind_manager(m)
+    stopped = [None, None]
+    for step in range(2000):
+        desc = _random_op(rng, len(pools[0]))
+        out = []
+        for side, (m, pool) in enumerate(zip((k, p), pools)):
+            try:
+                out.append(_play(m, pool, desc))
+            except MemoryCeilingExceeded as e:
+                stopped[side] = (step, e.counters.get("bdd_nodes"))
+        if stopped != [None, None]:
+            break
+        assert out[0] == out[1]
+        for pool, u in zip(pools, out):
+            pool.append(u)
+    assert stopped[0] is not None and stopped[0] == stopped[1]
+    _assert_same_stats(k, p)
+    assert k.size() > ceiling
+
+
+def _fault_stream(rng, n_ops, ops):
+    pool_size = 2 + 2 * N_VARS
+    descs = []
+    for _ in range(n_ops):
+        descs.append(_random_op(rng, pool_size, ops))
+        pool_size += 1
+    return descs
+
+
+@pytest.mark.parametrize("hit", [1, 17, 250])
+def test_apply_probe_raise_fires_on_the_same_hit(hit):
+    """``bdd.apply:raise`` fires on the same apply miss of the same op in
+    both int tables, leaving identical tables behind."""
+    descs = _fault_stream(random.Random(hit), 400, range(9))
+    k, p = _kernel_manager(), PyBDDManager()
+    fired = []
+    for m in (k, p):
+        pool = _literals(m)
+        spec = faults.arm("bdd.apply", hit=hit, action="raise")
+        try:
+            for step, desc in enumerate(descs):
+                try:
+                    pool.append(_play(m, pool, desc))
+                except faults.InjectedFault:
+                    fired.append((step, spec.hits_seen))
+                    break
+        finally:
+            faults.disarm_all()
+    assert len(fired) == 2 and fired[0] == fired[1]
+    _assert_same_stats(k, p)
+
+
+@pytest.mark.parametrize("hit", [1, 17, 90])
+def test_apply_probe_corrupt_fires_on_the_same_hit(hit):
+    """``bdd.apply:corrupt`` fires on the same apply miss of the same op in
+    both int tables, and the corrupted result fails its first use with
+    ``IndexError``: at once inside the kernel's recursion, or when the
+    result is walked."""
+    ops = (0, 1, 3, 5)  # and, or, diff, exists: every result is kept
+    descs = _fault_stream(random.Random(hit), 400, ops)
+    k, p = _kernel_manager(), PyBDDManager()
+    fired = []
+    for m in (k, p):
+        pool = _literals(m)
+        spec = faults.arm("bdd.apply", hit=hit, action="corrupt")
+        try:
+            for step, desc in enumerate(descs):
+                try:
+                    u = _play(m, pool, desc)
+                    if spec.fired:
+                        m.support(u)
+                except IndexError:
+                    assert spec.fired
+                    fired.append((step, spec.hits_seen))
+                    break
+                assert not spec.fired, "a corrupted result was usable"
+                pool.append(u)
+        finally:
+            faults.disarm_all()
+    assert len(fired) == 2 and fired[0] == fired[1]
+
+
+# ---------------------------------------------------------------------------
+# Renaming.
+# ---------------------------------------------------------------------------
 
 
 def _order_preserving_map(rng):
@@ -136,27 +355,30 @@ def _order_preserving_map(rng):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_rename_agrees(seed):
-    """Renaming levels rebuilds the same node table in both managers, and
-    the result under the moved assignment evaluates like the original."""
+    """Renaming levels rebuilds the same node table in all three managers,
+    and the result under the moved assignment evaluates like the
+    original."""
     rng = random.Random(seed)
-    a, b, pool_a, pool_b = _drive(rng, n_ops=40)
+    mgrs, pools = _drive(rng, n_ops=40)
     mapping = _order_preserving_map(rng)
     moved = {new: old for old, new in mapping.items()}
-    ren_a, ren_b = a.renamer(mapping), b.renamer(mapping)
-    for ua, ub in zip(pool_a, pool_b):
-        va = ren_a(ua)
-        assert va == ren_b(ub) == a.rename(ua, mapping)
+    renamers = [m.renamer(mapping) for m in mgrs]
+    k = mgrs[0]
+    for handles in zip(*pools):
+        out = [ren(u) for ren, u in zip(renamers, handles)]
+        assert out[0] == out[1] == out[2] == k.rename(handles[0], mapping)
         for bits in itertools.product((False, True), repeat=N_VARS):
-            assert a.evaluate(va, lambda lvl: bits[moved[lvl]]) == a.evaluate(
-                ua, lambda lvl: bits[lvl]
+            assert k.evaluate(out[0], lambda lvl: bits[moved[lvl]]) == k.evaluate(
+                handles[0], lambda lvl: bits[lvl]
             )
-    assert a.size() == b.size()
-    assert [a.node(u) for u in range(2, a.size())] == [
-        b.node(u) for u in range(2, b.size())
-    ]
+    _assert_same_stats(mgrs[0], mgrs[1], mgrs[2])
+    nodes = [[m.node(u) for u in range(2, m.size())] for m in mgrs]
+    assert nodes[0] == nodes[1] == nodes[2]
 
 
-@pytest.mark.parametrize("manager_cls", [BDDManager, ReferenceBDDManager])
+@pytest.mark.parametrize(
+    "manager_cls", [BDDManager, PyBDDManager, ReferenceBDDManager]
+)
 def test_rename_rejects_maps_that_break_the_order(manager_cls):
     mgr = manager_cls()
     u = mgr.apply_and(mgr.var(0), mgr.nvar(1))
@@ -174,7 +396,7 @@ def test_rename_rejects_maps_that_break_the_order(manager_cls):
 # ---------------------------------------------------------------------------
 
 
-def _compile_with(manager_cls, src):
+def _compile_with(manager, src):
     from repro.automata.tta import TrackRegistry
     from repro.core.configurations import ProgramModel
     from repro.core.encode import Encoder
@@ -185,7 +407,7 @@ def _compile_with(manager_cls, src):
     program = parse_program(src, name="diff")
     model = ProgramModel(program)
     enc = Encoder(model, "P")
-    registry = TrackRegistry(manager_cls())
+    registry = TrackRegistry(manager)
     families = [enc.tracks(1), enc.tracks(2)]
     enc.preregister(registry, families)
     comp = Compiler(registry)
@@ -196,18 +418,90 @@ def _compile_with(manager_cls, src):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 5, 11])
 def test_generated_program_pipelines_agree(seed):
-    """Same program, two managers: identical automata, node for node."""
+    """Same program, three managers: identical automata, node for node."""
     from repro.gen import GenConfig, RandomSource, gen_program_source
 
     src = gen_program_source(RandomSource(seed), GenConfig())
-    mgr_a, comp_a, auto_a = _compile_with(BDDManager, src)
-    mgr_b, comp_b, auto_b = _compile_with(ReferenceBDDManager, src)
+    runs = [_compile_with(m, src) for m in _managers()]
+    (mgr_k, comp_k, auto_k), (mgr_p, _, _), (mgr_r, _, _) = runs
+    for _, comp, auto in runs[1:]:
+        assert auto.n_states == auto_k.n_states
+        assert auto.accepting == auto_k.accepting
+        assert auto.leaf == auto_k.leaf
+        assert auto.delta == auto_k.delta  # guard handles are ints in all
+        assert set(comp._cache) == set(comp_k._cache), (
+            "compile memo population diverged"
+        )
+    _assert_same_stats(mgr_k, mgr_p, mgr_r)
 
-    assert auto_a.n_states == auto_b.n_states
-    assert auto_a.accepting == auto_b.accepting
-    assert auto_a.leaf == auto_b.leaf
-    assert auto_a.delta == auto_b.delta  # guard handles are ints in both
-    assert mgr_a.size() == mgr_b.size()
-    assert set(comp_a._cache) == set(comp_b._cache), (
-        "compile memo population diverged"
+
+# ---------------------------------------------------------------------------
+# Building the kernel; fallback: no kernel, same decisions.
+# ---------------------------------------------------------------------------
+
+
+def test_edited_kernel_source_builds_under_a_new_name(tmp_path, monkeypatch):
+    """An edited ``_kernel.c`` gets its own artifact, and two builds racing
+    for it both succeed and leave no temporary file behind."""
+    import threading
+
+    from repro.bdd import bdd
+
+    _kernel_manager()  # skips where no kernel can be built
+    original = bdd._artifact_path()
+    edited = tmp_path / "_kernel.c"
+    edited.write_text(bdd._KERNEL_SOURCE.read_text() + "\n/* edited */\n")
+    monkeypatch.setattr(bdd, "_KERNEL_SOURCE", edited)
+    target = bdd._artifact_path()
+    assert target.parent == tmp_path and not target.exists()
+    assert target.name.startswith("_kernel_") and target.name != original.name
+    builders = [threading.Thread(target=bdd._build_kernel, args=(target,))
+                for _ in range(2)]
+    for t in builders:
+        t.start()
+    for t in builders:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in builders)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["_kernel.c", target.name]
     )
+    kernel = bdd._load_kernel()
+    mgr = kernel.Kernel()
+    assert mgr.apply_and(mgr.var(0), mgr.nvar(1)) == 4
+
+
+_T13_SCRIPT = """
+import json, sys
+from repro.bdd import bdd
+
+def no_kernel():
+    raise OSError("no C compiler")
+
+if sys.argv[1] == "fallback":
+    bdd._load_kernel = no_kernel
+from repro.bdd import BDDManager
+from repro.casestudies import sizecount
+from repro.core.symbolic import check_data_race_mso
+
+v = check_data_race_mso(sizecount.parallel_program())
+print(json.dumps({"manager": type(BDDManager()).__name__, "found": v.found,
+                  "bdd_nodes": v.stats["bdd_nodes"]}))
+"""
+
+
+def test_failed_kernel_load_falls_back_to_python_with_same_t13():
+    """With the kernel loader failing, ``BDDManager()`` is the Python int
+    table, and T1.3 decides with the same verdict and node count."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = {}
+    for mode in ("fallback", "default"):
+        run = subprocess.run(
+            [sys.executable, "-c", _T13_SCRIPT, mode],
+            capture_output=True, text=True, env=env, timeout=600,
+        )
+        assert run.returncode == 0, run.stderr
+        out[mode] = json.loads(run.stdout.strip().splitlines()[-1])
+    assert out["fallback"]["manager"] == "PyBDDManager"
+    assert out["fallback"]["found"] is out["default"]["found"] is False
+    assert out["fallback"]["bdd_nodes"] == out["default"]["bdd_nodes"]
