@@ -452,6 +452,8 @@ class PyBDDManager(BDDManager):
         if mask is None:
             mask = 0
             for lvl in levels:
+                if not (0 <= lvl < _MAX_LEVEL):
+                    raise ValueError(f"BDD level {lvl} outside packed range [0, {_MAX_LEVEL})")
                 mask |= 1 << lvl
             self._mask_cache[levels] = mask
         return self._exists(u, levels, mask)

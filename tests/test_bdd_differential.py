@@ -252,6 +252,19 @@ def test_out_of_range_handles_raise_index_error(bad):
         assert (m.cache_stats() if m is k else m.size()) == before
 
 
+@pytest.mark.parametrize("level", [-1, 1 << 20, 1 << 40])
+def test_out_of_range_levels_raise_value_error(level):
+    """Both int tables reject a level outside the packed range wherever
+    one enters: a literal, a cofactor or a quantified set."""
+    for m in (_kernel_manager(), PyBDDManager()):
+        u = m.apply_and(m.var(0), m.nvar(1))
+        for call in (lambda: m.var(level), lambda: m.nvar(level),
+                     lambda: m.restrict(u, level, True),
+                     lambda: m.exists(u, frozenset({0, level}))):
+            with pytest.raises(ValueError):
+                call()
+
+
 @pytest.mark.parametrize("ceiling", [100, 200, 300])
 def test_node_ceiling_trips_at_the_same_allocation(ceiling):
     """A bound guard's node ceiling stops both int tables on the same op
