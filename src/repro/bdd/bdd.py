@@ -496,7 +496,11 @@ def _native_manager():
     """The kernel-backed manager class, or None where the kernel cannot
     be built or loaded.  Resolved once per process, on first use; the
     loader imports what it needs only then, so a process that never
-    constructs a manager pays nothing for the kernel."""
+    constructs a manager pays nothing for the kernel.
+
+    No compiler and an unwritable package directory are expected set-ups
+    and fall back quietly; a compile or load that fails otherwise falls
+    back with one ``RuntimeWarning`` saying why."""
     global _native
     if _native is None:
         import subprocess
@@ -505,8 +509,11 @@ def _native_manager():
             if _native is None:
                 try:
                     kernel = _load_kernel()
-                except (OSError, ImportError, subprocess.SubprocessError):
+                except OSError:
                     _native = False
+                except (ImportError, subprocess.SubprocessError) as e:
+                    _native = False
+                    _warn_fallback(e)
                 else:
 
                     class NativeBDDManager(kernel.Kernel, BDDManager):
@@ -537,8 +544,12 @@ def _load_kernel():
     build of this exact source sits next to it."""
     import importlib.util
 
+    import os
+
     path = _artifact_path()
     if not path.exists():
+        if not os.access(path.parent, os.W_OK):
+            raise PermissionError(f"cannot cache a kernel build in {path.parent}")
         _build_kernel(path)
     spec = importlib.util.spec_from_file_location(f"{__package__}._kernel", path)
     module = importlib.util.module_from_spec(spec)
@@ -567,3 +578,19 @@ def _build_kernel(path: Path) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _warn_fallback(error: Exception) -> None:
+    """Say why the kernel is not in use: the error and, for a failed
+    compile, the tail of the compiler's output."""
+    import subprocess
+    import warnings
+
+    detail = str(error)
+    if isinstance(error, subprocess.CalledProcessError) and error.stderr:
+        tail = error.stderr.decode(errors="replace").strip().splitlines()[-10:]
+        detail += "\n" + "\n".join(tail)
+    warnings.warn(
+        f"native BDD kernel unavailable, using the pure-Python manager: {detail}",
+        RuntimeWarning, stacklevel=4,
+    )

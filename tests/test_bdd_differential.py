@@ -27,7 +27,9 @@ Two layers:
   pipelines, one per manager, and the resulting automata must agree state
   for state and guard for guard (the macro level, via :mod:`repro.gen`).
 
-Where the kernel cannot be built the kernel-backed cases skip; CI asserts
+Where the kernel cannot be built, the lockstep cases still run the Python
+int table (the code that runs there) against the reference; only the cases
+that need the kernel itself (ceilings, probes, builds) skip.  CI asserts
 separately that a fresh ``BDDManager()`` is kernel-backed.
 """
 
@@ -53,16 +55,27 @@ SEEDS = 208
 CHUNK = 26
 
 
-def _kernel_manager():
+def _int_tables():
+    """Fresh int tables: the Python one, then the kernel's where it loads."""
     mgr = BDDManager()
-    if isinstance(mgr, PyBDDManager):
+    return [PyBDDManager()] + ([] if isinstance(mgr, PyBDDManager) else [mgr])
+
+
+def _kernel_manager():
+    mgr = _int_tables()[1:]
+    if not mgr:
         pytest.skip("the native BDD kernel could not be built here")
-    return mgr
+    return mgr[0]
 
 
 def _managers():
-    """(kernel, Python int table, reference), fresh."""
-    return [_kernel_manager(), PyBDDManager(), ReferenceBDDManager()]
+    """(Python int table, reference[, kernel]), fresh."""
+    py, *kernel = _int_tables()
+    return [py, ReferenceBDDManager(), *kernel]
+
+
+def _same(values):
+    return all(v == values[0] for v in values[1:])
 
 
 def _truth_table(mgr, u):
@@ -121,11 +134,11 @@ def _drive(rng, n_ops=60):
     Returns the managers and their pools for post-run shape checks."""
     mgrs = _managers()
     pools = [_literals(m) for m in mgrs]
-    assert pools[0] == pools[1] == pools[2]
+    assert _same(pools)
     for step in range(n_ops):
         desc = _random_op(rng, len(pools[0]))
         out = [_play(m, p, desc) for m, p in zip(mgrs, pools)]
-        assert out[0] == out[1] == out[2], (
+        assert _same(out), (
             f"handle divergence at step {step} (op {desc[0]})"
         )
         for p, u in zip(pools, out):
@@ -137,14 +150,17 @@ def _drive(rng, n_ops=60):
     return mgrs, pools
 
 
-def _assert_same_stats(native, py, ref=None):
-    assert native.size() == py.size()
-    assert native.cache_stats() == py.cache_stats()
-    if ref is not None:
-        assert set(ref.cache_stats()) == set(py.cache_stats()), (
-            "cache_stats key shape diverged"
-        )
-        assert ref.size() == py.size()
+def _assert_same_stats(py, *others):
+    """Every other int table has the Python one's size and full
+    ``cache_stats()``; the reference its size and counter keys."""
+    for m in others:
+        assert m.size() == py.size()
+        if isinstance(m, ReferenceBDDManager):
+            assert set(m.cache_stats()) == set(py.cache_stats()), (
+                "cache_stats key shape diverged"
+            )
+        else:
+            assert m.cache_stats() == py.cache_stats()
 
 
 @pytest.mark.parametrize("base", range(0, SEEDS, CHUNK))
@@ -152,11 +168,11 @@ def test_op_streams_agree(base):
     """208 seeded builds: handles, semantics, and cache counters match."""
     for seed in range(base, base + CHUNK):
         rng = random.Random(seed)
-        (k, p, r), (pool_k, _, pool_r) = _drive(rng)
-        _assert_same_stats(k, p, r)
+        mgrs, pools = _drive(rng)
+        _assert_same_stats(*mgrs)
         # Spot-check final pool semantics end to end.
-        for uk, ur in zip(pool_k[-5:], pool_r[-5:]):
-            assert _truth_table(k, uk) == _truth_table(r, ur)
+        for handles in zip(*(pool[-5:] for pool in pools)):
+            assert _same([_truth_table(m, u) for m, u in zip(mgrs, handles)])
 
 
 def test_cube_enumeration_agrees():
@@ -164,10 +180,8 @@ def test_cube_enumeration_agrees():
     rng = random.Random(1234)
     mgrs, pools = _drive(rng, n_ops=40)
     for handles in zip(*pools):
-        cubes = [m.pick_cube(u) for m, u in zip(mgrs, handles)]
-        assert cubes[0] == cubes[1] == cubes[2]
-        lists = [list(m.iter_cubes(u)) for m, u in zip(mgrs, handles)]
-        assert lists[0] == lists[1] == lists[2]
+        assert _same([m.pick_cube(u) for m, u in zip(mgrs, handles)])
+        assert _same([list(m.iter_cubes(u)) for m, u in zip(mgrs, handles)])
 
 
 def test_node_accessors_agree():
@@ -179,21 +193,21 @@ def test_node_accessors_agree():
 
 
 def test_restrict_agrees_and_fixes_the_level():
-    """Every cofactor of every pool node: same handle in all three, and
-    it evaluates like the node with that level fixed."""
+    """Every cofactor of every pool node: same handle in every manager,
+    and it evaluates like the node with that level fixed."""
     rng = random.Random(7)
     mgrs, pools = _drive(rng, n_ops=30)
     k = mgrs[0]
     for handles in zip(*pools):
         for lvl, val in itertools.product(range(N_VARS), (False, True)):
             out = [m.restrict(u, lvl, val) for m, u in zip(mgrs, handles)]
-            assert out[0] == out[1] == out[2]
+            assert _same(out)
             for bits in itertools.product((False, True), repeat=N_VARS):
                 fixed = bits[:lvl] + (val,) + bits[lvl + 1:]
                 assert k.evaluate(out[0], lambda l: bits[l]) == k.evaluate(
                     handles[0], lambda l: fixed[l]
                 )
-    _assert_same_stats(mgrs[0], mgrs[1], mgrs[2])
+    _assert_same_stats(*mgrs)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -215,8 +229,8 @@ def test_exists_over_more_than_64_levels(seed):
             for cube in cubes
         ])
         results.append((f, m.exists(f, hidden), m.exists(f, frozenset(levels))))
-    assert results[0] == results[1] == results[2]
-    _assert_same_stats(mgrs[0], mgrs[1], mgrs[2])
+    assert _same(results)
+    _assert_same_stats(*mgrs)
     f, g, everything = results[0]
     k = mgrs[0]
     assert everything == k.true
@@ -233,30 +247,30 @@ def test_out_of_range_handles_raise_index_error(bad):
     """Every handle entering the kernel is bounds-checked, and a rejected
     call leaves its tables as they were (the Python table counts a miss
     before it dereferences, but adds no node either)."""
-    k, p = _kernel_manager(), PyBDDManager()
-    for m in (k, p):
+    for m in _int_tables():
+        py = isinstance(m, PyBDDManager)
         u = m.apply_and(m.var(0), m.nvar(1))
         h = m.size() if bad == "size" else bad
-        before = m.cache_stats() if m is k else m.size()
+        before = m.size() if py else m.cache_stats()
         calls = [
             lambda: m.apply_and(h, u), lambda: m.apply_or(u, h),
             lambda: m.apply_diff(u, h), lambda: m.apply_not(h),
             lambda: m.exists(h, frozenset({0})), lambda: m.restrict(h, 0, True),
             lambda: m.level(h), lambda: m.node(h),
         ]
-        if m is k:
-            calls.append(lambda: k._mk(3, h, u))
+        if not py:
+            calls.append(lambda: m._mk(3, h, u))
         for call in calls:
             with pytest.raises(IndexError):
                 call()
-        assert (m.cache_stats() if m is k else m.size()) == before
+        assert (m.size() if py else m.cache_stats()) == before
 
 
 @pytest.mark.parametrize("level", [-1, 1 << 20, 1 << 40])
 def test_out_of_range_levels_raise_value_error(level):
     """Both int tables reject a level outside the packed range wherever
     one enters: a literal, a cofactor or a quantified set."""
-    for m in (_kernel_manager(), PyBDDManager()):
+    for m in _int_tables():
         u = m.apply_and(m.var(0), m.nvar(1))
         for call in (lambda: m.var(level), lambda: m.nvar(level),
                      lambda: m.restrict(u, level, True),
@@ -290,7 +304,7 @@ def test_node_ceiling_trips_at_the_same_allocation(ceiling):
         for pool, u in zip(pools, out):
             pool.append(u)
     assert stopped[0] is not None and stopped[0] == stopped[1]
-    _assert_same_stats(k, p)
+    _assert_same_stats(p, k)
     assert k.size() > ceiling
 
 
@@ -323,7 +337,7 @@ def test_apply_probe_raise_fires_on_the_same_hit(hit):
         finally:
             faults.disarm_all()
     assert len(fired) == 2 and fired[0] == fired[1]
-    _assert_same_stats(k, p)
+    _assert_same_stats(p, k)
 
 
 @pytest.mark.parametrize("hit", [1, 17, 90])
@@ -368,7 +382,7 @@ def _order_preserving_map(rng):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_rename_agrees(seed):
-    """Renaming levels rebuilds the same node table in all three managers,
+    """Renaming levels rebuilds the same node table in every manager,
     and the result under the moved assignment evaluates like the
     original."""
     rng = random.Random(seed)
@@ -379,14 +393,13 @@ def test_rename_agrees(seed):
     k = mgrs[0]
     for handles in zip(*pools):
         out = [ren(u) for ren, u in zip(renamers, handles)]
-        assert out[0] == out[1] == out[2] == k.rename(handles[0], mapping)
+        assert _same(out + [k.rename(handles[0], mapping)])
         for bits in itertools.product((False, True), repeat=N_VARS):
             assert k.evaluate(out[0], lambda lvl: bits[moved[lvl]]) == k.evaluate(
                 handles[0], lambda lvl: bits[lvl]
             )
-    _assert_same_stats(mgrs[0], mgrs[1], mgrs[2])
-    nodes = [[m.node(u) for u in range(2, m.size())] for m in mgrs]
-    assert nodes[0] == nodes[1] == nodes[2]
+    _assert_same_stats(*mgrs)
+    assert _same([[m.node(u) for u in range(2, m.size())] for m in mgrs])
 
 
 @pytest.mark.parametrize(
@@ -431,21 +444,21 @@ def _compile_with(manager, src):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 5, 11])
 def test_generated_program_pipelines_agree(seed):
-    """Same program, three managers: identical automata, node for node."""
+    """Same program, every manager: identical automata, node for node."""
     from repro.gen import GenConfig, RandomSource, gen_program_source
 
     src = gen_program_source(RandomSource(seed), GenConfig())
     runs = [_compile_with(m, src) for m in _managers()]
-    (mgr_k, comp_k, auto_k), (mgr_p, _, _), (mgr_r, _, _) = runs
+    _, comp_p, auto_p = runs[0]
     for _, comp, auto in runs[1:]:
-        assert auto.n_states == auto_k.n_states
-        assert auto.accepting == auto_k.accepting
-        assert auto.leaf == auto_k.leaf
-        assert auto.delta == auto_k.delta  # guard handles are ints in all
-        assert set(comp._cache) == set(comp_k._cache), (
+        assert auto.n_states == auto_p.n_states
+        assert auto.accepting == auto_p.accepting
+        assert auto.leaf == auto_p.leaf
+        assert auto.delta == auto_p.delta  # guard handles are ints in all
+        assert set(comp._cache) == set(comp_p._cache), (
             "compile memo population diverged"
         )
-    _assert_same_stats(mgr_k, mgr_p, mgr_r)
+    _assert_same_stats(*(mgr for mgr, _, _ in runs))
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +494,55 @@ def test_edited_kernel_source_builds_under_a_new_name(tmp_path, monkeypatch):
     kernel = bdd._load_kernel()
     mgr = kernel.Kernel()
     assert mgr.apply_and(mgr.var(0), mgr.nvar(1)) == 4
+
+
+def test_unwritable_package_directory_falls_back_without_compiling(
+        tmp_path, monkeypatch):
+    """Where no build can be cached, no process runs the compiler: the
+    first construction falls back at once, and quietly."""
+    import subprocess
+    import warnings
+
+    from repro.bdd import bdd
+
+    source = tmp_path / "_kernel.c"
+    source.write_text(bdd._KERNEL_SOURCE.read_text())
+    monkeypatch.setattr(bdd, "_KERNEL_SOURCE", source)
+    monkeypatch.setattr(bdd, "_native", None)
+    monkeypatch.setattr(
+        os, "access",
+        lambda path, mode: not (mode & os.W_OK and Path(path) == tmp_path),
+    )
+
+    def no_compile(*args, **kwargs):
+        raise AssertionError("the compiler ran")
+
+    monkeypatch.setattr(subprocess, "run", no_compile)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert type(BDDManager()) is PyBDDManager
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["_kernel.c"]
+
+
+def test_failed_compile_falls_back_with_the_compiler_output(
+        tmp_path, monkeypatch):
+    """A compile that fails falls back to the Python table with one
+    warning that carries the compiler's own message."""
+    import warnings
+
+    from repro.bdd import bdd
+
+    _kernel_manager()  # skips where no kernel can be built
+    broken = tmp_path / "_kernel.c"
+    broken.write_text('#error "kernel source damaged"\n')
+    monkeypatch.setattr(bdd, "_KERNEL_SOURCE", broken)
+    monkeypatch.setattr(bdd, "_native", None)
+    with pytest.warns(RuntimeWarning, match="kernel source damaged"):
+        assert type(BDDManager()) is PyBDDManager
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # remembered: no second build
+        assert type(BDDManager()) is PyBDDManager
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["_kernel.c"]
 
 
 _T13_SCRIPT = """
