@@ -25,13 +25,24 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..runtime import ResourceGuard
 from .tta import TreeAutomaton, index_rows, row_memo
 
-__all__ = ["minimize", "prune_dead", "prune_unreachable", "reduce_nfta"]
+__all__ = [
+    "minimize", "prune_dead", "prune_unreachable", "reachable_states",
+    "reduce_nfta", "refine_classes",
+]
 
 Trans_t = List[Tuple[int, int]]
 
 
 def _reachable(a: TreeAutomaton) -> set:
-    """States some labelled tree reaches (bottom-up worklist).
+    """States some labelled tree reaches (bottom-up): the kernel's
+    ``reachable_states`` when the manager has one, else
+    :func:`reachable_states`."""
+    loop = getattr(a.manager, "reachable_states", None) or reachable_states
+    return loop(a)
+
+
+def reachable_states(a: TreeAutomaton) -> set:
+    """:func:`_reachable` in Python, as a bottom-up worklist.
 
     One pass over the delta keys: a key whose child is not reached yet
     waits on that child and is retried when the child arrives, so each
@@ -141,10 +152,28 @@ def _refine(
 ) -> List[int]:
     """Moore-style partition refinement; returns the class of each state.
 
+    The loop is :func:`refine_classes`, run by the kernel when the
+    manager has one.
+    """
+    loop = getattr(a.manager, "refine_classes", None)
+    if loop is None:
+        return refine_classes(a, leaf_guards, max_rounds, guard, phase)
+    return loop(a, leaf_guards, max_rounds, guard, phase)
+
+
+def refine_classes(
+    a: TreeAutomaton,
+    leaf_guards: Optional[Dict[int, List[int]]],
+    max_rounds: Optional[int],
+    guard: Optional[ResourceGuard],
+    phase: str,
+) -> List[int]:
+    """:func:`_refine` in Python.
+
     Each round maps every distinct row to its class-level map; a state's
     signature holds the maps of its rows (as left and right child, per
     peer class), and, with ``leaf_guards`` (state -> guards), its leaf
-    guard.
+    guard.  Classes are numbered by their first state.
     """
     mgr = a.manager
     n = a.n_states

@@ -20,7 +20,10 @@ from ..bdd.bdd import BDDManager
 from ..runtime import ResourceGuard, StateBudgetExceeded
 from ..trees.heap import Tree, TreeNode
 
-__all__ = ["TreeAutomaton", "TrackRegistry", "index_rows", "row_memo", "split_guards"]
+__all__ = [
+    "TreeAutomaton", "TrackRegistry", "index_rows", "product_rows", "row_memo",
+    "split_guards", "split_regions",
+]
 
 Guard = int  # a BDD node index
 Trans = List[Tuple[Guard, int]]
@@ -179,84 +182,21 @@ class TreeAutomaton:
         product states are built, and each distinct pair of operand rows
         is multiplied once: every key carrying that pair shares the row.
         A guard cancels the construction with ``DeadlineExceeded`` on
-        expiry.
+        expiry.  The pairing loop is :func:`product_rows`, run by the
+        kernel when the manager has one.
         """
         assert self.registry is other.registry
-        mgr = self.manager
-        index: Dict[Tuple[int, int], int] = {}
-        leaf: Trans = []
-        delta: Dict[Tuple[int, int], Trans] = {}
-
-        def state(pair: Tuple[int, int]) -> int:
-            if pair not in index:
-                if max_states is not None and len(index) >= max_states:
-                    raise StateBudgetExceeded(
-                        f"product exceeded {max_states} states",
-                        phase="automata.product",
-                        counters={"states": len(index)},
-                    )
-                index[pair] = len(index)
-            return index[pair]
-
-        frontier: List[Tuple[int, int]] = []
-
-        def discover(pair: Tuple[int, int]) -> int:
-            known = pair in index
-            idx = state(pair)
-            if not known:
-                frontier.append(pair)
-            return idx
-
-        for g1, q1 in self.leaf:
-            for g2, q2 in other.leaf:
-                g = mgr.apply_and(g1, g2)
-                if g != mgr.false:
-                    leaf.append((g, discover((q1, q2))))
-
-        left_of, left_rows = index_rows(self.delta)
-        right_of, right_rows = index_rows(other.delta)
-        products: Dict[Tuple[int, int], Trans] = {}
-        rows: Dict[Tuple, Trans] = {}
-
-        def expand(pl: Tuple[int, int], pr: Tuple[int, int]) -> None:
-            i1 = left_of.get((pl[0], pr[0]))
-            i2 = right_of.get((pl[1], pr[1]))
-            if i1 is None or i2 is None:
-                return
-            entries = products.get((i1, i2))
-            if entries is None:
-                entries = []
-                for g1, q1 in left_rows[i1]:
-                    for g2, q2 in right_rows[i2]:
-                        g = mgr.apply_and(g1, g2)
-                        if g != mgr.false:
-                            entries.append((g, discover((q1, q2))))
-                entries = rows.setdefault(tuple(entries), entries)
-                products[(i1, i2)] = entries
-            if entries:
-                delta[(index[pl], index[pr])] = entries
-
-        processed: List[Tuple[int, int]] = []
-        while frontier:
-            pair = frontier.pop()
-            processed.append(pair)
-            # Expand against every already-processed pair (both sides),
-            # including itself.
-            for peer in processed:
-                if guard is not None:
-                    guard.tick("automata.product")
-                expand(pair, peer)
-                if peer != pair:
-                    expand(peer, pair)
+        loop = getattr(self.manager, "product_rows", None) or product_rows
+        pairs, leaf, delta = loop(self, other, max_states, guard)
         accepting = frozenset(
             idx
-            for pair, idx in index.items()
-            if acc(pair[0] in self.accepting, pair[1] in other.accepting)
+            for idx, (p, q) in enumerate(pairs)
+            if acc(p in self.accepting, q in other.accepting)
         )
         return TreeAutomaton(
             registry=self.registry,
             tracks=self.tracks | other.tracks,
-            n_states=len(index),
+            n_states=len(pairs),
             leaf=leaf,
             delta=delta,
             accepting=accepting,
@@ -372,14 +312,101 @@ class TreeAutomaton:
         )
 
 
+def product_rows(
+    a: TreeAutomaton,
+    b: TreeAutomaton,
+    max_states: Optional[int] = None,
+    guard: Optional[ResourceGuard] = None,
+) -> Tuple[List[Tuple[int, int]], Trans, Dict[Tuple[int, int], Trans]]:
+    """The reachable part of ``a × b``: its states as operand-state pairs
+    in number order, its leaf transitions and its delta.
+
+    Pairs are discovered from the leaves, then popped LIFO; each popped
+    pair expands against every processed pair, itself included, as left
+    child and then as right child.  The guard ticks once per popped pair
+    for all of its peers.  A kernel-backed manager's ``product_rows``
+    runs this loop natively, step for step.
+    """
+    mgr = a.manager
+    index: Dict[Tuple[int, int], int] = {}
+    leaf: Trans = []
+    delta: Dict[Tuple[int, int], Trans] = {}
+    frontier: List[Tuple[int, int]] = []
+
+    def discover(pair: Tuple[int, int]) -> int:
+        idx = index.get(pair)
+        if idx is None:
+            if max_states is not None and len(index) >= max_states:
+                raise StateBudgetExceeded(
+                    f"product exceeded {max_states} states",
+                    phase="automata.product",
+                    counters={"states": len(index)},
+                )
+            idx = index[pair] = len(index)
+            frontier.append(pair)
+        return idx
+
+    for g1, q1 in a.leaf:
+        for g2, q2 in b.leaf:
+            g = mgr.apply_and(g1, g2)
+            if g != mgr.false:
+                leaf.append((g, discover((q1, q2))))
+
+    left_of, left_rows = index_rows(a.delta)
+    right_of, right_rows = index_rows(b.delta)
+    products: Dict[Tuple[int, int], Trans] = {}
+    rows: Dict[Tuple, Trans] = {}
+
+    def expand(pl: Tuple[int, int], pr: Tuple[int, int]) -> None:
+        i1 = left_of.get((pl[0], pr[0]))
+        i2 = right_of.get((pl[1], pr[1]))
+        if i1 is None or i2 is None:
+            return
+        entries = products.get((i1, i2))
+        if entries is None:
+            entries = []
+            for g1, q1 in left_rows[i1]:
+                for g2, q2 in right_rows[i2]:
+                    g = mgr.apply_and(g1, g2)
+                    if g != mgr.false:
+                        entries.append((g, discover((q1, q2))))
+            entries = rows.setdefault(tuple(entries), entries)
+            products[(i1, i2)] = entries
+        if entries:
+            delta[(index[pl], index[pr])] = entries
+
+    processed: List[Tuple[int, int]] = []
+    while frontier:
+        pair = frontier.pop()
+        processed.append(pair)
+        if guard is not None:
+            guard.tick("automata.product", len(processed))
+        for peer in processed:
+            expand(pair, peer)
+            if peer != pair:
+                expand(peer, pair)
+    return list(index), leaf, delta
+
+
 def split_guards(
     mgr: BDDManager, pairs: Iterable[Tuple[Guard, int]]
 ) -> List[Tuple[Guard, FrozenSet[int]]]:
     """Partition the label space by which transitions fire.
 
     Returns disjoint guards covering the whole space, each mapped to the set
-    of destinations enabled there (possibly empty).
+    of destinations enabled there (possibly empty).  The loop is
+    :func:`split_regions`, run by the kernel when ``mgr`` has one.
     """
+    native = getattr(mgr, "split_regions", None)
+    return split_regions(mgr, pairs) if native is None else native(pairs)
+
+
+def split_regions(
+    mgr: BDDManager, pairs: Iterable[Tuple[Guard, int]]
+) -> List[Tuple[Guard, FrozenSet[int]]]:
+    """:func:`split_guards` in Python: each pair splits every region into
+    the part it fires on and the rest, in order; regions with equal
+    destination sets are then OR-ed in first-occurrence order."""
     parts: List[Tuple[Guard, FrozenSet[int]]] = [(mgr.true, frozenset())]
     for g, d in pairs:
         nxt: List[Tuple[Guard, FrozenSet[int]]] = []

@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..runtime import faults as _faults
-from ..runtime.errors import MemoryCeilingExceeded
+from ..runtime.errors import MemoryCeilingExceeded, StateBudgetExceeded
 
 __all__ = ["BDDManager", "PyBDDManager"]
 
@@ -65,6 +65,12 @@ _CAPACITY = 1 << _SHIFT
 #: Bits per variable level in packed keys.
 _LEVEL_BITS = 20
 _MAX_LEVEL = 1 << _LEVEL_BITS
+
+
+def _out_of_range(u: int) -> IndexError:
+    """The error for a handle that is not a node of the table: both int
+    tables check every handle they are given."""
+    return IndexError(f"BDD node handle {u!r} out of range")
 
 
 def _order_preserving(mapping: Mapping[int, int]) -> Dict[int, int]:
@@ -255,9 +261,11 @@ class PyBDDManager(BDDManager):
         return idx
 
     def level(self, u: int) -> int:
+        self._check(u)
         return self._var[u]
 
     def node(self, u: int) -> Tuple[int, int, int]:
+        self._check(u)
         return (self._var[u], self._lo[u], self._hi[u])
 
     def var(self, level: int) -> int:
@@ -292,6 +300,33 @@ class PyBDDManager(BDDManager):
 
     # -- boolean operations -------------------------------------------------------
     def apply_and(self, u: int, v: int) -> int:
+        n = len(self._var)
+        if not (0 <= u < n and 0 <= v < n):
+            raise _out_of_range(v if 0 <= u < n else u)
+        return self._and(u, v)
+
+    def apply_or(self, u: int, v: int) -> int:
+        n = len(self._var)
+        if not (0 <= u < n and 0 <= v < n):
+            raise _out_of_range(v if 0 <= u < n else u)
+        return self._or(u, v)
+
+    def apply_not(self, u: int) -> int:
+        self._check(u)
+        return self._not(u)
+
+    def apply_diff(self, u: int, v: int) -> int:
+        """u AND NOT v."""
+        n = len(self._var)
+        if not (0 <= u < n and 0 <= v < n):
+            raise _out_of_range(v if 0 <= u < n else u)
+        return self._and(u, self._not(v))
+
+    def _check(self, u: int) -> None:
+        if not 0 <= u < len(self._var):
+            raise _out_of_range(u)
+
+    def _and(self, u: int, v: int) -> int:
         if u == FALSE or v == FALSE:
             return FALSE
         if u == TRUE:
@@ -315,16 +350,16 @@ class PyBDDManager(BDDManager):
         lu = var[u]
         lv = var[v]
         if lu == lv:
-            lo = self.apply_and(lo_[u], lo_[v])
-            hi = self.apply_and(hi_[u], hi_[v])
+            lo = self._and(lo_[u], lo_[v])
+            hi = self._and(hi_[u], hi_[v])
             lvl = lu
         elif lu < lv:
-            lo = self.apply_and(lo_[u], v)
-            hi = self.apply_and(hi_[u], v)
+            lo = self._and(lo_[u], v)
+            hi = self._and(hi_[u], v)
             lvl = lu
         else:
-            lo = self.apply_and(u, lo_[v])
-            hi = self.apply_and(u, hi_[v])
+            lo = self._and(u, lo_[v])
+            hi = self._and(u, hi_[v])
             lvl = lv
         r = lo if lo == hi else self._mk(lvl, lo, hi)
         cache[key] = r
@@ -333,7 +368,7 @@ class PyBDDManager(BDDManager):
             r = _faults.fire("bdd.apply", r)
         return r
 
-    def apply_or(self, u: int, v: int) -> int:
+    def _or(self, u: int, v: int) -> int:
         if u == TRUE or v == TRUE:
             return TRUE
         if u == FALSE:
@@ -357,16 +392,16 @@ class PyBDDManager(BDDManager):
         lu = var[u]
         lv = var[v]
         if lu == lv:
-            lo = self.apply_or(lo_[u], lo_[v])
-            hi = self.apply_or(hi_[u], hi_[v])
+            lo = self._or(lo_[u], lo_[v])
+            hi = self._or(hi_[u], hi_[v])
             lvl = lu
         elif lu < lv:
-            lo = self.apply_or(lo_[u], v)
-            hi = self.apply_or(hi_[u], v)
+            lo = self._or(lo_[u], v)
+            hi = self._or(hi_[u], v)
             lvl = lu
         else:
-            lo = self.apply_or(u, lo_[v])
-            hi = self.apply_or(u, hi_[v])
+            lo = self._or(u, lo_[v])
+            hi = self._or(u, hi_[v])
             lvl = lv
         r = lo if lo == hi else self._mk(lvl, lo, hi)
         cache[key] = r
@@ -375,7 +410,7 @@ class PyBDDManager(BDDManager):
             r = _faults.fire("bdd.apply", r)
         return r
 
-    def apply_not(self, u: int) -> int:
+    def _not(self, u: int) -> int:
         if u == FALSE:
             return TRUE
         if u == TRUE:
@@ -386,17 +421,14 @@ class PyBDDManager(BDDManager):
             self._op_hits += 1
             return r
         self._op_misses += 1
-        r = self._mk(self._var[u], self.apply_not(self._lo[u]), self.apply_not(self._hi[u]))
+        r = self._mk(self._var[u], self._not(self._lo[u]), self._not(self._hi[u]))
         self._op_cache[key] = r
         self._op_entries[_NOT] += 1
         return r
 
-    def apply_diff(self, u: int, v: int) -> int:
-        """u AND NOT v."""
-        return self.apply_and(u, self.apply_not(v))
-
     def pick_cube(self, u: int) -> Optional[Dict[int, bool]]:
         """One satisfying partial assignment (level -> bool), or None."""
+        self._check(u)
         if u == FALSE:
             return None
         cube: Dict[int, bool] = {}
@@ -416,6 +448,7 @@ class PyBDDManager(BDDManager):
 
     # -- cofactors / quantification -------------------------------------------------
     def restrict(self, u: int, level: int, value: bool) -> int:
+        self._check(u)
         if not (0 <= level < _MAX_LEVEL):
             raise ValueError(f"BDD level {level} outside packed range [0, {_MAX_LEVEL})")
         return self._restrict(u, level, value)
@@ -446,6 +479,7 @@ class PyBDDManager(BDDManager):
 
     def exists(self, u: int, levels: frozenset) -> int:
         """Existentially quantify the given levels out of ``u``."""
+        self._check(u)
         if u <= TRUE or not levels:
             return u
         mask = self._mask_cache.get(levels)
@@ -475,7 +509,7 @@ class PyBDDManager(BDDManager):
         elo = self._exists(self._lo[u], levels, mask)
         ehi = self._exists(self._hi[u], levels, mask)
         if (mask >> lvl) & 1:
-            r = self.apply_or(elo, ehi)
+            r = self._or(elo, ehi)
         else:
             r = self._mk(lvl, elo, ehi)
         self._op_cache[key] = r
@@ -554,14 +588,16 @@ def _load_kernel():
     spec = importlib.util.spec_from_file_location(f"{__package__}._kernel", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    module.configure(_faults, MemoryCeilingExceeded)
+    module.configure(_faults, MemoryCeilingExceeded, StateBudgetExceeded)
     return module
 
 
 def _build_kernel(path: Path) -> None:
     """Compile ``_kernel.c`` to ``path`` with the interpreter's own
-    shared-library link command.  Concurrent builds are safe: each writes
-    its own temporary file and renames it into place."""
+    shared-library link command, then delete the builds of other sources
+    next to it.  Concurrent builds are safe: each writes its own temporary
+    file and renames it into place, and temporary files are never
+    deleted."""
     import os
     import shlex
     import subprocess
@@ -571,13 +607,19 @@ def _build_kernel(path: Path) -> None:
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         subprocess.run(
-            [*link, "-fPIC", "-O2", f"-I{sysconfig.get_paths()['include']}",
+            [*link, "-fPIC", "-O1", f"-I{sysconfig.get_paths()['include']}",
              str(_KERNEL_SOURCE), "-o", str(tmp)],
             check=True, capture_output=True, timeout=300,
         )
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+    for stale in path.parent.glob(f"_kernel_*{sysconfig.get_config_var('EXT_SUFFIX')}"):
+        if stale != path:
+            try:
+                stale.unlink(missing_ok=True)
+            except OSError:
+                pass  # best effort: a stale build is never loaded
 
 
 def _warn_fallback(error: Exception) -> None:

@@ -105,9 +105,10 @@ class ResourceGuard:
     # ------------------------------------------------------------------
     # probes
 
-    def tick(self, phase: Optional[str] = None) -> None:
-        """Cheap hot-loop probe: a full check only every ``check_every`` ticks."""
-        self._ticks += 1
+    def tick(self, phase: Optional[str] = None, n: int = 1) -> None:
+        """Cheap hot-loop probe for ``n`` units of work: a full check only
+        every ``check_every`` ticks."""
+        self._ticks += n
         if self._ticks >= self._next_check:
             self._next_check = self._ticks + self.check_every
             self.check_now(phase)

@@ -242,7 +242,7 @@ def test_exists_over_more_than_64_levels(seed):
         assert k.apply_diff(kept, g) == k.false
 
 
-@pytest.mark.parametrize("bad", ["size", 1 << 62, 1 << 70])
+@pytest.mark.parametrize("bad", ["size", -1, 1 << 62, 1 << 70])
 def test_out_of_range_handles_raise_index_error(bad):
     """Every handle entering the kernel is bounds-checked, and a rejected
     call leaves its tables as they were (the Python table counts a miss
@@ -494,6 +494,31 @@ def test_edited_kernel_source_builds_under_a_new_name(tmp_path, monkeypatch):
     kernel = bdd._load_kernel()
     mgr = kernel.Kernel()
     assert mgr.apply_and(mgr.var(0), mgr.nvar(1)) == 4
+
+
+def test_a_build_deletes_the_builds_of_other_sources(tmp_path, monkeypatch):
+    """A successful build deletes the artifacts of other kernel sources
+    next to it, and leaves temporary files of builds in flight and
+    unrelated files alone."""
+    import sysconfig
+
+    from repro.bdd import bdd
+
+    _kernel_manager()  # skips where no kernel can be built
+    source = tmp_path / "_kernel.c"
+    source.write_text(bdd._KERNEL_SOURCE.read_text())
+    monkeypatch.setattr(bdd, "_KERNEL_SOURCE", source)
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    stale = [tmp_path / f"_kernel_{d * 16}{suffix}" for d in "01"]
+    kept = [tmp_path / f"_kernel_{'2' * 16}{suffix}.1234.5678.tmp",
+            tmp_path / "_kernel_notes.txt"]
+    for p in stale + kept:
+        p.write_bytes(b"")
+    target = bdd._artifact_path()
+    bdd._build_kernel(target)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["_kernel.c", target.name, *(p.name for p in kept)]
+    )
 
 
 def test_unwritable_package_directory_falls_back_without_compiling(
