@@ -10,10 +10,11 @@ processes:
    ``REPRO_FAULT=worker-abort`` making the first symbolic worker die by
    SIGSEGV (one-shot, so the supervisor's retry recovers), and the
    *driver process itself* killed with ``SIGKILL`` as soon as the first
-   verdict reaches the journal.
+   result row is committed to the run directory's ``cache.sqlite``.
 3. **Resume** — ``repro batch --resume`` on the mangled run directory
-   must finish the batch recomputing only unjournaled verdicts, and its
-   ``results.json`` must be byte-identical to the golden run's.
+   must report how many tasks were already done, finish the batch
+   recomputing only the tasks without a row, and its ``results.json``
+   must be byte-identical to the golden run's.
 
 Exits 0 when the property holds; prints the divergence and exits 1
 otherwise.  Run from the repository root::
@@ -24,7 +25,9 @@ otherwise.  Run from the repository root::
 import argparse
 import json
 import os
+import re
 import signal
+import sqlite3
 import subprocess
 import sys
 import tempfile
@@ -81,6 +84,22 @@ def base_env() -> dict:
     return env
 
 
+def committed_rows(db: Path) -> int:
+    """Rows committed to ``db``, read through a read-only connection
+    (0 while the store or its table does not exist yet)."""
+    try:
+        conn = sqlite3.connect(f"file:{db}?mode=ro", uri=True)
+    except sqlite3.OperationalError:
+        return 0
+    try:
+        (n,) = conn.execute("SELECT COUNT(*) FROM records").fetchone()
+        return n
+    except sqlite3.OperationalError:
+        return 0
+    finally:
+        conn.close()
+
+
 def fail(msg: str) -> None:
     print(f"FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
@@ -117,13 +136,13 @@ def main() -> None:
         batch_cmd(manifest, "--run-dir", str(hostile_dir)),
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
-    journal = hostile_dir / "journal.jsonl"
+    store = hostile_dir / "cache.sqlite"
     deadline = time.monotonic() + 120.0
     killed = False
     while time.monotonic() < deadline:
         if driver.poll() is not None:
             break  # finished before we could kill it (machine too fast)
-        if journal.exists() and journal.read_text().count('"verdict"') >= 1:
+        if committed_rows(store) >= 1:
             driver.send_signal(signal.SIGKILL)
             driver.wait()
             killed = True
@@ -132,16 +151,14 @@ def main() -> None:
     else:
         driver.kill()
         driver.wait()
-        fail("driver neither journaled a verdict nor finished in 120s")
+        fail("driver neither committed a row nor finished in 120s")
     if not (work / "crash-sentinel").exists():
         fail("injected worker crash never fired (sentinel missing)")
     if not killed:
         print("note: driver finished before the kill; resume still checked")
     else:
-        journaled = journal.read_text().count('"event": "verdict"') or \
-            sum(1 for line in journal.read_text().splitlines()
-                if '"verdict"' in line)
-        print(f"driver SIGKILLed after {journaled} journaled verdict(s)")
+        print(f"driver SIGKILLed after {committed_rows(store)} committed "
+              "row(s)")
     if killed and (hostile_dir / "results.json").exists():
         fail("killed driver left a results.json behind")
 
@@ -152,8 +169,10 @@ def main() -> None:
     )
     if proc.returncode != 1:
         fail(f"resume exited {proc.returncode}:\n{proc.stderr}")
-    if "already journaled" not in proc.stderr:
-        fail(f"resume did not report journaled verdicts:\n{proc.stderr}")
+    already = re.search(r"(\d+) already done", proc.stderr)
+    if already is None:
+        fail(f"resume did not report its already-done tasks:\n{proc.stderr}")
+    print(f"resume: {already.group(1)} task(s) already done")
     resumed = (hostile_dir / "results.json").read_bytes()
     if resumed != golden:
         fail(

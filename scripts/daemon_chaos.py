@@ -10,12 +10,13 @@ daemon process:
    is rejected with the typed ``ServiceOverloaded`` (carrying a
    retry-after hint) while another client's queries keep completing.
 3. **kill -9 mid-load** — the daemon is SIGKILLed as soon as the first
-   verdict reaches its journal, under concurrent multi-client load.  A
-   restart on the same run directory must replay the journal, byte-
-   verify the shared cache (zero quarantined rows), and answer every
-   resubmitted query with the golden verdict — journaled work from a
-   cache hit, nothing lost, nothing duplicated (journal ``verdict``
-   events stay unique per cache key across both lifetimes).
+   verdict row is committed to its ``cache.sqlite``, under concurrent
+   multi-client load.  A restart on the same run directory must
+   byte-verify every row present at the kill (zero quarantined rows),
+   and answer every resubmitted query with the golden verdict — each
+   pre-kill verdict from a cache hit, nothing lost, nothing recomputed
+   (the restarted daemon solves exactly the queries it could not answer
+   from the cache).
 4. **Graceful drain** — SIGTERM makes the daemon finish in-flight work
    and exit 0.
 
@@ -26,9 +27,9 @@ otherwise.  Run from the repository root::
 """
 
 import argparse
-import json
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import tempfile
@@ -41,7 +42,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.service.client import DaemonClient, DaemonError  # noqa: E402
 from repro.service.scheduler import ServiceOverloaded  # noqa: E402
-from repro.service.worker import task_for_race  # noqa: E402
+from repro.service.worker import decode_task, task_for_race  # noqa: E402
 
 RACY = """
 F(n) { if (n == nil) { return 0 } else { n.v = 1; a = F(n.l); b = F(n.r); return a + b } }
@@ -104,19 +105,21 @@ def fail(msg: str) -> None:
     sys.exit(1)
 
 
-def journal_verdict_ckeys(run_dir: Path) -> list:
-    out = []
-    path = run_dir / "daemon-journal.jsonl"
-    if not path.exists():
-        return out
-    for line in path.read_text().splitlines():
-        try:
-            rec = json.loads(line)
-        except ValueError:
-            continue  # torn tail from the SIGKILL — tolerated by design
-        if rec.get("event") == "verdict" and rec.get("ckey"):
-            out.append(rec["ckey"])
-    return out
+def committed_keys(run_dir: Path) -> set:
+    """Keys of the rows committed to the daemon's store, read through a
+    read-only connection (empty while the store or its table does not
+    exist yet)."""
+    try:
+        conn = sqlite3.connect(f"file:{run_dir / 'cache.sqlite'}?mode=ro",
+                               uri=True)
+    except sqlite3.OperationalError:
+        return set()
+    try:
+        return {k for (k,) in conn.execute("SELECT key FROM records")}
+    except sqlite3.OperationalError:
+        return set()
+    finally:
+        conn.close()
 
 
 def main() -> None:
@@ -189,52 +192,56 @@ def main() -> None:
     ]
     for th in threads:
         th.start()
-    journal = chaos_dir / "daemon-journal.jsonl"
     deadline = time.monotonic() + 120.0
     while time.monotonic() < deadline:
-        if journal_verdict_ckeys(chaos_dir):
+        if committed_keys(chaos_dir):
             daemon.send_signal(signal.SIGKILL)
             daemon.wait()
             break
         time.sleep(0.005)
     else:
         daemon.kill()
-        fail("daemon never journaled a verdict under load")
+        fail("daemon never committed a verdict row under load")
     for th in threads:
         th.join(timeout=30)
-    pre_kill = journal_verdict_ckeys(chaos_dir)
-    print(f"SIGKILL after {len(pre_kill)} journaled verdict(s); "
+    pre_kill = committed_keys(chaos_dir)
+    print(f"SIGKILL after {len(pre_kill)} committed row(s); "
           f"{len(errors)} client connection(s) torn (expected)")
 
-    daemon = start_daemon(chaos_dir)  # same run dir: journal replay
+    names = {decode_task(t)[0].key(): t.name for t in tasks}
+    if not pre_kill <= set(names):
+        fail(f"rows for keys no task asked for: {pre_kill - set(names)}")
+    daemon = start_daemon(chaos_dir)  # same run dir: byte-verify rows
     with DaemonClient(chaos_dir / "daemon.sock", client_id="replay") as c:
         st = c.status()
-        if st["journal"]["verify_quarantined"] != 0:
-            fail(f"shared cache corrupt after kill -9: {st['journal']}")
-        if st["journal"]["replayed"] != len(set(pre_kill)):
-            fail(f"replayed {st['journal']['replayed']} != journaled "
-                 f"{len(set(pre_kill))}")
-        hits_before = st["cache_hits"]
-        resubmitted = {}
+        if st["store"]["verify_quarantined"] != 0:
+            fail(f"shared cache corrupt after kill -9: {st['store']}")
+        if st["store"]["verified_rows"] != len(pre_kill):
+            fail(f"verified {st['store']['verified_rows']} row(s) != "
+                 f"{len(pre_kill)} committed at the kill")
+        resubmitted, cached = {}, set()
         for t in tasks:
             r = c.submit_task(t)
             resubmitted[t.name] = r["value"]["verdict"]
+            if r["cached"]:
+                cached.add(t.name)
         st = c.status()
         c.shutdown()
     if resubmitted != golden:
         fail(f"verdicts diverge after kill+restart:\n"
              f"golden:      {golden}\nresubmitted: {resubmitted}")
-    if st["cache_hits"] - hits_before < len(pre_kill):
-        fail("journaled verdicts were not served from the shared cache")
-    all_ckeys = journal_verdict_ckeys(chaos_dir)
-    if len(all_ckeys) != len(set(all_ckeys)):
-        dupes = sorted(k for k in set(all_ckeys) if all_ckeys.count(k) > 1)
-        fail(f"duplicated journal verdicts for cache keys: {dupes}")
+    recomputed = {names[k] for k in pre_kill} - cached
+    if recomputed:
+        fail(f"pre-kill verdicts not served from the shared cache: "
+             f"{sorted(recomputed)}")
+    if st["completed"] != len(tasks) - len(cached):
+        fail(f"restarted daemon solved {st['completed']} task(s), but "
+             f"{len(tasks) - len(cached)} were not answered from cache")
     if daemon.wait(timeout=60) != 0:
         fail(f"restarted daemon exited {daemon.returncode}, want 0")
-    print(f"restart: {len(set(pre_kill))} verdict(s) replayed and "
-          f"byte-verified, all {len(tasks)} resubmissions match golden, "
-          "no duplicate journal entries")
+    print(f"restart: {len(pre_kill)} row(s) byte-verified, all "
+          f"{len(tasks)} resubmissions match golden, every pre-kill "
+          "verdict served from cache, none recomputed")
 
     # -- 4. SIGTERM drains and exits 0 ---------------------------------
     term_dir = work / "term"
@@ -246,8 +253,8 @@ def main() -> None:
         fail(f"SIGTERM drain exited {daemon.returncode}, want 0")
     print("SIGTERM: drained and exited 0")
 
-    print("OK: daemon survives overload, kill -9 + journal replay, and "
-          "drains cleanly")
+    print("OK: daemon survives overload, kill -9 + restart verification, "
+          "and drains cleanly")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ Commands:
 * ``batch MANIFEST`` — a durable, resumable batch of solves over a
   supervised pool of crash-isolated worker processes (DESIGN.md §9);
   ``--resume RUN_DIR`` continues a run killed mid-way, recomputing only
-  verdicts that never reached the journal;
+  tasks without a committed result row;
 * ``serve RUN_DIR`` — the long-lived multi-tenant solve daemon
   (DESIGN.md §11): admission control, per-client quotas, fair
   scheduling, and a shared crash-safe sqlite cache tier;
@@ -39,7 +39,7 @@ code  meaning
 3     undecided: every engine rung exhausted its limits
 4     daemon overloaded (queue full / quota / shed /
       draining); stderr carries a retry-after hint
-130   interrupted (SIGINT); partial batch journals survive
+130   interrupted (SIGINT); finished batch tasks are kept
 ====  =====================================================
 
 ``--deadline``, ``--det-budget`` and ``--max-internal`` tune the engine
@@ -148,14 +148,15 @@ def main(argv=None) -> int:
     Every error path — unreadable files, parse/validation failures,
     broken manifests, typed solver-runtime errors — exits 2 with a
     one-line message instead of a traceback; SIGINT exits 130 after
-    noting that any partial batch journal survives.
+    noting that a batch keeps its finished tasks for ``--resume``.
     """
     from .service.scheduler import ServiceOverloaded
 
     try:
         return _dispatch(argv)
     except KeyboardInterrupt:
-        print("interrupted (partial journal preserved)", file=sys.stderr)
+        print("interrupted (finished tasks kept for --resume)",
+              file=sys.stderr)
         return EXIT_INTERRUPTED
     except ServiceOverloaded as e:
         # Typed admission rejection from the daemon: distinct exit code
@@ -297,13 +298,13 @@ def _dispatch(argv=None) -> int:
     p_batch.add_argument("manifest", help="batch manifest (JSON)")
     p_batch.add_argument(
         "--run-dir", metavar="DIR", default=None,
-        help="run directory for journal/store/results "
+        help="run directory for the result store and results "
              "(default: <manifest-stem>-run next to the manifest)",
     )
     p_batch.add_argument(
         "--resume", metavar="RUN_DIR", default=None,
-        help="resume a previous run: skip every journaled verdict and "
-             "compute only the rest",
+        help="resume a previous run: skip every task whose result row "
+             "verifies and compute only the rest",
     )
     p_batch.add_argument("--jobs", type=_jobs, default=1, metavar="N",
                          help="concurrent worker processes (default 1)")
@@ -326,7 +327,7 @@ def _dispatch(argv=None) -> int:
              "(DESIGN.md §11)",
     )
     p_serve.add_argument("run_dir", help="daemon run directory "
-                         "(journal, shared cache, socket, lock)")
+                         "(shared cache, socket, lock)")
     p_serve.add_argument("--socket", metavar="PATH", default=None,
                          help="Unix socket path "
                               "(default: RUN_DIR/daemon.sock)")

@@ -60,8 +60,8 @@ SOLVER_PROBES = ("bdd.apply", "product.expand", "emptiness.fixpoint")
 #: the admission queue to reject as if saturated, ``cache-row-corrupt``
 #: substitutes a corrupted row payload on a shared-cache read (the
 #: checksum must catch it and quarantine the row), and
-#: ``drain-interrupt`` aborts a graceful drain mid-way (the journal and
-#: shared cache must still be consistent afterwards).
+#: ``drain-interrupt`` aborts a graceful drain mid-way (the shared cache
+#: must still be consistent afterwards).
 SERVICE_PROBES = (
     "worker-abort",
     "queue-full",

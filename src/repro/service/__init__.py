@@ -30,10 +30,10 @@ Seven layers:
   file of checksummed rows (corruption quarantine, WAL crash safety)
   that :class:`repro.engine.cache.ResultCache` opens as
   ``<dir>/cache.sqlite``, in a batch run directory and in the daemon's;
-* :mod:`repro.service.store` + :mod:`repro.service.batch` — an
-  append-only fsync'd journal over that store, enabling ``repro batch
-  --resume``: a run killed with SIGKILL mid-way restarts and recomputes
-  only the verdicts that were never journaled;
+* :mod:`repro.service.batch` — manifest-driven runs over that store,
+  enabling ``repro batch --resume``: each finished task's committed row
+  is its resume record, so a run killed with SIGKILL mid-way restarts
+  and recomputes only the tasks without a verified row;
 * :mod:`repro.service.scheduler` — admission control for the daemon:
   bounded queue with typed :class:`ServiceOverloaded` rejections and
   retry-after hints, priority-aware load shedding, per-client
@@ -50,7 +50,6 @@ from .daemon import DaemonConfig, DaemonError, SolveDaemon, serve
 from .protocol import Task, WorkerLimits, task_key
 from .scheduler import FairScheduler, ServiceOverloaded, TokenBucket
 from .sharedcache import SharedCache
-from .store import Journal
 from .supervisor import (
     CircuitBreaker,
     RetryPolicy,
@@ -74,7 +73,6 @@ __all__ = [
     "SupervisedResult",
     "RetryPolicy",
     "CircuitBreaker",
-    "Journal",
     "BatchError",
     "BatchReport",
     "load_manifest",

@@ -27,19 +27,19 @@ directory holds:
   corrupt rows quarantined): each finished task's result under its task
   key, plus each decided verdict under its query key, reusable by any
   later run pointed at the same directory;
-* ``journal.jsonl`` — one fsync'd line per finished or failed task;
 * ``results.json`` — the **deterministic verdict set**: one record per
   task (name, kind, key, verdict, holds, ok), byte-identical between an
   uninterrupted run and a ``kill -9``'d run resumed with ``--resume``;
 * ``report.json`` — timings, attempts, and worker diagnostics (not
   required to be reproducible).
 
-``--resume RUN_DIR`` replays the journal, re-verifies each journaled
-verdict against its checksummed row, and recomputes only what is
-missing: completed work survives any crash of the *driver* as well as
-of the workers.  Failed tasks (crashes that exhausted their retry
-budget) are journaled as events but never marked done, so a resume
-gives them a fresh chance.
+The task-keyed row is the resume index: it is committed (WAL,
+``synchronous=FULL``) as each task finishes, and ``--resume RUN_DIR``
+counts a task done iff that row reads back and verifies against its
+checksum; everything else is recomputed, so completed work survives any
+crash of the *driver* as well as of the workers.  Failed tasks (crashes
+that exhausted their retry budget) never get a row, so a resume gives
+them a fresh chance.
 """
 
 from __future__ import annotations
@@ -51,8 +51,13 @@ from dataclasses import dataclass, field, replace as dc_replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-from .protocol import WorkerLimits, Task, canonical_json, task_key
-from .store import Journal, payload_digest
+from .protocol import (
+    WorkerLimits,
+    Task,
+    canonical_json,
+    payload_digest,
+    task_key,
+)
 from .supervisor import RetryPolicy, SupervisedResult, Supervisor
 from .worker import (
     WorkerOutcome,
@@ -228,7 +233,7 @@ def _task_verdict(res: SupervisedResult) -> Dict[str, Any]:
 
 
 def _settled(task: Task, key: str, value: Dict[str, Any]) -> SupervisedResult:
-    """A task answered without a worker: resumed from the journal or
+    """A task answered without a worker: resumed from its task row or
     reused from the result cache."""
     return SupervisedResult(
         task=task,
@@ -253,7 +258,6 @@ class BatchReport:
     failed: int = 0
     breaker_open: bool = False
     results: List[Dict[str, Any]] = field(default_factory=list)
-    journal_skipped_lines: int = 0
     quarantined: int = 0
     cache_hits: int = 0
     cache: Dict[str, int] = field(default_factory=dict)
@@ -272,8 +276,8 @@ class BatchReport:
 
     def summary(self) -> str:
         lines = [
-            f"batch: {self.total} task(s) — {self.resumed} resumed from "
-            f"journal, {self.ran} computed, in {self.elapsed:.1f}s"
+            f"batch: {self.total} task(s) — {self.resumed} resumed, "
+            f"{self.ran} computed, in {self.elapsed:.1f}s"
         ]
         for r in self.results:
             lines.append(f"  {r['name']}: {r['verdict']}"
@@ -363,36 +367,24 @@ def run_batch(
     from ..engine import ResultCache
 
     # One durable store, run_dir/cache.sqlite, holds two kinds of row:
-    # task-keyed resume records (the evidence behind each journal line)
-    # and query-keyed verdicts, which any later run pointed at the same
-    # directory reuses under the cache's reuse rules (engine.cache).
+    # task-keyed resume records (the resume index) and query-keyed
+    # verdicts, which any later run pointed at the same directory reuses
+    # under the cache's reuse rules (engine.cache).
     cache = ResultCache(run_dir)
     try:
-        journal = Journal(run_dir / "journal.jsonl")
-        replayed = journal.replay()
-
-        # A journal line is only a pointer; the checksummed row is the
-        # evidence.  Missing/corrupt rows are recomputed.
+        # A task is done iff its checksummed row verifies; a missing or
+        # corrupt (quarantined) row is recomputed.
         done: Dict[str, SupervisedResult] = {}
-        journaled_keys = {
-            rec["key"]
-            for rec in replayed.records
-            if rec.get("event") == "verdict" and "key" in rec
-        }
-        for task in tasks:
-            key = task_key(task)
-            if key not in journaled_keys:
-                continue
-            value = cache.task_result(key)
-            if value is None:
-                say(f"journaled result for {task.name} missing or corrupt; "
-                    "recomputing")
-                continue
-            done[key] = _settled(task, key, value)
+        if resume:
+            for task in tasks:
+                key = task_key(task)
+                value = cache.task_result(key)
+                if value is not None:
+                    done[key] = _settled(task, key, value)
 
         pending = [t for t in tasks if task_key(t) not in done]
         say(
-            f"batch: {len(tasks)} task(s), {len(done)} already journaled, "
+            f"batch: {len(tasks)} task(s), {len(done)} already done, "
             f"{len(pending)} to run (isolation={isolation}, jobs={jobs})"
         )
         supervisor = Supervisor(policy=policy, isolation=isolation)
@@ -406,24 +398,8 @@ def run_batch(
                 row = None if res.key in cached else store_verdict(
                     cache, res.task, res.key, queries.get(res.key), value
                 )
-                if row != res.key:  # the resume row behind the journal line
+                if row != res.key:  # the task's resume row
                     cache.store_task(res.key, res.task.kind, value)
-                journal.append({
-                    "event": "verdict",
-                    "key": res.key,
-                    "name": res.task.name,
-                    "verdict": _task_verdict(res)["verdict"],
-                    "attempts": len(res.attempts),
-                })
-            else:
-                journal.append({
-                    "event": "failed",
-                    "key": res.key,
-                    "name": res.task.name,
-                    "outcome": res.final.outcome_class,
-                    "detail": res.final.describe(),
-                    "attempts": len(res.attempts),
-                })
             computed[res.key] = res
             say(f"  {res.task.name}: "
                 + (_task_verdict(res)["verdict"] if res.ok
@@ -449,7 +425,6 @@ def run_batch(
     report.cache_hits = len(cached)
     report.cache = cache.stats.as_dict()
     report.breaker_open = supervisor.breaker.open
-    report.journal_skipped_lines = replayed.skipped_lines
     report.quarantined = len(cache.shared.quarantined)
 
     attempts_out: Dict[str, Any] = {}
@@ -491,7 +466,6 @@ def run_batch(
                 "unknown": report.unknown,
                 "breaker_open": report.breaker_open,
                 **supervisor.health(),
-                "journal_skipped_lines": report.journal_skipped_lines,
                 "quarantined": report.quarantined,
                 "cache_hits": report.cache_hits,
                 "cache": report.cache,

@@ -11,19 +11,18 @@ behind the PR 5 query-keyed cache.  The request path is::
            ──▶ coalescing (identical in-flight keys share one solve)
            ──▶ fair scheduler (stride over clients, equal shares)
            ──▶ supervisor pool (sandboxed workers, retries, breaker)
-           ──▶ journal + shared cache  ──▶ every waiter's response
+           ──▶ shared cache  ──▶ every waiter's response
 
 **Durability contract.**  A verdict is durable once its checksummed row
-is in the shared sqlite cache *and* a journal line points at it — both
-happen before any client sees the result.  ``SIGKILL`` at any moment
-loses at most in-flight work (clients see a dropped connection and
-resubmit); on restart the journal is replayed, every journaled row is
-re-verified byte-for-byte (corrupt rows are quarantined and will be
-recomputed), and resubmissions of completed work are answered from the
-cache — no lost and no duplicated verdicts.  ``SIGTERM`` drains:
-admission closes (``ServiceOverloaded(reason="shutting-down")``),
-queued and running work completes and is answered, then the daemon
-exits 0.
+is committed to the shared sqlite cache, which happens before any
+client sees the result.  ``SIGKILL`` at any moment loses at most
+in-flight work (clients see a dropped connection and resubmit); on
+restart every row is re-verified byte-for-byte (corrupt rows are
+quarantined and will be recomputed), and resubmissions of completed
+work are answered from the cache — no lost and no recomputed verdicts.
+``SIGTERM`` drains: admission closes
+(``ServiceOverloaded(reason="shutting-down")``), queued and running
+work completes and is answered, then the daemon exits 0.
 
 **Requests** (one JSON frame each; responses mirror the type):
 
@@ -31,7 +30,7 @@ exits 0.
     solve (or reuse) one :class:`~repro.service.protocol.Task`;
 ``{"type": "status"}``
     full observability snapshot: queue/quota/fairness state, circuit
-    breaker, retry spend, cache tiers, journal replay counts;
+    breaker, retry spend, cache tiers, restart verification counts;
 ``{"type": "ping"}`` / ``{"type": "shutdown"}``
     liveness / graceful drain (what ``SIGTERM`` triggers).
 """
@@ -58,7 +57,6 @@ from .scheduler import (
     ServiceOverloaded,
     Submission,
 )
-from .store import Journal
 from .supervisor import RetryPolicy, SupervisedResult, Supervisor
 from .worker import lookup_verdict, store_verdict
 
@@ -212,7 +210,6 @@ class SolveDaemon:
             self.config.socket_path or self.run_dir / "daemon.sock"
         )
         self.cache = ResultCache(self.run_dir)
-        self.journal = Journal(self.run_dir / "daemon-journal.jsonl")
         self.scheduler = FairScheduler(
             max_depth=self.config.queue_depth,
             quota_rate=self.config.client_rate,
@@ -240,9 +237,6 @@ class SolveDaemon:
             "failed": 0,
             "cache_hits": 0,
             "coalesced": 0,
-            "replayed": 0,
-            "replay_missing": 0,
-            "journal_skipped_lines": 0,
             "verified_rows": 0,
             "verify_quarantined": 0,
         }
@@ -278,33 +272,14 @@ class SolveDaemon:
                 pass
             self._lock_fp = None
 
-    def _replay_journal(self) -> None:
-        """Re-verify every journaled verdict against the shared cache;
-        corrupt or missing rows are counted and will be recomputed."""
-        rep = self.journal.replay()
-        self.stats["journal_skipped_lines"] = rep.skipped_lines
-        seen = set()
-        for rec in rep.records:
-            if rec.get("event") != "verdict":
-                continue
-            ckey = rec.get("ckey")
-            if not ckey or ckey in seen:
-                continue
-            seen.add(ckey)
-            if self.cache.shared.get(ckey) is not None:
-                self.stats["replayed"] += 1
-            else:
-                self.stats["replay_missing"] += 1
-        verified, _corrupt = self.cache.shared.verify_all()
+    def _verify_store(self) -> None:
+        """Byte-verify every shared-cache row; corrupt rows are
+        quarantined and will be recomputed."""
+        verified, corrupt = self.cache.shared.verify_all()
         self.stats["verified_rows"] = verified
-        # Everything this instance quarantined so far — rows caught by
-        # the replay loop's reads count too, not just verify_all's.
-        corrupt = len(self.cache.shared.quarantined)
         self.stats["verify_quarantined"] = corrupt
-        if seen or corrupt:
+        if verified or corrupt:
             self.say(
-                f"journal replay: {self.stats['replayed']} verdict(s) "
-                f"verified, {self.stats['replay_missing']} missing/corrupt; "
                 f"cache: {verified} row(s) byte-verified, "
                 f"{corrupt} quarantined"
             )
@@ -321,32 +296,11 @@ class SolveDaemon:
         self.scheduler.task_done(sub.client, res.final.elapsed)
         reply = res.reply()
         if res.ok:
-            value = reply["value"]
-            ckey = store_verdict(
-                self.cache, sub.task, sub.key, sub.query, value
-            )
-            self.journal.append(
-                {
-                    "event": "verdict" if ckey else "undecided",
-                    "key": sub.key,
-                    "ckey": ckey,
-                    "client": sub.client,
-                    "name": sub.task.name,
-                    "verdict": value.get("verdict", "ok"),
-                }
+            store_verdict(
+                self.cache, sub.task, sub.key, sub.query, reply["value"]
             )
             self.stats["completed"] += 1
         else:
-            self.journal.append(
-                {
-                    "event": "failed",
-                    "key": sub.key,
-                    "client": sub.client,
-                    "name": sub.task.name,
-                    "outcome": reply["outcome_class"],
-                    "detail": reply["detail"],
-                }
-            )
             self.stats["failed"] += 1
         self._resolve_waiters(
             sub.key, {"type": "result", "cached": False, **reply}
@@ -404,10 +358,7 @@ class SolveDaemon:
                 "memory": self.cache.stats.as_dict(),
                 "shared": self.cache.shared.stats(),
             },
-            "journal": {
-                "replayed": self.stats["replayed"],
-                "missing": self.stats["replay_missing"],
-                "skipped_lines": self.stats["journal_skipped_lines"],
+            "store": {
                 "verified_rows": self.stats["verified_rows"],
                 "verify_quarantined": self.stats["verify_quarantined"],
             },
@@ -553,7 +504,7 @@ class SolveDaemon:
             self._release_lock()
 
     async def _run_locked(self) -> int:
-        self._replay_journal()
+        self._verify_store()
         if self.config.warm_corpus is not None:
             warm_from_corpus(
                 self.cache, self.config.warm_corpus, log=self.say
@@ -578,11 +529,6 @@ class SolveDaemon:
             raise DaemonError(
                 f"cannot bind {self.socket_path}: {e}"
             ) from e
-        self.journal.append(
-            {"event": "start", "pid": os.getpid(),
-             "replayed": self.stats["replayed"],
-             "verify_quarantined": self.stats["verify_quarantined"]}
-        )
         workers = [
             asyncio.create_task(self._worker_loop())
             for _ in range(self.config.jobs)
@@ -625,10 +571,6 @@ class SolveDaemon:
             )
         await asyncio.sleep(min(0.2, self.config.poll_s * 2))
         self._executor.shutdown(wait=not self._drain_aborted)
-        self.journal.append(
-            {"event": "shutdown", "clean": not self._drain_aborted,
-             "exit": exit_code, "completed": self.stats["completed"]}
-        )
         self.cache.shared.close()
         try:
             self.socket_path.unlink()

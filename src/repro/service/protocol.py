@@ -35,6 +35,7 @@ the payload's ``options``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from dataclasses import asdict, dataclass, field
@@ -49,6 +50,7 @@ __all__ = [
     "Task",
     "task_key",
     "canonical_json",
+    "payload_digest",
     "write_frame",
     "read_frame",
     "encode_frame",
@@ -62,6 +64,12 @@ __all__ = [
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _LEN = struct.Struct(">I")
+
+
+def payload_digest(payload: Any) -> str:
+    """SHA-256 of ``payload``'s canonical JSON: the per-row checksum of
+    the sqlite store and the batch manifest's fingerprint."""
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 class FrameError(RuntimeError):

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..runtime import faults
-from .store import payload_digest
+from .protocol import payload_digest
 
 __all__ = ["SharedCache"]
 

@@ -314,9 +314,9 @@ class Supervisor:
         """Run every task over at most ``jobs`` concurrent workers.
 
         ``on_result`` fires as each task settles (under no lock — the
-        batch layer serializes its own journal).  Results come back in
-        task order.  On interruption every live child is killed before
-        the exception propagates.
+        batch layer's result store serializes its own writes).  Results
+        come back in task order.  On interruption every live child is
+        killed before the exception propagates.
         """
         jobs = max(1, jobs)
         results: List[Optional[SupervisedResult]] = [None] * len(tasks)

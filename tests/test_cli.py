@@ -149,7 +149,7 @@ class TestUniformExitCodes:
         monkeypatch.setattr(cli, "_dispatch", boom)
         rc = main(["check-race", "whatever"])
         assert rc == 130
-        assert "interrupted (partial journal preserved)" in (
+        assert "interrupted (finished tasks kept for --resume)" in (
             capsys.readouterr().err
         )
 

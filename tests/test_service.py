@@ -2,8 +2,8 @@
 
 Covers the worker wire protocol, the sandboxed child (including real
 SIGSEGV crashes injected with ``REPRO_FAULT=worker-abort``), the
-supervisor's retry/circuit-breaker policy, the journal, and the
-resumable batch layer over its sqlite store.  Everything that spawns a child
+supervisor's retry/circuit-breaker policy, and the resumable batch
+layer over its sqlite store.  Everything that spawns a child
 uses the bounded engine on tiny programs so a full run stays in seconds.
 """
 
@@ -21,7 +21,6 @@ from repro.core.api import check_data_race
 from repro.conformance.oracle import Case, OracleConfig
 from repro.service import (
     CircuitBreaker,
-    Journal,
     RetryPolicy,
     Supervisor,
     Task,
@@ -149,9 +148,10 @@ def test_worker_wall_clock_kill():
 
 
 def test_worker_cpu_rlimit_never_crashes_parent():
-    # The corpus crash-reproducer's query: the oracle's bounded phase at
-    # max_internal=4 costs several CPU seconds, so cpu_s=1 guarantees the
-    # child dies (SIGXCPU, then the kernel's hard SIGKILL) mid-solve.
+    # The corpus crash-reproducer's query: at max_internal=4 the oracle's
+    # schedule enumeration costs well over a CPU second, so cpu_s=1
+    # guarantees the child dies (SIGXCPU, then the kernel's hard SIGKILL)
+    # mid-solve.
     entry = json.loads(
         (Path(__file__).parent / "corpus" / "rlimit-crash-reproducer.json")
         .read_text()
@@ -270,22 +270,6 @@ def test_supervisor_map_parallel():
     results = Supervisor().map(tasks, jobs=2)
     assert [r.task.name for r in results] == ["racy", "clean"]
     assert [r.final.value["holds"] for r in results] == [False, True]
-
-
-# ----------------------------------------------------------------------
-# Journal
-
-
-def test_journal_replay_skips_torn_tail(tmp_path):
-    j = Journal(tmp_path / "journal.jsonl")
-    j.append({"event": "verdict", "key": "a"})
-    j.append({"event": "verdict", "key": "b"})
-    with open(j.path, "a") as fp:
-        fp.write('{"event": "verdict", "key": "c"')  # kill -9 mid-append
-    replay = j.replay()
-    assert [r["key"] for r in replay.records] == ["a", "b"]
-    assert replay.skipped_lines == 1
-    assert Journal(tmp_path / "absent.jsonl").replay().records == []
 
 
 # ----------------------------------------------------------------------
@@ -502,9 +486,11 @@ def test_batch_cache_rows_are_resume_and_verdict_rows(tmp_path):
 
 
 def test_batch_resume_after_torn_journal(tmp_path):
-    """Simulated kill -9: keep one journaled verdict, tear the journal
-    tail, drop the other store record — resume recomputes exactly the
-    missing task and results.json is byte-identical."""
+    """Simulated kill -9 between two tasks: one task's resume row is
+    missing and a torn ``journal.jsonl`` from an older run directory
+    layout lies beside the store.  Resume ignores the journal and
+    recomputes exactly the task without a row; results.json is
+    byte-identical."""
     m = write_manifest(tmp_path / "m.json")
     run_a = tmp_path / "run-a"
     run_batch(m, run_a, jobs=1)
@@ -512,29 +498,49 @@ def test_batch_resume_after_torn_journal(tmp_path):
 
     run_b = tmp_path / "run-b"
     run_batch(m, run_b, jobs=1)
-    journal = run_b / "journal.jsonl"
-    lines = journal.read_text().splitlines()
-    keep, drop = lines[0], json.loads(lines[1])
-    journal.write_text(keep + "\n" + '{"event": "verdict", "key": "to')
+    drop = task_key(load_manifest(m)[1])
+    (run_b / "journal.jsonl").write_text(
+        json.dumps({"event": "verdict", "key": drop}) + "\n"
+        + '{"event": "verdict", "key": "to'
+    )
     conn = sqlite3.connect(run_b / "cache.sqlite")
-    conn.execute("DELETE FROM records WHERE key = ?", (drop["key"],))
+    conn.execute("DELETE FROM records WHERE key = ?", (drop,))
     conn.commit()
     conn.close()
     (run_b / "results.json").unlink()
 
     report = run_batch(m, run_b, resume=True)
-    # The missing task is recomputed — served from the run directory's
-    # content-addressed verdict cache, which survived the torn journal.
+    # The task without a row is recomputed -- served from the run
+    # directory's query-keyed verdict row, which survived.
     assert report.resumed == 1
     assert report.ran + report.cache_hits == 1
-    assert report.journal_skipped_lines == 1
+    tasks = json.loads((run_b / "report.json").read_text())["tasks"]
+    assert {n for n, t in tasks.items() if t["resumed"]} == {"racy"}
     assert (run_b / "results.json").read_bytes() == golden
 
 
+def test_resume_ignores_a_leftover_journal(tmp_path):
+    """A ``journal.jsonl`` of garbage in the run directory changes
+    nothing: every task resumes from its row, byte-identically."""
+    m = write_manifest(tmp_path / "m.json")
+    run = tmp_path / "run"
+    run_batch(m, run)
+    golden = (run / "results.json").read_bytes()
+    (run / "journal.jsonl").write_bytes(b'\x00{"event": "verdict", not json\n')
+    (run / "results.json").unlink()
+
+    report = run_batch(m, run, resume=True)
+    assert report.resumed == 2 and report.ran == 0
+    assert report.cache_hits == 0
+    assert (run / "results.json").read_bytes() == golden
+    assert "journal_skipped_lines" not in json.loads(
+        (run / "report.json").read_text()
+    )
+
+
 def test_batch_fuzz_case_served_from_its_task_row(tmp_path):
-    """A fuzz case whose journal line was torn after its checksummed
-    resume row was written is served from that row on resume, as a
-    cache hit, not rerun."""
+    """A fuzz case whose checksummed task row was committed before the
+    driver died resumes from that row; it is not rerun."""
     m = write_manifest(tmp_path / "m.json", tasks=[
         {"name": "fz", "kind": "fuzz-case",
          "case": {"kind": "race", "source": RACY, "max_internal": 2},
@@ -543,13 +549,11 @@ def test_batch_fuzz_case_served_from_its_task_row(tmp_path):
     run = tmp_path / "run"
     run_batch(m, run, isolation="inline")
     golden = (run / "results.json").read_bytes()
-    (run / "journal.jsonl").write_text('{"event": "verdict", "key": "to')
     (run / "results.json").unlink()
 
     report = run_batch(m, run, isolation="inline", resume=True)
-    assert report.resumed == 0
-    assert report.ran == 0 and report.cache_hits == 1
-    assert report.journal_skipped_lines == 1
+    assert report.resumed == 1
+    assert report.ran == 0 and report.cache_hits == 0
     assert (run / "results.json").read_bytes() == golden
 
 
@@ -558,24 +562,25 @@ def test_batch_corrupt_store_record_recomputed(tmp_path):
     run = tmp_path / "run"
     run_batch(m, run)
     golden = (run / "results.json").read_bytes()
-    # Corrupt one task's resume row (keyed by the journaled task key).
-    victim = json.loads((run / "journal.jsonl").read_text().splitlines()[0])
+    # Corrupt one task's resume row (keyed by its task key).
+    victim = task_key(load_manifest(m)[0])
     conn = sqlite3.connect(run / "cache.sqlite")
     conn.execute(
         "UPDATE records SET payload = replace(payload, 'race', 'rice') "
-        "WHERE key = ?", (victim["key"],),
+        "WHERE key = ?", (victim,),
     )
     conn.commit()
     conn.close()
     report = run_batch(m, run, resume=True)
     assert report.quarantined == 1
+    assert report.resumed == 1
     assert report.ran + report.cache_hits == 1
     assert (run / "results.json").read_bytes() == golden
 
 
 def test_batch_failed_task_retried_on_resume(tmp_path):
-    """A worker that dies past its retry budget journals a 'failed'
-    event, exits 2, and gets a fresh chance on --resume."""
+    """A worker that dies past its retry budget leaves no resume row,
+    exits 2, and gets a fresh chance on --resume."""
     # NOTE: engine "auto" (symbolic-capable) — the crash hook only fires
     # for tasks that would run the symbolic engine.
     m = write_manifest(tmp_path / "m.json", tasks=[
@@ -596,13 +601,14 @@ def test_batch_failed_task_retried_on_resume(tmp_path):
         else:
             os.environ["REPRO_FAULT"] = old
     assert report.exit_code == 2 and report.failed == 1
-    events = [r["event"] for r in Journal(run / "journal.jsonl").replay().records]
-    assert events == ["failed"]
+    status = json.loads((run / "report.json").read_text())["tasks"]["sym"]
+    assert status["status"] == "crashed" and status["resumed"] is False
     assert json.loads((run / "results.json").read_text())[0]["verdict"] == "unknown"
 
     report2 = run_batch(m, run, resume=True)
     assert report2.exit_code == 1  # RACY: violation found this time
     assert report2.ran == 1 and report2.failed == 0
+    assert report2.resumed == 0
 
 
 def test_batch_cli_end_to_end(tmp_path):
