@@ -5,7 +5,8 @@ Both entry points accept a plain :class:`TreeAutomaton` or an implicit
 bottom-up reachability fixpoint runs lazily (a plain automaton is a
 1-factor product), constructs only reachable states, short-circuits on
 the first accepting state, and can be bounded by a reached-state budget
-and a :class:`~repro.runtime.ResourceGuard`.
+and a :class:`~repro.runtime.ResourceGuard`.  It is plain reachability,
+so "empty" means that no reached state is accepting.
 """
 
 from __future__ import annotations
@@ -52,31 +53,19 @@ def is_empty(
     a: Automaton,
     max_states: Optional[int] = None,
     guard: Optional[ResourceGuard] = None,
-    antichain: Optional[bool] = None,
 ) -> bool:
-    """True iff the automaton accepts no labelled tree.
-
-    ``antichain`` overrides the subsumption-pruning default of
-    :meth:`ProductAutomaton.explore` (None = the class default); the
-    verdict is the same either way, per the antichain invariant.
-    """
-    exp = _as_product(a).explore(
-        max_states=max_states, guard=guard, antichain=antichain
-    )
-    return exp.empty
+    """True iff the automaton accepts no labelled tree."""
+    return _as_product(a).explore(max_states=max_states, guard=guard).empty
 
 
 def find_witness(
     a: Automaton,
     max_states: Optional[int] = None,
     guard: Optional[ResourceGuard] = None,
-    antichain: Optional[bool] = None,
 ) -> Optional[Witness]:
     """A smallest-ish accepted labelled tree, or None when empty."""
     prod = _as_product(a)
-    exp = prod.explore(
-        max_states=max_states, guard=guard, antichain=antichain
-    )
+    exp = prod.explore(max_states=max_states, guard=guard)
     return witness_from_exploration(prod, exp)
 
 

@@ -19,6 +19,11 @@ expensive factors are consulted, and short-circuiting as soon as an
 accepting tuple is reached.  The state budget therefore counts *reached*
 product states — the quantity emptiness actually needs — not the size of
 the materialized product.
+
+The fixpoint is plain bottom-up reachability, as in MONA's emptiness
+check: no tuple is dropped or retired once reached, so a saturated run's
+reached set is exactly the reachable set, closed under the synchronized
+transitions.  An empty verdict rests on that set alone.
 """
 
 from __future__ import annotations
@@ -81,9 +86,9 @@ def _merge_small_factors(
     keyed by the identity of the (immutable, memo-shared) operand pair:
     queries of one family conjoin mostly the same factors, so after the
     first query the greedy fold is a sequence of dict hits, and the
-    merged products themselves are *shared objects* — which in turn lets
-    the per-factor simulation cache in :mod:`repro.automata.antichain`
-    amortize across queries.  Deadline/memory aborts are never cached.
+    merged products themselves are *shared objects*, so merges keyed on
+    them hit the cache in later queries too.  Deadline/memory aborts are
+    never cached.
     """
     from .minimize import minimize, reduce_nfta
 
@@ -204,11 +209,6 @@ class Exploration:
     target: Optional[tuple]  # an accepting tuple, or None
     reached: int  # product states constructed
     complete: bool  # False when the search short-circuited on ``target``
-    # Antichain accounting: tuples never constructed because a reached
-    # tuple dominated them, and reached tuples later retired because a
-    # newcomer dominated *them* (both zero with pruning off).
-    pruned: int = 0
-    superseded: int = 0
     # With ``record=True``: every synchronized transition touched by the
     # fixpoint, for :meth:`ProductAutomaton.materialized_explored`.
     leaf_edges: Optional[List[Tuple[int, tuple]]] = None
@@ -235,12 +235,7 @@ class ProductAutomaton:
     #: dozens of tiny atom automata a query conjoins into a few factors.
     MERGE_LIMIT = 32
 
-    #: Antichain subsumption default for :meth:`explore` (per-call
-    #: override via its ``antichain`` argument).
-    ANTICHAIN = True
-
-    #: Frontier tuples popped per expansion batch: amortizes heap churn
-    #: and gives the processed-list compaction a natural cadence.
+    #: Frontier tuples popped per expansion batch: amortizes heap churn.
     BATCH = 64
 
     def __init__(
@@ -307,13 +302,6 @@ class ProductAutomaton:
         """Product states constructed by the most recent exploration."""
         return self._last.reached if self._last is not None else 0
 
-    def describe(self) -> str:
-        sizes = "x".join(str(f.n_states) for f in self.factors)
-        return (
-            f"Product({len(self.factors)} factors, {sizes} implicit states, "
-            f"tracks={sorted(self.tracks)})"
-        )
-
     def accepting_tuple(self, t: tuple) -> bool:
         return all(
             t[i] in f.accepting for i, f in enumerate(self.factors)
@@ -323,20 +311,7 @@ class ProductAutomaton:
         """Accept iff every factor accepts (for differential testing)."""
         return all(f.run(tree, labels) for f in self.factors)
 
-    # -- eager fallback ---------------------------------------------------------
-    def materialized(self, max_states: Optional[int] = None) -> TreeAutomaton:
-        """Fold into one explicit automaton via pairwise products.
-
-        Only used by differential tests and by callers that need a real
-        :class:`TreeAutomaton` (e.g. to complement); the point of this
-        class is that deciding emptiness never requires it.
-        """
-        autos = sorted(self.factors, key=lambda a: a.n_states)
-        acc = autos[0]
-        for nxt in autos[1:]:
-            acc = acc.product(nxt, lambda x, y: x and y, max_states=max_states)
-        return acc
-
+    # -- explicit automaton over a recorded run ---------------------------------
     def materialized_explored(self, exp: Exploration) -> TreeAutomaton:
         """Explicit automaton over the *reached* tuples of a recorded run.
 
@@ -383,23 +358,12 @@ class ProductAutomaton:
             deterministic=all(f.deterministic for f in self.factors),
         )
 
-    def projected(self, tracks) -> TreeAutomaton:
-        """Existentially quantify tracks out — materializes first.
-
-        Projection distributes over neither conjunction nor its factors,
-        so an explicit automaton is required; callers that only need
-        emptiness should skip projection entirely (it never changes
-        emptiness) and drop the tracks from the witness instead.
-        """
-        return self.materialized().projected(tracks)
-
     # -- the lazy fixpoint ------------------------------------------------------
     def explore(
         self,
         max_states: Optional[int] = None,
         stop_on_accepting: bool = True,
         guard: Optional[ResourceGuard] = None,
-        antichain: Optional[bool] = None,
         record: bool = False,
     ) -> Exploration:
         """Bottom-up reachability fixpoint on the implicit product.
@@ -414,16 +378,9 @@ class ProductAutomaton:
         With ``stop_on_accepting`` the search returns as soon as an
         accepting tuple is found (sufficient for emptiness/witness
         queries); the returned exploration is then marked incomplete.
-
-        With ``antichain`` (defaulting to the class flag ``ANTICHAIN``)
-        tuples subsumed under the per-factor upward simulation of
-        :mod:`repro.automata.antichain` are never constructed, and
-        reached tuples dominated by a newcomer are retired from further
-        expansion.  This changes which tuples (and possibly which
-        witness) are built, never the emptiness verdict; the dropped
-        work is reported in ``Exploration.pruned``/``superseded``.  The
-        frontier is drained in batches of ``BATCH`` tuples, with the
-        processed list compacted of retired tuples between batches.
+        Without it the reached set is exactly the reachable set, closed
+        under the synchronized transitions.  The frontier is drained in
+        batches of ``BATCH`` tuples.
         """
         rg = guard  # ``guard`` names BDD guards below
         mgr = self.manager
@@ -433,38 +390,10 @@ class ProductAutomaton:
         false = mgr.false
         apply_and = mgr.apply_and
 
-        use_antichain = self.ANTICHAIN if antichain is None else antichain
-        # Recording keeps every synchronized transition, so the reached
-        # set must be the exact reachable set: subsumption pruning (which
-        # preserves emptiness but not the language) is forced off.
+        # With ``record``, every synchronized transition is kept as well,
+        # for :meth:`materialized_explored`.
         leaf_edges: List[Tuple[int, tuple]] = []
         edges: Dict[Tuple[tuple, tuple], List[Tuple[int, tuple]]] = {}
-        if record:
-            use_antichain = False
-        sims: List[Dict[int, frozenset]] = []
-        if use_antichain:
-            from .antichain import cached_upward_simulation
-
-            sims = [cached_upward_simulation(f, guard=rg) for f in factors]
-            if not any(sims):
-                use_antichain = False  # identity everywhere: nothing to prune
-        # Antichain index: live tuples keyed by their state in the
-        # largest factor (smallest expected bucket).  A tuple's possible
-        # dominators agree there or sit strictly above in that factor's
-        # simulation, so a dominance scan touches only those buckets —
-        # never the whole live set.
-        dead: set = set()
-        pruned = 0
-        superseded = 0
-        if use_antichain:
-            px = max(range(n), key=lambda i: factors[i].n_states)
-            sim_px = sims[px]
-            below_px: Dict[int, List[int]] = {}
-            for q, ups in sim_px.items():
-                for qp in ups:
-                    below_px.setdefault(qp, []).append(q)
-            sims_other = [(i, sims[i]) for i in range(n) if i != px]
-            aindex: Dict[int, List[tuple]] = {}
 
         table: Dict[tuple, _Entry] = {}
         target: Optional[tuple] = None
@@ -479,51 +408,9 @@ class ProductAutomaton:
                 1 for i in range(n) if t[i] not in factors[i].accepting
             )
 
-        def is_dominated(t: tuple) -> bool:
-            tp = t[px]
-            for qp in (tp, *sim_px.get(tp, ())):
-                bucket = aindex.get(qp)
-                if not bucket:
-                    continue
-                for u in bucket:
-                    for i, sim_i in sims_other:
-                        ui = u[i]
-                        ti = t[i]
-                        if ui != ti and ui not in sim_i.get(ti, ()):
-                            break
-                    else:
-                        return True
-            return False
-
-        dead_pending = [0]
-
-        def antichain_insert(t: tuple) -> None:
-            """Add a kept tuple; retire live tuples it dominates."""
-            nonlocal superseded
-            tp = t[px]
-            for qp in (tp, *below_px.get(tp, ())):
-                bucket = aindex.get(qp)
-                if not bucket:
-                    continue
-                keep = []
-                for u in bucket:
-                    for i, sim_i in sims_other:
-                        ui = u[i]
-                        ti = t[i]
-                        if ti != ui and ti not in sim_i.get(ui, ()):
-                            keep.append(u)
-                            break
-                    else:
-                        dead.add(u)
-                        dead_pending[0] += 1
-                        superseded += 1
-                if len(keep) != len(bucket):
-                    aindex[qp] = keep
-            aindex.setdefault(tp, []).append(t)
-
         def discover(t: tuple, guard: int, lt, rt) -> bool:
             """Record a newly reached tuple; True when it is accepting."""
-            nonlocal counter, target, pruned
+            nonlocal counter, target
             if _faults.ARMED:
                 t = _faults.fire("product.expand", t)
             if record:
@@ -533,18 +420,13 @@ class ProductAutomaton:
                     edges.setdefault((lt, rt), []).append((guard, t))
             if t in table:
                 return False
-            if use_antichain and is_dominated(t):
-                pruned += 1
-                return False
             if max_states is not None and len(table) >= max_states:
                 raise StateBudgetExceeded(
                     f"lazy product exceeded {max_states} reached states",
                     phase="product.explore",
-                    counters={"reached": len(table), "pruned": pruned},
+                    counters={"reached": len(table)},
                 )
             table[t] = (mgr.pick_cube(guard), lt, rt)  # combos: guard != false
-            if use_antichain:
-                antichain_insert(t)
             counter += 1
             heapq.heappush(frontier, (distance(t), counter, t))
             if target is None and self.accepting_tuple(t):
@@ -587,7 +469,7 @@ class ProductAutomaton:
 
         def finish(complete: bool) -> Exploration:
             self._last = Exploration(
-                table, target, len(table), complete, pruned, superseded,
+                table, target, len(table), complete,
                 leaf_edges if record else None, edges if record else None,
             )
             return self._last
@@ -630,43 +512,27 @@ class ProductAutomaton:
             partners_right.setdefault(a, []).append(b)
             partners_left.setdefault(b, []).append(a)
         groups: Dict[int, List[tuple]] = {}
-        live_processed = 0
 
         batch_cap = self.BATCH
         while frontier:
-            # Drain a batch, dropping tuples retired since they were
-            # pushed; compact the group lists when retirements have
-            # accumulated, so pairing stays on live work.
             batch: List[tuple] = []
             while frontier and len(batch) < batch_cap:
                 _, _, t = heapq.heappop(frontier)
                 if _faults.ARMED:
                     t = _faults.fire("emptiness.fixpoint", t)
-                if t in dead:
-                    continue
                 batch.append(t)
-            if dead_pending[0] * 4 > live_processed > 64:
-                for q, us in list(groups.items()):
-                    groups[q] = [u for u in us if u not in dead]
-                live_processed = sum(len(us) for us in groups.values())
-                dead_pending[0] = 0
             for t in batch:
-                if t in dead:  # superseded earlier in this same batch
-                    continue
                 tq = t[jx]
                 groups.setdefault(tq, []).append(t)
-                live_processed += 1
                 # t as left child (includes the (t, t) self-pair) …
                 for b in partners_right.get(tq, ()):
                     for u in groups.get(b, ()):
-                        if u in dead:
-                            continue
                         if expand(t, u):
                             return finish(False)
                 # … and as right child of every earlier tuple.
                 for a in partners_left.get(tq, ()):
                     for u in groups.get(a, ()):
-                        if u is t or u in dead:
+                        if u is t:
                             continue
                         if expand(u, t):
                             return finish(False)

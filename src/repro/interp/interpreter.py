@@ -518,9 +518,13 @@ def run(
     default scales with tree size (``max(1_000_000, 64 * (size + 1))``)
     so depth-100k inputs run without tuning.
     """
-    work = tree if inplace else tree.clone()
+    if inplace:
+        work = tree
+        size = tree.size if max_steps is None else 0
+    else:
+        work, size = tree._clone_counted()
     if max_steps is None:
-        max_steps = max(1_000_000, 64 * (work.size + 1))
+        max_steps = max(1_000_000, 64 * (size + 1))
     m = _Machine(
         program, work, scheduler or LeftFirst(), record_events, strict_vars, max_steps
     )

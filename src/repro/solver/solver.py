@@ -100,9 +100,9 @@ class MSOSolver:
         # Conjunction products reaching more states than this raise
         # StateBudgetExceeded so callers can fall back to the bounded
         # engine instead of grinding.  The default leaves ~2x
-        # headroom over the largest Table-1 saturation (T1.6 peaks near
-        # 24k reached tuples under antichain pruning), so every paper
-        # query decides on the first "mso" rung.
+        # headroom over the largest Table-1 saturation (T1.6's interface
+        # conjunctions reach 23,971 tuples), so every paper query decides
+        # on the first "mso" rung.
         self.product_budget = product_budget
         # Optional ResourceGuard (deadline + state budget + node ceiling);
         # when it trips mid-query the typed ResourceExhausted subclass is
@@ -247,7 +247,7 @@ class MSOSolver:
                     max_states=self.product_budget,
                     guard=self.guard,
                 )
-            self.stats.note_exploration(exp.reached, exp.pruned, exp.superseded)
+            self.stats.note_exploration(exp.reached)
             w = None
             if exp.target is None:
                 status = "unsat"

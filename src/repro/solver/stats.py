@@ -33,12 +33,6 @@ class SolverStats:
     last_reached: int = 0
     max_reached: int = 0
     total_reached: int = 0
-    # Antichain pruning (repro.automata.antichain): tuples subsumption
-    # skipped at discovery, and reached tuples retired by a dominating
-    # newcomer.  Cumulative totals are monotone non-negative.
-    last_pruned: int = 0
-    pruned_tuples: int = 0
-    superseded_tuples: int = 0
     # Cross-query caching.
     conj_cache_hits: int = 0
     conj_cache_misses: int = 0
@@ -65,16 +59,11 @@ class SolverStats:
         self.cache_misses = cache_stats.misses
         self.cache_stored = cache_stats.stored
 
-    def note_exploration(
-        self, reached: int, pruned: int = 0, superseded: int = 0
-    ) -> None:
+    def note_exploration(self, reached: int) -> None:
         self.queries += 1
         self.last_reached = reached
         self.max_reached = max(self.max_reached, reached)
         self.total_reached += reached
-        self.last_pruned = pruned
-        self.pruned_tuples += pruned
-        self.superseded_tuples += superseded
 
     def as_dict(self, manager=None, compile_stats=None) -> Dict[str, object]:
         """Flat snapshot; pass the BDD manager and the compiler's
@@ -90,9 +79,6 @@ class SolverStats:
             "total_reached": self.total_reached,
             "conj_cache_hits": self.conj_cache_hits,
             "conj_cache_misses": self.conj_cache_misses,
-            "last_pruned": self.last_pruned,
-            "pruned_tuples": self.pruned_tuples,
-            "superseded_tuples": self.superseded_tuples,
             "cache": {
                 "hits": self.cache_hits,
                 "misses": self.cache_misses,

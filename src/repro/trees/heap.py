@@ -259,20 +259,27 @@ class Tree:
         """Deep copy (the interpreter mutates fields in place), made in one
         pass: parent links and real nil leaves are built as nodes are
         copied, so no ``reindex`` walk follows."""
+        return self._clone_counted()[0]
+
+    def _clone_counted(self) -> Tuple["Tree", int]:
+        """:meth:`clone` plus the number of internal nodes it copied (the
+        copy's :attr:`size`), so callers need no second walk."""
         root = _copy_node(self.root, None)
         root._path = ""
         stack: List[Tuple[TreeNode, TreeNode]] = [(self.root, root)]
+        size = 0
         while stack:
             o, c = stack.pop()
             if o._nil:
                 continue
+            size += 1
             c.left = _copy_node(o.left, c)  # type: ignore[arg-type]
             c.right = _copy_node(o.right, c)  # type: ignore[arg-type]
             stack.append((o.right, c.right))  # type: ignore[arg-type]
             stack.append((o.left, c.left))  # type: ignore[arg-type]
         out = Tree.__new__(Tree)
         out.root, out._by_path = root, None
-        return out
+        return out, size
 
     def same_shape(self, other: "Tree") -> bool:
         stack = [(self.root, other.root)]

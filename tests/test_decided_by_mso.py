@@ -1,9 +1,9 @@
 """Regression pins: the flagship Table-1 tasks decide *symbolically*.
 
-Before the int-table BDD core, the structure-driven variable order, the
-antichain-pruned fixpoint, and the interface decomposition, T1.4 and
-T1.6 burned their symbolic budget and fell back to the bounded engine
-("budget → bounded" in EXPERIMENTS.md).  These tests pin the recovery:
+Before the int-table BDD core, the structure-driven variable order and
+the interface decomposition, T1.4 and T1.6 burned their symbolic budget
+and fell back to the bounded engine ("budget → bounded" in
+EXPERIMENTS.md).  These tests pin the recovery:
 under the *default* auto-plan budgets the first "mso" rung must decide,
 i.e. ``details["decided_by"] == "mso"`` with a matching attempt record —
 any re-regression shows up as a fallback entry in ``attempts``.

@@ -41,7 +41,11 @@ def _config_automaton(program, q_sid):
     acc = solver.automaton_conj(parts)
     from repro.automata.minimize import prune_unreachable
 
-    return model, enc, ct, prune_unreachable(acc.projected([x]))
+    # The reached part of a saturated, recorded exploration recognizes
+    # the whole conjunction (as in ``MSOSolver.interface_conj``).
+    exp = acc.explore(stop_on_accepting=False, record=True)
+    explicit = acc.materialized_explored(exp)
+    return model, enc, ct, prune_unreachable(explicit.projected([x]))
 
 
 class TestConfigurationAutomaton:

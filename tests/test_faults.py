@@ -168,7 +168,7 @@ def test_env_armed_probe_is_sound(sizecount_par):
 class TestRefactoredHotPaths:
     """Sweep re-run pinned to the refactored decision hot path.
 
-    The int-table BDD core, the batched antichain fixpoint, and the
+    The int-table BDD core, the batched reachability fixpoint, and the
     recorded interface saturations of the conflict engine moved the code
     the solver probes sit on; these re-assert the no-silent-wrong-verdict
     contract on the new paths, with deeper hit counts so the probes fire
@@ -220,15 +220,9 @@ class TestRefactoredHotPaths:
             f"to {r.verdict!r}"
         )
 
-    @pytest.mark.parametrize("antichain", [True, False])
-    def test_antichain_paths_survive_fixpoint_injection(
-        self, sizecount_par, antichain, monkeypatch
-    ):
-        """The probe sits on the batch drain both with and without
-        subsumption pruning; neither path may mis-answer under fire."""
-        from repro.automata.product import ProductAutomaton
-
-        monkeypatch.setattr(ProductAutomaton, "ANTICHAIN", antichain)
+    def test_batch_drain_survives_fixpoint_injection(self, sizecount_par):
+        """The probe sits on the fixpoint's batch drain; a corrupted
+        frontier tuple must not produce a wrong answer."""
         faults.arm("emptiness.fixpoint", hit=17, action="corrupt")
         try:
             r = check_data_race(

@@ -86,6 +86,9 @@ class TestDifferential:
         lazy = ProductAutomaton(autos)
         eager = _eager_product(autos)
         assert lazy.explore().empty == is_empty(eager)
+        # The early-stop answer must agree with the saturating run's.
+        saturated = ProductAutomaton(autos).explore(stop_on_accepting=False)
+        assert saturated.empty == lazy.explore().empty
 
     @settings(max_examples=30, deadline=None)
     @given(factor_list())
