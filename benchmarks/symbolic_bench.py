@@ -2,11 +2,11 @@
 """Symbolic-engine scaling benchmark — the BENCH_symbolic.json artifact.
 
 Runs all seven Table-1 tasks on the MSO engine under *default* budgets and
-records, per task: verdict, wall seconds, query count, reached-state peaks,
-BDD nodes, and the antichain pruning counters.  Also records a depth-scaling
-curve: the bounded engine's wall time as the scope bound grows on one task,
-next to the (depth-independent) symbolic time for the same query — the
-paper's core pitch, in one plot-ready series.
+records, per task: verdict, wall seconds, query count, reached-state peak
+and total, and BDD nodes.  Also records a depth-scaling curve: the bounded
+engine's wall time as the scope bound grows on one task, next to the
+(depth-independent) symbolic time for the same query — the paper's core
+pitch, in one plot-ready series.
 
 Modes::
 
@@ -79,8 +79,6 @@ def run_all(deadline_s: float, with_depth: bool = True):
             "max_reached_states": st.get("max_reached", mv.max_states),
             "total_reached": st.get("total_reached"),
             "bdd_nodes": st.get("bdd_nodes"),
-            "pruned_tuples": st.get("pruned_tuples"),
-            "superseded_tuples": st.get("superseded_tuples"),
             "compile_s": round(st.get("compile_s") or 0.0, 3),
             "explore_s": round(st.get("explore_s") or 0.0, 3),
         }
@@ -88,7 +86,7 @@ def run_all(deadline_s: float, with_depth: bool = True):
             f"{tid:<6} {verdict:>15}{'' if match else ' (!)'} "
             f"{secs:>8.2f}s  queries={mv.queries:<4} "
             f"max_reached={st.get('max_reached', 0):<7} "
-            f"pruned={st.get('pruned_tuples', 0)}",
+            f"total_reached={st.get('total_reached', 0)}",
             flush=True,
         )
     out["all_match"] = all_match
