@@ -220,9 +220,23 @@ class TestRefactoredHotPaths:
             f"to {r.verdict!r}"
         )
 
-    def test_batch_drain_survives_fixpoint_injection(self, sizecount_par):
-        """The probe sits on the fixpoint's batch drain; a corrupted
-        frontier tuple must not produce a wrong answer."""
+    @pytest.mark.parametrize("record", [True, False])
+    def test_antichain_paths_survive_fixpoint_injection(
+        self, sizecount_par, record, monkeypatch
+    ):
+        """The probe sits on the fixpoint's batch drain, which the removed
+        antichain pruning once split into a pruned query path and the
+        unpruned recorded path; with every exploration recorded or
+        none, a corrupted frontier tuple must not produce a wrong answer."""
+        from repro.automata.product import ProductAutomaton
+
+        if record:
+            explore = ProductAutomaton.explore
+            monkeypatch.setattr(
+                ProductAutomaton,
+                "explore",
+                lambda self, *a, **kw: explore(self, *a, **{**kw, "record": True}),
+            )
         faults.arm("emptiness.fixpoint", hit=17, action="corrupt")
         try:
             r = check_data_race(
