@@ -51,19 +51,23 @@ __all__ = [
 #: Probes on the in-process decision procedure's hot paths.
 SOLVER_PROBES = ("bdd.apply", "product.expand", "emptiness.fixpoint")
 
-#: Probes on the service layer.  ``worker-abort`` is the non-cooperative
-#: one: it sits in :mod:`repro.service.worker` and, when armed, a
-#: sandboxed child answers it by dying on SIGSEGV mid-solve (no frame,
-#: no cleanup) instead of raising — the crash analogue of the in-process
-#: probes, used to test the supervisor/batch recovery paths.  The other
-#: three sit in the solve daemon (DESIGN.md §11): ``queue-full`` forces
-#: the admission queue to reject as if saturated, ``cache-row-corrupt``
-#: substitutes a corrupted row payload on a shared-cache read (the
-#: checksum must catch it and quarantine the row), and
-#: ``drain-interrupt`` aborts a graceful drain mid-way (the shared cache
-#: must still be consistent afterwards).
+#: Probes on the service layer.  ``worker-abort`` and ``worker-spin``
+#: sit in :mod:`repro.service.worker` and answer when armed inside a
+#: sandboxed child entering phase ``solve``: ``worker-abort`` is the
+#: non-cooperative one -- the child dies on SIGSEGV (no frame, no
+#: cleanup) instead of raising, the crash analogue of the in-process
+#: probes, used to test the supervisor/batch recovery paths -- and
+#: ``worker-spin`` makes the child spin on CPU until a wall-clock kill,
+#: the CPU rlimit or the supervisor stops it, so limit tests do not
+#: depend on how costly a solve is.  The other three sit in the solve
+#: daemon (DESIGN.md §11): ``queue-full`` forces the admission queue to
+#: reject as if saturated, ``cache-row-corrupt`` substitutes a corrupted
+#: row payload on a shared-cache read (the checksum must catch it and
+#: quarantine the row), and ``drain-interrupt`` aborts a graceful drain
+#: mid-way (the shared cache must still be consistent afterwards).
 SERVICE_PROBES = (
     "worker-abort",
+    "worker-spin",
     "queue-full",
     "cache-row-corrupt",
     "drain-interrupt",

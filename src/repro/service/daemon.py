@@ -58,7 +58,7 @@ from .scheduler import (
     Submission,
 )
 from .supervisor import RetryPolicy, SupervisedResult, Supervisor
-from .worker import lookup_verdict, store_verdict
+from .worker import lookup_verdict, shutdown_zygotes, store_verdict
 
 __all__ = [
     "DaemonConfig",
@@ -571,6 +571,8 @@ class SolveDaemon:
             )
         await asyncio.sleep(min(0.2, self.config.poll_s * 2))
         self._executor.shutdown(wait=not self._drain_aborted)
+        # Reaped here, every worker counts in this process's children.
+        shutdown_zygotes()
         self.cache.shared.close()
         try:
             self.socket_path.unlink()

@@ -20,7 +20,7 @@ Frames from child to parent:
     taxonomy type name, message, phase, and whether it is a resource
     class failure.
 
-The single parent-to-child frame is the :class:`Task` itself.
+The one parent-to-child frame, sent via the zygote, carries the :class:`Task`.
 
 Task identity is a *content hash* (:func:`task_key`): the SHA-256 of
 the canonical JSON of ``(kind, payload)``, in the spirit of the

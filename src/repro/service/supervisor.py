@@ -203,27 +203,22 @@ class Supervisor:
 
     # -- child bookkeeping (so an interrupt can kill live workers) ------
 
-    def _register(self, proc) -> None:
+    def _register(self, child) -> None:
         with self._lock:
-            self._procs[proc.pid] = proc
+            self._procs[child.pid] = child
 
     def _forget(self) -> None:
         with self._lock:
             self._procs = {
-                pid: p for pid, p in self._procs.items() if p.poll() is None
+                pid: c for pid, c in self._procs.items() if not c.reaped
             }
 
     def kill_live_workers(self) -> None:
         with self._lock:
-            procs = list(self._procs.values())
+            children = list(self._procs.values())
             self._procs.clear()
-        for proc in procs:
-            if proc.poll() is None:
-                try:
-                    proc.kill()
-                    proc.wait()
-                except OSError:  # pragma: no cover - already reaped
-                    pass
+        for child in children:
+            child.kill()
 
     def health(self) -> Dict[str, Any]:
         """The circuit breaker's state and the retry budget's spend, as

@@ -1,16 +1,17 @@
-"""One solve per sandboxed child process.
+"""One solve per sandboxed child process, forked from a warm zygote.
 
-The **child** (``python -m repro.service.worker``) reads a single
-:class:`~repro.service.protocol.Task` frame from stdin, applies hard OS
-limits to itself (``RLIMIT_CPU``, ``RLIMIT_AS``, no core dumps), runs
-the task's solve, and writes phase heartbeats plus one result frame to
-stdout.  Cooperative failures — the PR 2 taxonomy, ``MemoryError`` from
-the address-space rlimit, ``SIGXCPU`` from the CPU rlimit (converted to
-a :class:`~repro.runtime.DeadlineExceeded` by a signal handler) — still
-produce a structured ``result`` frame.  Only a *non-cooperative* death
-(SIGSEGV, SIGKILL, ``os._exit``) leaves the stream without one.
+The **child** is forked, one per task, from a zygote (:func:`zygote_main`)
+that imported the solver once.  It takes the task's environment,
+applies hard OS limits to itself (``RLIMIT_CPU``, ``RLIMIT_AS``, no core
+dumps), runs the task's solve, and writes phase heartbeats plus one
+result frame to its pipe.  Cooperative failures — the PR 2 taxonomy,
+``MemoryError`` from the address-space rlimit, ``SIGXCPU`` from the CPU
+rlimit (converted to a :class:`~repro.runtime.DeadlineExceeded` by a
+signal handler) — still produce a structured ``result`` frame.  Only a
+*non-cooperative* death (SIGSEGV, SIGKILL, ``os._exit``) leaves the
+stream without one.
 
-The **parent** (:func:`run_task`) spawns the child, enforces the
+The **parent** (:func:`run_task`) has the child forked, enforces the
 wall-clock limit with SIGKILL, and classifies what it read back into a
 :class:`WorkerOutcome`: ``ok`` (a verdict), ``failed`` (structured
 error), ``timeout`` (parent killed it), or ``crashed`` (died without a
@@ -23,28 +24,37 @@ whenever the task would run the symbolic engine — the non-cooperative
 analogue of the PR 2 probes.  Setting ``REPRO_FAULT_ONCE=<path>``
 additionally makes the crash one-shot across process boundaries (the
 child touches the sentinel file before dying), which is how the retry
-and resume tests model a transient crash.
+and resume tests model a transient crash.  ``REPRO_FAULT=worker-spin``
+makes the child spin on CPU in phase ``solve`` until something kills it.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 import select
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field, fields
+import traceback
+from contextlib import suppress
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .protocol import (
+    HEADER_BYTES,
     FrameError,
     Task,
     WorkerLimits,
+    decode_frame,
+    encode_frame,
+    frame_length,
     jsonable,
     read_frame,
     write_frame,
@@ -54,7 +64,7 @@ __all__ = [
     "WorkerOutcome",
     "run_task",
     "execute_payload",
-    "child_main",
+    "shutdown_zygotes",
     "decode_task",
     "lookup_verdict",
     "store_verdict",
@@ -223,22 +233,29 @@ def _task_is_symbolic(task: Task) -> bool:
     return False
 
 
-def _maybe_worker_abort(task: Task) -> None:
-    """Test-only crash hook: die by SIGSEGV mid-solve.
-
-    Fires only inside a child, only when :func:`_task_is_symbolic` says
-    the task would run the symbolic engine (the hook models a
-    non-cooperative symbolic blow-up, and this is what lets the circuit
-    breaker's bounded-only degradation actually recover), and — when
-    ``REPRO_FAULT_ONCE`` names a sentinel path — exactly once *pool-wide*: the sentinel is claimed with an atomic
-    ``O_CREAT | O_EXCL`` create, so concurrent children that all raced
-    past the fast-path existence check still elect a single crasher
-    (under the daemon's pool several workers start at once; a
-    check-then-touch sentinel would let every one of them die).
+def _maybe_worker_fault(task: Task) -> None:
+    """Test-only hooks of a child entering ``solve``: ``worker-spin``
+    spins on CPU until something kills the child; ``worker-abort`` dies
+    by SIGSEGV, only when :func:`_task_is_symbolic` says the task would
+    run the symbolic engine (the hook models a non-cooperative symbolic
+    blow-up, and this is what lets the circuit breaker's bounded-only
+    degradation actually recover), and — when ``REPRO_FAULT_ONCE`` names
+    a sentinel path — exactly once *pool-wide*: the sentinel is claimed
+    with an atomic ``O_CREAT | O_EXCL`` create, so concurrent children
+    that all raced past the fast-path existence check still elect a
+    single crasher (under the daemon's pool several workers start at
+    once; a check-then-touch sentinel would let every one of them die).
     """
     from ..runtime import faults
 
-    if not (_IN_CHILD and faults.ARMED and _task_is_symbolic(task)):
+    if not (_IN_CHILD and faults.ARMED):
+        return
+    try:
+        faults.fire("worker-spin")
+    except faults.InjectedFault:
+        while True:
+            pass
+    if not _task_is_symbolic(task):
         return
     once = os.environ.get("REPRO_FAULT_ONCE")
     if once and os.path.exists(once):
@@ -299,7 +316,7 @@ def _run_check(kind: str, payload: Dict[str, Any], set_phase) -> Dict[str, Any]:
     set_phase("parse")
     query, options = decode_task(task)
     set_phase("solve")
-    _maybe_worker_abort(task)
+    _maybe_worker_fault(task)
     if query.kind == "race":
         res = api.check_data_race(query.program, **options)
     else:
@@ -321,7 +338,7 @@ def _run_fuzz_case(payload: Dict[str, Any], set_phase) -> Dict[str, Any]:
         cfg_data["fault"] = tuple(cfg_data["fault"])
     cfg = OracleConfig(**cfg_data)
     set_phase("solve")
-    _maybe_worker_abort(Task(kind="fuzz-case", payload=payload))
+    _maybe_worker_fault(Task(kind="fuzz-case", payload=payload))
     result = run_case(case, cfg)
     return {
         "mismatches": [
@@ -356,20 +373,25 @@ def execute_payload(
     return runner(payload, set_phase)
 
 
-def child_main() -> int:  # pragma: no cover - exercised via subprocess
-    """Entry point of the worker child: one task frame in, frames out."""
+def _child_main(  # pragma: no cover - child only
+    request: Dict[str, Any], frame_fd: int, stderr_fd: int
+) -> int:
+    """One forked child: the task's environment and limits, then
+    heartbeats and one result frame on ``frame_fd``."""
     global _IN_CHILD, _EMITTER
     _IN_CHILD = True
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     # Keep the framing fd private: stray prints from engine code (or C
-    # extensions writing to fd 1) must not corrupt the protocol stream.
-    out_fp = os.fdopen(os.dup(1), "wb")
-    os.dup2(2, 1)
+    # extensions writing to fd 1) go to the stderr tail instead.
+    os.dup2(stderr_fd, 1)
+    os.dup2(stderr_fd, 2)
+    os.close(stderr_fd)
     sys.stdout = sys.stderr
-
-    frame = read_frame(sys.stdin.buffer)
-    if frame is None:
-        return 2
-    task = Task.from_dict(frame)
+    with suppress(OSError):
+        os.chdir(request["cwd"])
+    os.environ.clear()
+    os.environ.update(request["env"])
+    task = Task.from_dict(request["task"])
     _apply_rlimits(task.limits)
     signal.signal(signal.SIGXCPU, _on_xcpu)
 
@@ -377,11 +399,11 @@ def child_main() -> int:  # pragma: no cover - exercised via subprocess
 
     faults.install_from_env()
 
-    emitter = _Emitter(out_fp)
+    emitter = _Emitter(os.fdopen(frame_fd, "wb"))
     _EMITTER = emitter
     emitter.emit_phase()
-    hb = threading.Thread(target=_heartbeat_loop, args=(emitter,), daemon=True)
-    hb.start()
+    threading.Thread(
+        target=_heartbeat_loop, args=(emitter,), daemon=True).start()
     try:
         value = execute_payload(task.kind, task.payload, emitter.set_phase)
         emitter.result({"ok": True, "value": value})
@@ -390,6 +412,68 @@ def child_main() -> int:  # pragma: no cover - exercised via subprocess
             emitter.result({"ok": False, "error": _error_dict(e)})
         except (BrokenPipeError, OSError):
             return 1
+    return 0
+
+
+def zygote_main(ctl_fd: int) -> int:  # pragma: no cover - subprocess
+    """Fork a child per request on socket ``ctl_fd``; at EOF (the owner
+    closed it, or died) SIGKILL and reap live children, and exit.  Each
+    request's status pipe gets the child's pid, then its exit code
+    (``-signum`` for a signal) once ``SIGCHLD`` has it reaped."""
+    from ..conformance import oracle  # noqa: F401 - what children run
+    from ..core import api  # noqa: F401
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the owner's ^C is its own
+    ctl = socket.socket(fileno=ctl_fd)
+    wake_r, wake_w = os.pipe()
+    os.set_blocking(wake_w, False)
+    signal.set_wakeup_fd(wake_w)
+    signal.signal(signal.SIGCHLD, lambda _s, _f: None)
+    live: Dict[int, int] = {}  # child pid -> status pipe
+
+    def reap(flags: int) -> None:
+        while live:
+            pid, status = os.waitpid(-1, flags)
+            if pid == 0:
+                return
+            with suppress(OSError):
+                os.write(live[pid], b"%d\n" % os.waitstatus_to_exitcode(status))
+            os.close(live.pop(pid))
+
+    while True:
+        if wake_r in select.select([ctl, wake_r], [], [])[0]:
+            os.read(wake_r, 512)
+            reap(os.WNOHANG)
+            continue
+        # Reading exact lengths keeps each request's fds on its prefix.
+        head, fds, *_ = socket.recv_fds(ctl, HEADER_BYTES, 3, socket.MSG_WAITALL)
+        if len(head) < HEADER_BYTES:
+            break
+        body, n = b"", frame_length(head)
+        while len(body) < n and (chunk := ctl.recv(n - len(body))):
+            body += chunk  # a signal can cut one read short
+        request = decode_frame(body)
+        frame_w, status_w, stderr_fd = fds
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                ctl.close()
+                for fd in (status_w, *live.values()):
+                    os.close(fd)
+                code = _child_main(request, frame_w, stderr_fd)
+            except BaseException:
+                traceback.print_exc()
+            finally:
+                os._exit(code)
+        os.close(frame_w)
+        os.close(stderr_fd)
+        live[pid] = status_w
+        with suppress(OSError):
+            os.write(status_w, b"%d\n" % pid)
+    for pid in live:
+        os.kill(pid, signal.SIGKILL)
+    reap(0)
     return 0
 
 
@@ -437,52 +521,120 @@ def _child_env(env: Optional[Dict[str, str]]) -> Dict[str, str]:
     return out
 
 
-def _reap(proc: subprocess.Popen) -> int:
-    try:
-        return proc.wait(timeout=_REAP_GRACE_S)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        return proc.wait()
+class _Zygote:
+    """The owner's end of one zygote: its process and control socket."""
+
+    def __init__(self, env: Dict[str, str]) -> None:
+        self.ctl, theirs = socket.socketpair()
+        with theirs:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-c",
+                 "import sys; from repro.service.worker import zygote_main;"
+                 " sys.exit(zygote_main(int(sys.argv[1])))",
+                 str(theirs.fileno())],
+                pass_fds=(theirs.fileno(),),
+                env={k: v for k, v in env.items()
+                     if not k.startswith("REPRO_FAULT")},
+                stdin=subprocess.DEVNULL,
+                stdout=subprocess.DEVNULL,
+            )
+
+    def close(self) -> None:
+        self.ctl.close()  # EOF: the zygote kills its children and exits
+        self.proc.wait()
+
+
+#: This process's zygotes by start-up variables (``PYTHON*``): a task
+#: never runs in a zygote started with another ``PYTHONPATH``.
+_ZYGOTES: Dict[Tuple, _Zygote] = {}
+_ZYGOTES_LOCK = threading.Lock()  # also keeps one request on the wire
+
+
+def shutdown_zygotes() -> None:
+    """Stop this process's zygotes (and so their children) and wait."""
+    with _ZYGOTES_LOCK:
+        zygotes = list(_ZYGOTES.values())
+        _ZYGOTES.clear()
+    for zygote in zygotes:
+        zygote.close()
+
+
+atexit.register(shutdown_zygotes)
+
+
+def _spawn(env: Dict[str, str], request: bytes, fds) -> None:
+    """Send ``request`` with ``fds`` to the zygote for ``env``, starting
+    it on first use and once more if it has died."""
+    key = tuple(sorted(i for i in env.items() if i[0].startswith("PYTHON")))
+    with _ZYGOTES_LOCK:
+        for _ in range(2):
+            zygote = _ZYGOTES.get(key)
+            if zygote is None or zygote.proc.poll() is not None:
+                zygote = _ZYGOTES[key] = _Zygote(env)
+            try:
+                sent = socket.send_fds(zygote.ctl, [request], fds)
+                zygote.ctl.sendall(request[sent:])
+                return
+            except OSError:
+                del _ZYGOTES[key]
+                zygote.close()
+
+
+@dataclass
+class _Child:
+    """``on_spawn``'s handle: kills by pid until the status is read."""
+
+    pid: int
+    reaped: bool = False
+
+    def kill(self) -> None:
+        if not self.reaped:
+            with suppress(ProcessLookupError):
+                os.kill(self.pid, signal.SIGKILL)
 
 
 def run_task(
     task: Task,
     env: Optional[Dict[str, str]] = None,
-    on_spawn: Optional[Callable[[subprocess.Popen], None]] = None,
+    on_spawn: Optional[Callable[[_Child], None]] = None,
 ) -> WorkerOutcome:
     """Run one task in a fresh sandboxed child; never raises for child
-    failure — every way the child can die maps to a :class:`WorkerOutcome`."""
+    failure — every way the child can die maps to a :class:`WorkerOutcome`.
+    ``env`` is the child's environment (default: this process's)."""
     t0 = time.monotonic()
     deadline = (
         t0 + task.limits.wall_s if task.limits.wall_s is not None else None
     )
-    stderr_file = tempfile.TemporaryFile()
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.service.worker"],
-        stdin=subprocess.PIPE,
-        stdout=subprocess.PIPE,
-        stderr=stderr_file,
-        env=_child_env(env),
+    env = _child_env(env)
+    request = encode_frame(
+        {"task": task.to_dict(), "env": env, "cwd": os.getcwd()}
     )
-    if on_spawn is not None:
-        on_spawn(proc)
+    stderr_file = tempfile.TemporaryFile()
+    frame_r, frame_w = os.pipe()
+    status_r, status_w = os.pipe()
+    try:
+        _spawn(env, request, (frame_w, status_w, stderr_file.fileno()))
+    finally:
+        os.close(frame_w)
+        os.close(status_w)
+    status = os.fdopen(status_r, "rb", buffering=0)
     phase: Optional[str] = None
     rss_kb: Optional[int] = None
     result_frame: Optional[Dict[str, Any]] = None
+    returncode: Optional[int] = None
     timed_out = False
     torn = False
     try:
-        try:
-            write_frame(proc.stdin, task.to_dict())
-            proc.stdin.close()
-        except (BrokenPipeError, OSError):
-            pass  # child died before reading; classified below
-        reader = _DeadlineReader(proc.stdout.fileno(), deadline)
-        while True:
+        pid = status.readline()  # empty if the zygote died first
+        child = _Child(int(pid)) if pid else None
+        if child is not None and on_spawn is not None:
+            on_spawn(child)
+        reader = _DeadlineReader(frame_r, deadline)
+        while child is not None:
             try:
                 frame = read_frame(reader)
             except _WallTimeout:
-                proc.kill()
+                child.kill()
                 timed_out = True
                 break
             except FrameError:
@@ -496,12 +648,15 @@ def run_task(
             elif frame.get("type") == "result":
                 result_frame = frame
                 break
-        returncode = _reap(proc)
+        if child is not None:
+            if not select.select([status], [], [], _REAP_GRACE_S)[0]:
+                child.kill()
+            code = status.readline()
+            child.reaped = True
+            returncode = int(code) if code else None
     finally:
-        proc.stdout.close()
-        if proc.poll() is None:  # pragma: no cover - safety net
-            proc.kill()
-            proc.wait()
+        os.close(frame_r)
+        status.close()
     stderr_file.seek(0)
     stderr_tail = stderr_file.read()[-2048:].decode("utf-8", "replace")
     stderr_file.close()
@@ -741,6 +896,3 @@ def run_case_isolated(
     )
     return result
 
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    sys.exit(child_main())

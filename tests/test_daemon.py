@@ -626,6 +626,20 @@ def test_daemon_decodes_each_submission_once(tmp_path, monkeypatch):
             assert decoded == ["racy", "racy"]
 
 
+def test_drained_daemon_has_reaped_its_zygote(tmp_path):
+    """After a drain no zygote or worker is left running: the daemon
+    reaps them, so their usage counts towards the daemon's children."""
+    from repro.service import worker
+
+    with DaemonHandle(tmp_path / "run", isolation="process") as h:
+        with h.client() as c:
+            assert c.submit_task(racy_task())["ok"]
+        zygotes = list(worker._ZYGOTES.values())
+        assert zygotes
+    assert all(z.proc.returncode is not None for z in zygotes)
+    assert not worker._ZYGOTES
+
+
 def test_client_error_when_no_daemon(tmp_path):
     client = DaemonClient(tmp_path / "nope.sock")
     with pytest.raises(DaemonError, match="repro serve"):

@@ -77,9 +77,10 @@ class TestHarness:
 
 
 # The sweep covers the solver-internal probes only: the service-layer
-# probes (queue-full, cache-row-corrupt, drain-interrupt, worker-abort)
-# fire in admission/cache/daemon code that an in-process solve never
-# reaches, and have their own tests in test_daemon.py / test_service.py.
+# probes (queue-full, cache-row-corrupt, drain-interrupt, worker-abort,
+# worker-spin) fire in admission/cache/daemon/worker-child code that an
+# in-process solve never reaches, and have their own tests in
+# test_daemon.py / test_service.py.
 SWEEP = [
     (probe, action, hit)
     for probe in faults.SOLVER_PROBES

@@ -10,9 +10,12 @@ uses the bounded engine on tiny programs so a full run stays in seconds.
 import io
 import json
 import os
+import signal
 import sqlite3
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -50,6 +53,11 @@ Main(n) { { x = F(n.l) || y = F(n.r) }; return x + y }
 """
 
 BOUNDED = {"engine": "bounded", "max_internal": 2}
+
+
+def spin_env():
+    """A child environment where the solve spins on CPU until killed."""
+    return {**os.environ, "REPRO_FAULT": "worker-spin:1"}
 
 
 def crash_env(tmp_path, once=True):
@@ -139,12 +147,15 @@ def test_worker_abort_skips_bounded_tasks(tmp_path):
 
 
 def test_worker_wall_clock_kill():
+    # Warm the zygote first, so the limit times the spinning task alone.
+    assert run_task(task_for_race(RACY, options=BOUNDED)).status == "ok"
     task = task_for_race(
-        RACY, options=BOUNDED, limits=WorkerLimits(wall_s=0.05)
+        RACY, options=BOUNDED, limits=WorkerLimits(wall_s=0.5)
     )
-    out = run_task(task)
+    out = run_task(task, env=spin_env())
     assert out.status == "timeout"
     assert out.outcome_class == "resource"
+    assert out.phase == "solve"
 
 
 def test_worker_cpu_rlimit_never_crashes_parent():
@@ -168,6 +179,124 @@ def test_worker_cpu_rlimit_never_crashes_parent():
     assert out.status in ("failed", "crashed")
     assert out.outcome_class in ("resource", "crashed")
     assert out.phase == "solve"
+
+
+def test_worker_spin_hits_cpu_rlimit():
+    task = task_for_race(
+        RACY, options=BOUNDED, limits=WorkerLimits(wall_s=60.0, cpu_s=1.0)
+    )
+    out = run_task(task, env=spin_env())
+    assert out.outcome_class in ("resource", "crashed")
+    assert out.phase == "solve"
+
+
+SYMBOLIC = {"max_internal": 2, "replay": False}
+
+
+def test_worker_env_travels_with_each_task(monkeypatch):
+    """A warm zygote must not pin the environment: the fault armed for
+    one task reaches its child, and is gone for the next task."""
+    monkeypatch.delenv("REPRO_FAULT", raising=False)
+    monkeypatch.delenv("REPRO_FAULT_ONCE", raising=False)
+    assert run_task(task_for_race(RACY, options=BOUNDED)).status == "ok"
+    monkeypatch.setenv("REPRO_FAULT", "worker-abort:1")
+    out = run_task(task_for_race(RACY, options=SYMBOLIC))
+    assert out.status == "crashed" and out.signal == signal.SIGSEGV
+    monkeypatch.delenv("REPRO_FAULT")
+    assert run_task(task_for_race(RACY, options=SYMBOLIC)).status == "ok"
+
+
+def test_parent_armed_probe_does_not_reach_the_child():
+    from repro.runtime import faults
+
+    spec = faults.arm("bdd.apply", hit=1)
+    try:
+        out = run_task(task_for_race(RACY, options=SYMBOLIC))
+    finally:
+        faults.disarm_all()
+    assert out.status == "ok"
+    assert out.value["details"]["decided_by"] == "mso"  # no fallback rung
+    assert not spec.fired
+
+
+def test_task_pythonpath_picks_its_own_zygote(tmp_path):
+    """A task whose env names another PYTHONPATH runs in an interpreter
+    started with it: its ``sitecustomize`` runs at start-up."""
+    marker = tmp_path / "started"
+    (tmp_path / "sitecustomize.py").write_text(
+        f"open({str(marker)!r}, 'w').close()\n"
+    )
+    assert run_task(task_for_race(RACY, options=BOUNDED)).status == "ok"
+    assert not marker.exists()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(tmp_path), env.get("PYTHONPATH")) if p
+    )
+    out = run_task(task_for_race(RACY, options=BOUNDED), env=env)
+    assert out.status == "ok" and out.value["verdict"] == "race"
+    assert marker.exists()
+
+
+def _worker_alive(pid):
+    """Whether ``pid`` is a running zygote or worker (not a zombie)."""
+    try:
+        return b"repro.service.worker" in Path(
+            f"/proc/{pid}/cmdline").read_bytes()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/cmdline").exists(),
+                    reason="needs /proc")
+def test_no_worker_outlives_a_sigkilled_owner():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = f"""
+import os, sys, threading, time
+sys.path.insert(0, {src!r})
+from repro.service import WorkerLimits, run_task
+from repro.service.worker import _ZYGOTES, task_for_race
+task = task_for_race({RACY!r}, options={BOUNDED!r},
+                     limits=WorkerLimits(wall_s=600.0))
+spawned = []
+env = dict(os.environ, REPRO_FAULT="worker-spin:1")
+threading.Thread(target=run_task, args=(task, env, spawned.append),
+                 daemon=True).start()
+while not spawned:
+    time.sleep(0.01)
+zygote, = _ZYGOTES.values()
+print(zygote.proc.pid, spawned[0].pid, flush=True)
+time.sleep(600)
+"""
+    owner = subprocess.Popen([sys.executable, "-c", script],
+                             stdout=subprocess.PIPE, text=True)
+    try:
+        pids = [int(p) for p in owner.stdout.readline().split()]
+        assert len(pids) == 2 and all(map(_worker_alive, pids))
+    finally:
+        owner.kill()
+        owner.wait()
+        owner.stdout.close()
+    deadline = time.monotonic() + 5.0
+    while any(map(_worker_alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_worker_alive, pids))
+
+
+def test_kill_live_workers_kills_a_spinning_child():
+    sup = Supervisor(policy=RetryPolicy(max_attempts=1), env=spin_env())
+    task = task_for_race(RACY, options=BOUNDED,
+                         limits=WorkerLimits(wall_s=60.0))
+    box = {}
+    runner = threading.Thread(target=lambda: box.update(r=sup.run_one(task)))
+    runner.start()
+    deadline = time.monotonic() + 30.0
+    while not sup._procs and time.monotonic() < deadline:
+        time.sleep(0.01)
+    sup.kill_live_workers()
+    runner.join(timeout=30.0)
+    final = box["r"].final
+    assert final.status == "crashed" and final.signal == signal.SIGKILL
+    assert final.elapsed < 30.0
 
 
 # ----------------------------------------------------------------------
