@@ -58,7 +58,12 @@ from .scheduler import (
     Submission,
 )
 from .supervisor import RetryPolicy, SupervisedResult, Supervisor
-from .worker import lookup_verdict, shutdown_zygotes, store_verdict
+from .worker import (
+    lookup_verdict,
+    shutdown_zygotes,
+    start_zygote,
+    store_verdict,
+)
 
 __all__ = [
     "DaemonConfig",
@@ -112,8 +117,8 @@ class DaemonConfig:
     client_burst: float = 8.0
     warm_corpus: Optional[Path] = None
     drain_grace_s: float = 60.0
-    #: worker-loop poll interval; tests raise it to make admission
-    #: races deterministic.
+    #: how often a drain re-checks for unfinished work (worker loops
+    #: never poll: a queued submission wakes them).
     poll_s: float = 0.02
 
 
@@ -226,6 +231,9 @@ class SolveDaemon:
         #: key → queued submission (coalescing anchor before dispatch).
         self._queued: Dict[str, Submission] = {}
         self._running: set = set()
+        #: Set when a submission is queued or a drain starts; an idle
+        #: worker loop waits on it instead of sleep-polling.
+        self._work: Optional[asyncio.Event] = None
         self._stop: Optional[asyncio.Event] = None
         self._draining = False
         self._drain_aborted = False
@@ -315,7 +323,10 @@ class SolveDaemon:
             if sub is None:
                 if self._draining:
                     return
-                await asyncio.sleep(self.config.poll_s)
+                # Cleared only right after seeing an empty queue, with
+                # no await in between: no submission's wake-up is lost.
+                self._work.clear()
+                await self._work.wait()
                 continue
             self._queued.pop(sub.key, None)
             self._running.add(sub.key)
@@ -429,6 +440,7 @@ class SolveDaemon:
                 return
             sub.query = query
             self._queued[key] = sub
+            self._work.set()
             for victim in shed:
                 self._queued.pop(victim.key, None)
                 self._resolve_waiters(
@@ -510,6 +522,7 @@ class SolveDaemon:
                 self.cache, self.config.warm_corpus, log=self.say
             )
         self._stop = asyncio.Event()
+        self._work = asyncio.Event()
         loop = asyncio.get_running_loop()
         for sig, code in ((signal.SIGTERM, 0), (signal.SIGINT, 130)):
             try:
@@ -533,6 +546,10 @@ class SolveDaemon:
             asyncio.create_task(self._worker_loop())
             for _ in range(self.config.jobs)
         ]
+        if self.config.isolation == "process":
+            # Its imports overlap start-up: a first miss waits only
+            # for what is left of them.
+            start_zygote(self.supervisor.env)
         self.say(
             f"daemon pid {os.getpid()} listening on {self.socket_path} "
             f"(jobs={self.config.jobs}, isolation={self.config.isolation}, "
@@ -542,6 +559,7 @@ class SolveDaemon:
 
         # -- graceful drain: stop admitting, finish everything admitted.
         self._draining = True
+        self._work.set()  # idle workers see the drain and return
         server.close()
         await server.wait_closed()
         exit_code = self._exit_code

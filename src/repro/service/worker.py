@@ -64,6 +64,7 @@ __all__ = [
     "WorkerOutcome",
     "run_task",
     "execute_payload",
+    "start_zygote",
     "shutdown_zygotes",
     "decode_task",
     "lookup_verdict",
@@ -562,15 +563,35 @@ def shutdown_zygotes() -> None:
 atexit.register(shutdown_zygotes)
 
 
+def _zygote_key(env: Dict[str, str]) -> Tuple:
+    return tuple(sorted(i for i in env.items() if i[0].startswith("PYTHON")))
+
+
+def _live_zygote(key: Tuple, env: Dict[str, str]) -> _Zygote:
+    """The zygote for ``key``, started if there is none or it died;
+    the caller holds ``_ZYGOTES_LOCK``."""
+    zygote = _ZYGOTES.get(key)
+    if zygote is None or zygote.proc.poll() is not None:
+        zygote = _ZYGOTES[key] = _Zygote(env)
+    return zygote
+
+
+def start_zygote(env: Optional[Dict[str, str]] = None) -> None:
+    """Start the zygote that tasks run with ``env`` (default: this
+    process's environment) will use, without waiting for its imports,
+    so a long-lived owner's first task does not pay for them."""
+    env = _child_env(env)
+    with _ZYGOTES_LOCK:
+        _live_zygote(_zygote_key(env), env)
+
+
 def _spawn(env: Dict[str, str], request: bytes, fds) -> None:
     """Send ``request`` with ``fds`` to the zygote for ``env``, starting
     it on first use and once more if it has died."""
-    key = tuple(sorted(i for i in env.items() if i[0].startswith("PYTHON")))
+    key = _zygote_key(env)
     with _ZYGOTES_LOCK:
         for _ in range(2):
-            zygote = _ZYGOTES.get(key)
-            if zygote is None or zygote.proc.poll() is not None:
-                zygote = _ZYGOTES[key] = _Zygote(env)
+            zygote = _live_zygote(key, env)
             try:
                 sent = socket.send_fds(zygote.ctl, [request], fds)
                 zygote.ctl.sendall(request[sent:])

@@ -66,6 +66,32 @@ def distinct_task(i):
     return task_for_race(src, options=BOUNDED, name=f"t{i}")
 
 
+class WorkerGate:
+    """Holds every inline solve until :meth:`release`, so a test can
+    keep the daemon's one worker busy while it queues work behind it."""
+
+    def __init__(self, monkeypatch):
+        from repro.service import supervisor
+
+        self._started = threading.Semaphore(0)
+        self._open = threading.Event()
+        real = supervisor.execute_payload
+
+        def held(*args, **kw):
+            self._started.release()
+            self._open.wait(timeout=30)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(supervisor, "execute_payload", held)
+
+    def wait_started(self):
+        """Block until a solve has entered the gate."""
+        assert self._started.acquire(timeout=10), "no solve started"
+
+    def release(self):
+        self._open.set()
+
+
 @pytest.fixture(autouse=True)
 def _clean_faults():
     yield
@@ -408,11 +434,19 @@ def test_daemon_quarantines_corruption_across_restart(tmp_path):
             assert c.status()["completed"] == 1
 
 
-def test_daemon_overload_and_shedding_e2e(tmp_path):
-    # poll_s is large so submissions land inside one worker sleep
-    # window: admission behavior becomes deterministic.
-    with DaemonHandle(tmp_path / "run", queue_depth=1, poll_s=0.5) as h:
-        with h.client("flooder") as c:
+def test_daemon_overload_and_shedding_e2e(tmp_path, monkeypatch):
+    # A held solve occupies the one worker, so later submissions stay
+    # queued: admission behavior becomes deterministic.
+    gate = WorkerGate(monkeypatch)
+    with DaemonHandle(tmp_path / "run", queue_depth=1) as h, \
+            h.client("flooder") as c:
+        try:
+            busy = c.request({
+                "type": "submit", "client": "flooder", "priority": 5,
+                "task": distinct_task(3).to_dict(), "wait": False,
+            })
+            assert busy["type"] == "accepted"
+            gate.wait_started()
             fill = c.request({
                 "type": "submit", "client": "flooder", "priority": 5,
                 "task": distinct_task(0).to_dict(), "wait": False,
@@ -436,6 +470,8 @@ def test_daemon_overload_and_shedding_e2e(tmp_path):
             st = c.status()
             assert st["queue"]["counters"]["shed"] == 1
             assert st["queue"]["counters"]["rejected_full"] == 1
+        finally:
+            gate.release()
 
 
 def test_daemon_quota_rejects_but_other_client_completes(tmp_path):
@@ -459,8 +495,11 @@ def test_daemon_quota_rejects_but_other_client_completes(tmp_path):
     assert st["queue"]["clients"]["patient"]["completed"] == 1
 
 
-def test_daemon_coalesces_concurrent_identical_submissions(tmp_path):
-    with DaemonHandle(tmp_path / "run", poll_s=0.3) as h:
+def test_daemon_coalesces_concurrent_identical_submissions(
+    tmp_path, monkeypatch
+):
+    gate = WorkerGate(monkeypatch)
+    with DaemonHandle(tmp_path / "run") as h:
         task = racy_task()
         results = {}
 
@@ -472,12 +511,19 @@ def test_daemon_coalesces_concurrent_identical_submissions(tmp_path):
             threading.Thread(target=submit, args=(f"c{i}",))
             for i in range(3)
         ]
-        for t in threads:
+        # The first solve is held until the other two joined it.
+        threads[0].start()
+        gate.wait_started()
+        for t in threads[1:]:
             t.start()
-            time.sleep(0.02)  # same poll window, distinct connections
-        for t in threads:
-            t.join(timeout=30)
         with h.client() as c:
+            deadline = time.monotonic() + 10
+            while (c.status()["coalesced"] < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            gate.release()
+            for t in threads:
+                t.join(timeout=30)
             st = c.status()
     assert len(results) == 3
     for r in results.values():
@@ -503,17 +549,26 @@ def test_daemon_rejects_while_draining_and_exits_zero(tmp_path):
     assert h.daemon.stats["failed"] == 0
 
 
-def test_drain_interrupt_probe_aborts_with_exit_one(tmp_path):
-    with DaemonHandle(tmp_path / "run", poll_s=1.0) as h:
+def test_drain_interrupt_probe_aborts_with_exit_one(tmp_path, monkeypatch):
+    gate = WorkerGate(monkeypatch)
+    with DaemonHandle(tmp_path / "run") as h:
         faults.arm("drain-interrupt", hit=1)
         with h.client() as c:
-            # Queued but unserved (worker sleeps poll_s between polls).
+            # One solve held in the only worker, one queued behind it.
             c.request({
                 "type": "submit", "client": "x", "priority": 5,
                 "task": racy_task().to_dict(), "wait": False,
             })
+            gate.wait_started()
+            c.request({
+                "type": "submit", "client": "x", "priority": 5,
+                "task": racefree_task().to_dict(), "wait": False,
+            })
             c.shutdown()
-        assert h.stop() == 1  # aborted drain is loud, not silent
+        try:
+            assert h.stop() == 1  # aborted drain is loud, not silent
+        finally:
+            gate.release()
     assert h.daemon.stats["completed"] == 0
     # The store is still consistent: nothing half-written to quarantine.
     store = SharedCache(tmp_path / "run" / "cache.sqlite")
