@@ -108,6 +108,11 @@ class InterpEngine(Engine):
     seeded field valuations.  Clean means "no evidence found" — the
     valuations are sampled — so it is ``complete_for="scope-sampled"``
     and its clean verdicts are never cache-reusable.
+
+    The race searches run a *value-blind* program (no branch reads a
+    field, see :func:`repro.interp.value_blind`) once per tree: every
+    valuation of one tree gives it the same accesses, so the others
+    would only repeat the first run's races.
     """
 
     name = "interp"
@@ -120,7 +125,7 @@ class InterpEngine(Engine):
     value_range: Tuple[int, int] = (0, 5)
 
     def _valuations(self, query, scope, field_seeds, trees=None,
-                    guard=None):
+                    guard=None, first_only=False):
         """(work, seed, fields) triples to check; each ``work`` is a fresh
         copy holding the valuation, the one copy a run may mutate.
 
@@ -129,21 +134,22 @@ class InterpEngine(Engine):
         ``None`` — its fields are meaningful data, e.g. a game tree's
         static values) and then under the seeded valuations.  A
         ``guard`` is checked once per scope tree, as the bounded engine
-        does.
+        does.  With ``first_only`` each tree yields only its first
+        valuation, and no copy is made for the others.
         """
         fields = query.fields()
-        seeds = field_seeds if field_seeds is not None else self.field_seeds
+        seeds = tuple(field_seeds if field_seeds is not None
+                      else self.field_seeds)
         if trees is not None:
-            for tree in trees:
-                for seed in (None,) + (tuple(seeds) if fields else ()):
-                    yield self._valued(tree, seed, fields), seed, fields
-            return
-        from ..core.bounded import default_scope
+            seeds = (None,) + (seeds if fields else ())
+        else:
+            from ..core.bounded import default_scope
 
-        for tree in default_scope(scope if scope is not None else query.scope):
+            trees = default_scope(scope if scope is not None else query.scope)
+        for tree in trees:
             if guard is not None:
                 guard.check_now("interp")
-            for seed in seeds:
+            for seed in seeds[:1] if first_only else seeds:
                 yield self._valued(tree, seed, fields), seed, fields
 
     def _valued(self, tree, seed, fields):
@@ -171,12 +177,14 @@ class InterpEngine(Engine):
 
         The fork-join happens-before relation is schedule-independent,
         so one run per (tree, valuation) decides racefreeness on that
-        input.
+        input; a value-blind program gets one run per tree, under the
+        first seed, which is the seed the evidence would name anyway.
         """
-        from ..interp import program_races_on
+        from ..interp import program_races_on, value_blind
 
         for work, seed, _fields in self._valuations(
-            query, scope, field_seeds, guard=guard
+            query, scope, field_seeds, guard=guard,
+            first_only=value_blind(query.program),
         ):
             races = program_races_on(query.program, work)
             if races:
@@ -192,13 +200,17 @@ class InterpEngine(Engine):
         Returns ``(tree_index, seed, work, race)`` — the index into
         ``trees``, the valuation seed (``None`` = fields as given), the
         input under that valuation as it was before the racing run, and
-        the :class:`~repro.interp.races.RacePair` — or ``None``.
+        the :class:`~repro.interp.races.RacePair` — or ``None``.  A
+        value-blind program runs each tree as given only: a race there
+        is the first one the seeded runs would have reported, and no
+        race there means none under any valuation.
         """
-        from ..interp import program_races_on
+        from ..interp import program_races_on, value_blind
 
+        first_only = value_blind(query.program)
         for i, tree in enumerate(trees):
             for work, seed, fields in self._valuations(
-                query, None, field_seeds, trees=[tree]
+                query, None, field_seeds, trees=[tree], first_only=first_only
             ):
                 races = program_races_on(query.program, work)
                 if races:

@@ -1,6 +1,6 @@
 """Concrete execution semantics for Retreet (interpreter, schedules, races)."""
 
-from .interpreter import ExecutionError, Result, run
+from .interpreter import ExecutionError, Result, run, value_blind
 from .races import RacePair, find_races, program_races_on
 from .reference import run_reference
 from .schedules import (
@@ -16,7 +16,7 @@ from .schedules import (
 from .trace import Ctx, Event, Iteration, Trace, concurrent
 
 __all__ = [
-    "ExecutionError", "Result", "run", "run_reference",
+    "ExecutionError", "Result", "run", "run_reference", "value_blind",
     "RacePair", "find_races", "program_races_on",
     "LeftFirst", "RandomScheduler", "ReplayScheduler", "RoundRobin",
     "Scheduler", "all_schedules", "distinct_outcomes",

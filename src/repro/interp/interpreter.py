@@ -45,7 +45,7 @@ from ..trees.heap import NilAccessError, Tree, TreeNode
 from .schedules import LeftFirst, Scheduler
 from .trace import Ctx, Event, Iteration, Trace
 
-__all__ = ["run", "ExecutionError", "Result"]
+__all__ = ["run", "ExecutionError", "Result", "value_blind"]
 
 
 class ExecutionError(RuntimeError):
@@ -133,27 +133,85 @@ _ASSIGN, _IF, _JUMP, _CALL, _PAR = range(5)
 _CODE: "weakref.WeakKeyDictionary[A.Program, tuple]" = weakref.WeakKeyDictionary()
 
 
-def _code_of(program: A.Program) -> Dict[str, Tuple[tuple, Tuple[str, ...]]]:
-    """``{function: (code, Int params)}``, compiled on the program's first
-    run and cached by identity; a program whose functions were rewritten
-    in place since is compiled again."""
+def _code_of(program: A.Program) -> tuple:
+    """``(shape, {function: (code, Int params)}, value-blind)``, built on
+    the program's first run and cached by identity; a program whose
+    functions were rewritten in place since is compiled again."""
     shape = tuple((f, f.body, f.int_params) for f in program.funcs.values())
     hit = _CODE.get(program)
     if hit is None or hit[0] != shape:
-        table = BlockTable(program)
-        hit = _CODE[program] = (shape, {
-            name: (_Compiler(table, name).code(f.body), f.int_params)
+        table, flows, guards = BlockTable(program), [], []
+        codes = {
+            name: (_Compiler(table, program, name, flows, guards).code(f.body),
+                   f.int_params)
             for name, f in program.funcs.items()
-        })
-    return hit[1]
+        }
+        hit = _CODE[program] = (shape, codes, _blind(flows, guards))
+    return hit
+
+
+def value_blind(program: A.Program) -> bool:
+    """True iff no ``if`` guard of ``program`` depends on a field value.
+
+    Such a program, run with fixed entry arguments, takes the same
+    branches on every valuation of one tree's fields: it runs the same
+    blocks on the same nodes under the same contexts, records the same
+    accesses and raises the same errors.  Only its returns and the
+    values it writes differ.  Computed with the compiled code and cached
+    with it."""
+    return _code_of(program)[2]
+
+
+# Taint analysis behind ``value_blind``.  A taint key is ``(function,
+# variable name)`` for an Int variable, ``(function, position)`` for a
+# return position, or ``_FIELD`` for any field value.  The compiler
+# records a flow ``(key, keys its value is computed from)`` for every
+# variable assignment, return expression, call argument (into the
+# callee's parameter) and call target (from the callee's return
+# position), and the keys of every ``>``/``== 0`` guard.  The fixpoint is
+# flow-insensitive and spans all functions, so loops of calls, mutual
+# recursion and par branches sharing their frame's variables are covered.
+_FIELD = object()
+
+
+def _reads(e: A.AExpr, fname: str) -> set:
+    """The taint keys the value of ``e`` in function ``fname`` reads."""
+    if isinstance(e, A.Var):
+        return {(fname, e.name)}
+    if isinstance(e, A.FieldRead):
+        return {_FIELD}
+    if isinstance(e, (A.Add, A.Sub)):
+        return _reads(e.left, fname) | _reads(e.right, fname)
+    if isinstance(e, A.Neg):
+        return _reads(e.expr, fname)
+    if isinstance(e, (A.Max, A.Min)):
+        return set().union(*(_reads(a, fname) for a in e.args))
+    return set()
+
+
+def _blind(flows: list, guards: list) -> bool:
+    tainted = {_FIELD}
+    grew = True
+    while grew:
+        grew = False
+        for key, deps in flows:
+            if key not in tainted and not tainted.isdisjoint(deps):
+                tainted.add(key)
+                grew = True
+    return all(tainted.isdisjoint(deps) for deps in guards)
 
 
 class _Compiler:
-    """Compiles the body of function ``fname`` (see the opcodes above)."""
+    """Compiles the body of function ``fname`` (see the opcodes above),
+    appending its taint facts to ``flows`` and ``guards``."""
 
-    def __init__(self, table: BlockTable, fname: str) -> None:
+    def __init__(self, table: BlockTable, program: A.Program, fname: str,
+                 flows: list, guards: list) -> None:
         self.table = table
+        self.program = program
         self.fname = fname
+        self.flows = flows
+        self.guards = guards
 
     def code(self, stmt: A.Stmt) -> tuple:
         out: list = []
@@ -184,6 +242,12 @@ class _Compiler:
             out.append((_ASSIGN, steps, sid, tuple(assigns), returns))
         elif isinstance(s, A.CallStmt):
             sid = self.table.of_stmt(s).sid
+            callee = self.program.funcs.get(s.func)
+            if callee is not None:
+                self.flows.extend(((s.func, p), _reads(e, self.fname))
+                                  for p, e in zip(callee.int_params, s.args))
+            self.flows.extend(((self.fname, t), {(s.func, k)})
+                              for k, t in enumerate(s.targets))
             out.append((_CALL, steps, sid, s.func, self._loc(s.loc),
                         tuple(self._a(e, sid) for e in s.args), s.targets))
         elif isinstance(s, A.If):
@@ -211,6 +275,7 @@ class _Compiler:
     def _assign(self, a: A.Assign, sid: str):
         if isinstance(a, A.VarAssign):
             name, x = a.name, self._a(a.expr, sid)
+            self.flows.append(((self.fname, name), _reads(a.expr, self.fname)))
 
             def assign(m, f):
                 f.env[name] = x(m, f)
@@ -229,6 +294,8 @@ class _Compiler:
                 node.set(fname, v)
         else:  # Return
             xs = tuple(self._a(e, sid) for e in a.exprs)
+            self.flows.extend(((self.fname, k), _reads(e, self.fname))
+                              for k, e in enumerate(a.exprs))
 
             def assign(m, f):
                 f.ret_values = tuple([x(m, f) for x in xs])
@@ -300,11 +367,11 @@ class _Compiler:
         if isinstance(b, A.IsNil):
             resolve = self._loc(b.loc)
             return lambda m, f: resolve(f).is_nil
-        if isinstance(b, A.Gt):
+        if isinstance(b, (A.Gt, A.Eq0)):
+            self.guards.append(_reads(b.expr, self.fname))
             x = self._a(b.expr, None)
-            return lambda m, f: x(m, f) > 0
-        if isinstance(b, A.Eq0):
-            x = self._a(b.expr, None)
+            if isinstance(b, A.Gt):
+                return lambda m, f: x(m, f) > 0
             return lambda m, f: x(m, f) == 0
         if isinstance(b, A.Not):
             x = self._b(b.expr)
@@ -333,7 +400,7 @@ class _Machine:
         strict_vars: bool,
         max_steps: int,
     ) -> None:
-        self.codes = _code_of(program)
+        self.codes = _code_of(program)[1]
         self.tree = tree
         self.scheduler = scheduler
         self.strict_vars = strict_vars
@@ -518,13 +585,9 @@ def run(
     default scales with tree size (``max(1_000_000, 64 * (size + 1))``)
     so depth-100k inputs run without tuning.
     """
-    if inplace:
-        work = tree
-        size = tree.size if max_steps is None else 0
-    else:
-        work, size = tree._clone_counted()
+    work = tree if inplace else tree.clone()
     if max_steps is None:
-        max_steps = max(1_000_000, 64 * (size + 1))
+        max_steps = max(1_000_000, 64 * (work.size + 1))
     m = _Machine(
         program, work, scheduler or LeftFirst(), record_events, strict_vars, max_steps
     )

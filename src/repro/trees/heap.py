@@ -175,6 +175,9 @@ class Tree:
 
     root: TreeNode
     _by_path: Optional[Dict[str, TreeNode]] = field(default=None, repr=False)
+    #: Internal-node count, kept by :meth:`clone` (which counts as it
+    #: copies) until the next :meth:`reindex`.
+    _size: Optional[int] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.reindex()
@@ -183,7 +186,7 @@ class Tree:
     def reindex(self) -> None:
         """Relink parent pointers and drop cached paths after structural
         edits; the path index is rebuilt lazily on the next lookup."""
-        self._by_path = None
+        self._by_path = self._size = None
         root = self.root
         root.parent = None
         root._path = ""
@@ -237,6 +240,8 @@ class Tree:
     @property
     def size(self) -> int:
         """Number of internal (non-nil) nodes."""
+        if self._size is not None:
+            return self._size
         return sum(1 for _ in self.nodes())
 
     @property
@@ -258,12 +263,8 @@ class Tree:
     def clone(self) -> "Tree":
         """Deep copy (the interpreter mutates fields in place), made in one
         pass: parent links and real nil leaves are built as nodes are
-        copied, so no ``reindex`` walk follows."""
-        return self._clone_counted()[0]
-
-    def _clone_counted(self) -> Tuple["Tree", int]:
-        """:meth:`clone` plus the number of internal nodes it copied (the
-        copy's :attr:`size`), so callers need no second walk."""
+        copied, so no ``reindex`` walk follows.  The copy keeps the count
+        of nodes it copied, so its :attr:`size` walks nothing."""
         root = _copy_node(self.root, None)
         root._path = ""
         stack: List[Tuple[TreeNode, TreeNode]] = [(self.root, root)]
@@ -278,8 +279,8 @@ class Tree:
             stack.append((o.right, c.right))  # type: ignore[arg-type]
             stack.append((o.left, c.left))  # type: ignore[arg-type]
         out = Tree.__new__(Tree)
-        out.root, out._by_path = root, None
-        return out, size
+        out.root, out._by_path, out._size = root, None, size
+        return out
 
     def same_shape(self, other: "Tree") -> bool:
         stack = [(self.root, other.root)]

@@ -146,6 +146,65 @@ def test_interp_engine_finds_dynamic_race():
     assert eng.race_evidence(clean) is None
 
 
+GUARDED = """\
+F0(n) {
+  if (n == nil) { return 0 }
+  else { if (n.v > 0) { n.a = 1 } else { skip }; return 0 }
+}
+Main(n) {
+  x0 = F0(n);
+  return x0
+}
+"""
+
+
+@pytest.fixture
+def race_runs(monkeypatch):
+    """Counts the interpreter engine's race runs (``program_races_on``)."""
+    import repro.interp
+
+    runs = []
+    real = repro.interp.program_races_on
+
+    def counted(program, tree):
+        runs.append(tree)
+        return real(program, tree)
+
+    monkeypatch.setattr(repro.interp, "program_races_on", counted)
+    return runs
+
+
+def test_interp_races_a_value_blind_program_once_per_tree(race_runs):
+    """No guard of CLEAN reads a field, so the seeded valuations of one
+    scope tree would repeat its one run; GUARDED's ``n.v`` guard keeps a
+    run per seed."""
+    from repro.core.bounded import default_scope
+
+    eng, trees = get_engine("interp"), len(default_scope(2))
+    assert eng.race_evidence(RaceQuery(program=clean_program(), scope=2)) \
+        is None
+    assert len(race_runs) == trees
+    del race_runs[:]
+    guarded = parse_program(GUARDED, name="guarded")
+    assert eng.race_evidence(RaceQuery(program=guarded, scope=2)) is None
+    assert len(race_runs) == trees * len(eng.field_seeds)
+
+
+def test_on_trees_runs_a_value_blind_program_once(race_runs):
+    """minimax ``Score`` branches on shape alone: one run, as given.
+    ``Prune`` branches on ``n.val``: on a race-free chain it runs as given
+    and under each of the three seeds."""
+    from repro.casestudies import minimax
+    from repro.trees.generators import left_chain
+
+    tree = left_chain(5, val=3)
+    res = check_data_race(minimax.parallel_program(), on_trees=[tree])
+    assert res.verdict == "race-free" and len(race_runs) == 1
+    del race_runs[:]
+    res = check_data_race(minimax.pruned_program(), on_trees=[tree])
+    assert res.verdict == "race-free" and len(race_runs) == 4
+
+
 def test_interp_scope_rung_honours_its_deadline():
     """Like the bounded rung, an overrun interp scope shrinks and, with
     no scope fitting, the query stays undecided."""

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.trees.generators import full_tree
 from repro.trees.heap import (
     NilAccessError,
     Tree,
@@ -187,6 +188,14 @@ class TestCloneCompare:
             assert got.node_at(p).fields == src.node_at(p).fields
         got.node_at("").set("v", 99)
         assert src.node_at("").get("v") != 99
+
+    def test_clone_keeps_its_size_until_reindex(self):
+        t = full_tree(3)
+        c = t.clone()
+        assert c._size == t.size == 7
+        c.root.left = nil()
+        c.reindex()
+        assert c._size is None and c.size == 4
 
     def test_same_shape(self):
         a = Tree(node(node(), nil()))

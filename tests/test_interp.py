@@ -106,6 +106,24 @@ class TestSemanticsDetails:
         with pytest.raises(ExecutionError):
             run(sizecount_par, full_tree(4), max_steps=5)
 
+    def test_inplace_run_on_a_clone_walks_nothing(self, sizecount_par,
+                                                  monkeypatch):
+        """A clone keeps the node count it took, so ``run`` sizes its
+        default ``max_steps`` without walking the tree again."""
+        tree = random_tree(40, seed=1)
+        expected = run(sizecount_par, tree).returns
+        work = tree.clone()
+        walks = []
+        real = Tree.nodes
+
+        def counted(self, include_nil=False):
+            walks.append(self)
+            return real(self, include_nil)
+
+        monkeypatch.setattr(Tree, "nodes", counted)
+        assert run(sizecount_par, work, inplace=True).returns == expected
+        assert walks == []
+
     def test_returns_recorded_in_trace(self, sizecount_par):
         r = run(sizecount_par, full_tree(2))
         assert r.trace.returns == r.returns
