@@ -109,8 +109,8 @@ class InterpEngine(Engine):
     valuations are sampled — so it is ``complete_for="scope-sampled"``
     and its clean verdicts are never cache-reusable.
 
-    The race searches run a *value-blind* program (no branch reads a
-    field, see :func:`repro.interp.value_blind`) once per tree: every
+    The race searches run a *value-blind* program (no branch compares a
+    value, see :func:`repro.interp.value_blind`) once per tree: every
     valuation of one tree gives it the same accesses, so the others
     would only repeat the first run's races.
     """

@@ -140,18 +140,18 @@ def _code_of(program: A.Program) -> tuple:
     shape = tuple((f, f.body, f.int_params) for f in program.funcs.values())
     hit = _CODE.get(program)
     if hit is None or hit[0] != shape:
-        table, flows, guards = BlockTable(program), [], []
-        codes = {
-            name: (_Compiler(table, program, name, flows, guards).code(f.body),
-                   f.int_params)
-            for name, f in program.funcs.items()
-        }
-        hit = _CODE[program] = (shape, codes, _blind(flows, guards))
+        table, codes, blind = BlockTable(program), {}, True
+        for name, f in program.funcs.items():
+            compiler = _Compiler(table, name)
+            codes[name] = (compiler.code(f.body), f.int_params)
+            blind = blind and not compiler.guarded
+        hit = _CODE[program] = (shape, codes, blind)
     return hit
 
 
 def value_blind(program: A.Program) -> bool:
-    """True iff no ``if`` guard of ``program`` depends on a field value.
+    """True iff no ``if`` guard of ``program`` compares a value: every
+    guard is ``true`` or a nil test, or a boolean combination of those.
 
     Such a program, run with fixed entry arguments, takes the same
     branches on every valuation of one tree's fields: it runs the same
@@ -162,56 +162,14 @@ def value_blind(program: A.Program) -> bool:
     return _code_of(program)[2]
 
 
-# Taint analysis behind ``value_blind``.  A taint key is ``(function,
-# variable name)`` for an Int variable, ``(function, position)`` for a
-# return position, or ``_FIELD`` for any field value.  The compiler
-# records a flow ``(key, keys its value is computed from)`` for every
-# variable assignment, return expression, call argument (into the
-# callee's parameter) and call target (from the callee's return
-# position), and the keys of every ``>``/``== 0`` guard.  The fixpoint is
-# flow-insensitive and spans all functions, so loops of calls, mutual
-# recursion and par branches sharing their frame's variables are covered.
-_FIELD = object()
-
-
-def _reads(e: A.AExpr, fname: str) -> set:
-    """The taint keys the value of ``e`` in function ``fname`` reads."""
-    if isinstance(e, A.Var):
-        return {(fname, e.name)}
-    if isinstance(e, A.FieldRead):
-        return {_FIELD}
-    if isinstance(e, (A.Add, A.Sub)):
-        return _reads(e.left, fname) | _reads(e.right, fname)
-    if isinstance(e, A.Neg):
-        return _reads(e.expr, fname)
-    if isinstance(e, (A.Max, A.Min)):
-        return set().union(*(_reads(a, fname) for a in e.args))
-    return set()
-
-
-def _blind(flows: list, guards: list) -> bool:
-    tainted = {_FIELD}
-    grew = True
-    while grew:
-        grew = False
-        for key, deps in flows:
-            if key not in tainted and not tainted.isdisjoint(deps):
-                tainted.add(key)
-                grew = True
-    return all(tainted.isdisjoint(deps) for deps in guards)
-
-
 class _Compiler:
-    """Compiles the body of function ``fname`` (see the opcodes above),
-    appending its taint facts to ``flows`` and ``guards``."""
+    """Compiles the body of function ``fname`` (see the opcodes above);
+    ``guarded`` records whether it compiled a ``>`` or ``== 0`` guard."""
 
-    def __init__(self, table: BlockTable, program: A.Program, fname: str,
-                 flows: list, guards: list) -> None:
+    def __init__(self, table: BlockTable, fname: str) -> None:
         self.table = table
-        self.program = program
         self.fname = fname
-        self.flows = flows
-        self.guards = guards
+        self.guarded = False
 
     def code(self, stmt: A.Stmt) -> tuple:
         out: list = []
@@ -242,12 +200,6 @@ class _Compiler:
             out.append((_ASSIGN, steps, sid, tuple(assigns), returns))
         elif isinstance(s, A.CallStmt):
             sid = self.table.of_stmt(s).sid
-            callee = self.program.funcs.get(s.func)
-            if callee is not None:
-                self.flows.extend(((s.func, p), _reads(e, self.fname))
-                                  for p, e in zip(callee.int_params, s.args))
-            self.flows.extend(((self.fname, t), {(s.func, k)})
-                              for k, t in enumerate(s.targets))
             out.append((_CALL, steps, sid, s.func, self._loc(s.loc),
                         tuple(self._a(e, sid) for e in s.args), s.targets))
         elif isinstance(s, A.If):
@@ -275,7 +227,6 @@ class _Compiler:
     def _assign(self, a: A.Assign, sid: str):
         if isinstance(a, A.VarAssign):
             name, x = a.name, self._a(a.expr, sid)
-            self.flows.append(((self.fname, name), _reads(a.expr, self.fname)))
 
             def assign(m, f):
                 f.env[name] = x(m, f)
@@ -294,8 +245,6 @@ class _Compiler:
                 node.set(fname, v)
         else:  # Return
             xs = tuple(self._a(e, sid) for e in a.exprs)
-            self.flows.extend(((self.fname, k), _reads(e, self.fname))
-                              for k, e in enumerate(a.exprs))
 
             def assign(m, f):
                 f.ret_values = tuple([x(m, f) for x in xs])
@@ -368,7 +317,7 @@ class _Compiler:
             resolve = self._loc(b.loc)
             return lambda m, f: resolve(f).is_nil
         if isinstance(b, (A.Gt, A.Eq0)):
-            self.guards.append(_reads(b.expr, self.fname))
+            self.guarded = True
             x = self._a(b.expr, None)
             if isinstance(b, A.Gt):
                 return lambda m, f: x(m, f) > 0

@@ -20,6 +20,7 @@ from repro.engine import (
 )
 from repro.lang import parse_program
 from repro.solver.stats import SolverStats
+from tests.test_value_blind import TABLE
 
 RACY = """\
 F0(n) {
@@ -146,18 +147,6 @@ def test_interp_engine_finds_dynamic_race():
     assert eng.race_evidence(clean) is None
 
 
-GUARDED = """\
-F0(n) {
-  if (n == nil) { return 0 }
-  else { if (n.v > 0) { n.a = 1 } else { skip }; return 0 }
-}
-Main(n) {
-  x0 = F0(n);
-  return x0
-}
-"""
-
-
 @pytest.fixture
 def race_runs(monkeypatch):
     """Counts the interpreter engine's race runs (``program_races_on``)."""
@@ -175,9 +164,9 @@ def race_runs(monkeypatch):
 
 
 def test_interp_races_a_value_blind_program_once_per_tree(race_runs):
-    """No guard of CLEAN reads a field, so the seeded valuations of one
-    scope tree would repeat its one run; GUARDED's ``n.v`` guard keeps a
-    run per seed."""
+    """No guard of CLEAN compares a value, so the seeded valuations of one
+    scope tree would repeat its one run; an ``n.v`` guard keeps a run
+    per seed."""
     from repro.core.bounded import default_scope
 
     eng, trees = get_engine("interp"), len(default_scope(2))
@@ -185,7 +174,7 @@ def test_interp_races_a_value_blind_program_once_per_tree(race_runs):
         is None
     assert len(race_runs) == trees
     del race_runs[:]
-    guarded = parse_program(GUARDED, name="guarded")
+    guarded = parse_program(TABLE["guard-on-field"][0], name="guarded")
     assert eng.race_evidence(RaceQuery(program=guarded, scope=2)) is None
     assert len(race_runs) == trees * len(eng.field_seeds)
 

@@ -1,13 +1,11 @@
 """Value-blind programs: the analysis, its premise, and the race paths.
 
-A program is *value-blind* when no ``if`` guard depends on a field value,
-directly or through Int variables, return positions or parameters
-(``repro.interp.value_blind``).  The interpreter's race searches run such
-a program once per tree instead of once per field valuation.  This file
-pins three things:
+A program is *value-blind* when no ``if`` guard compares a value: every
+guard is a nil test (``repro.interp.value_blind``).  The interpreter's
+race searches run such a program once per tree instead of once per
+field valuation.  This file pins three things:
 
-* the analysis' answer on a table of programs, one per way a field value
-  can reach a guard;
+* the analysis' answer on a table of programs;
 * the premise: on every valuation of one tree, a blind program runs the
   same iterations, records the same accesses and raises the same error;
 * the outcome: ``race_evidence`` and ``first_race`` answer exactly what a
@@ -42,44 +40,10 @@ TABLE = {
 F(n) { if (n == nil) { return 0 } else {
   n.a = n.b + 1; r = F(n.l); n.c = r; return r + n.a } }
 Main(n) { { x = F(n) || y = F(n) }; return x }""", True),
-    # A guard on variables that only ever hold constants and shapes.
-    "guard-on-constants": ("""
-F(n, k) { if (n == nil) { return 0 } else {
-  j = k + 1; if (j > 2) { n.a = j } else { n.b = n.a };
-  r = F(n.l, j); return r } }
-Main(n) { x = F(n, 0); return x }""", True),
-    # Return position 0 is shape-only, position 1 carries a field value:
-    # a guard on position 0 stays blind.
-    "guard-on-clean-return-position": ("""
-G(n) { if (n == nil) { return 0, 0 } else {
-  u, v = G(n.l); return u + 1, n.a + v } }
-Main(n) { p, q = G(n); if (p > 1) { n.b = q } else { skip }; return p }""",
-                                       True),
     "guard-on-field": ("""
 F(n) { if (n == nil) { return 0 } else {
   if (n.v > 0) { n.a = 1 } else { skip }; return 0 } }
 Main(n) { x = F(n); return x }""", False),
-    "var-chain": ("""
-F(n) { if (n == nil) { return 0 } else {
-  x = n.a; y = x + 1; z = max(y, 2) - 1; if (z == 0) { n.b = 1 } else { skip };
-  return 0 } }
-Main(n) { x = F(n); return x }""", False),
-    "return-position": ("""
-G(n) { if (n == nil) { return 0, 0 } else {
-  u, v = G(n.l); return u + 1, n.a + v } }
-Main(n) { p, q = G(n); if (q > 1) { n.b = p } else { skip }; return p }""",
-                        False),
-    "int-parameter": ("""
-H(n, k) { if (n == nil) { return 0 } else {
-  if (k > 0) { n.a = 1 } else { skip }; r = H(n.l, n.b); return r } }
-Main(n) { x = H(n, 0); return x }""", False),
-    # The field value enters Q's parameter only through P's, on the
-    # fixpoint's second round.
-    "mutual-recursion": ("""
-P(n, k) { if (n == nil) { return 0 } else { r = Q(n.l, k); return r } }
-Q(n, k) { if (n == nil) { return 0 } else {
-  if (!(k > 0)) { n.a = 1 } else { skip }; r = P(n.l, n.a); return r } }
-Main(n) { x = P(n, 0); return x }""", False),
 }
 
 
